@@ -13,6 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .diagnostics import warning
 from .errors import AnalysisError, TooFewVersions, WriteFailure
 from .metrics import VersionMetrics, measure_version
 from .parser import SourceUnit, parse_source
@@ -102,11 +103,31 @@ def _load_table(path: Path | None) -> WeightTable:
     return load_weight_overrides(path)
 
 
+def _read_source(path: Path) -> tuple[str, bool]:
+    """Decode UTF-8 with universal newlines, as ``read_text`` does.
+
+    Undecodable bytes become U+FFFD; the flag says whether any did.
+    """
+    data = path.read_bytes()
+    try:
+        text, lossy = data.decode("utf-8"), False
+    except UnicodeDecodeError:
+        text, lossy = data.decode("utf-8", errors="replace"), True
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text, lossy
+
+
 def _parse_version(version: VersionRef) -> list[SourceUnit]:
     units = []
     for ref in version.files:
-        text = ref.path.read_text(encoding="utf-8", errors="replace")
-        units.append(parse_source(text, ref))
+        text, lossy = _read_source(ref.path)
+        unit = parse_source(text, ref)
+        if lossy:
+            unit.parse_diagnostics.insert(
+                0, warning(str(ref.path), 0, "invalid UTF-8 replaced with U+FFFD")
+            )
+        units.append(unit)
     return units
 
 

@@ -1,15 +1,22 @@
 """Comment- and string-aware tokenizer for Java/AspectJ source text.
 
-Line comments, block comments, string literals, and character literals are
-elided so that keywords mentioned inside them can never reach the
-declaration parser. Tokens keep their source offsets so callers can slice
-raw text back out (pointcut expressions are re-lexed from such slices).
+Line comments, block comments, string and character literals, and Java 15
+text blocks are elided so that keywords mentioned inside them can never
+reach the declaration parser. Tokens keep their source offsets so callers
+can slice raw text back out (pointcut expressions are re-lexed from such
+slices).
+
+One compiled alternation does the whole scan. Each match is the blanks,
+comments and closed literals before a token (the skipped prefix) followed
+by one named alternative; ``tokenize`` dispatches on ``m.lastgroup`` and
+recovers line numbers by counting newlines between matches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum
+from functools import lru_cache
 
 from .diagnostics import Diagnostic, error
 
@@ -26,11 +33,6 @@ KEYWORDS = frozenset(
     }
 )
 
-_TWO_CHAR_OPERATORS = {
-    "&&", "||", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=", "%=",
-    "&=", "|=", "^=", "<<", ">>", "++", "--", "->", "::",
-}
-
 
 class TokenKind(Enum):
     IDENTIFIER = "identifier"
@@ -45,140 +47,137 @@ class TokenKind(Enum):
     END = "end"
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: TokenKind
-    text: str
-    line: int
-    start: int = 0
-    end: int = 0
+    __slots__ = ("kind", "text", "line", "start", "end")
+
+    def __init__(self, kind: TokenKind, text: str, line: int, start: int = 0, end: int = 0):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.start = start
+        self.end = end
+
+    def __repr__(self) -> str:
+        return f"Token({self.kind}, {self.text!r}, {self.line}, {self.start}, {self.end})"
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch in "_$"
+_BLANKS_EOL = r"[ \t\f]*\r?\n"  # after a text block's opening quotes
+
+# Skipped before every token. Closed literals whose escapes include no
+# newline go here; the rest are alternatives below, because a
+# backslash-newline inside a literal does not count as a line.
+_SKIP = (
+    r"\s*(?:(?:"
+    r"//[^\n]*"
+    r"|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/"
+    rf'|"""{_BLANKS_EOL}[^"\\]*(?:(?:\\[\s\S]|"(?!""))[^"\\]*)*"""'
+    rf'|"(?!""{_BLANKS_EOL})[^"\\\n]*(?:\\.[^"\\\n]*)*"'
+    r"|'[^'\\\n]*(?:\\.[^'\\\n]*)*'"
+    r")\s*)*"
+)
+
+_TOKENS = (
+    r"(?P<NUMBER>{digit}(?:[\w$]|\.{digit})*)"
+    r"|(?P<WORD>{word_start}[\w$]+)"
+    r"|(?P<SINGLE>[{{}}();])"
+    r"|(?P<BLOCK_COMMENT>/\*[\s\S]*)"  # unterminated: runs to the end
+    r"|(?P<OPERATOR>&&|\|\||[=!<>+\-*/%&|^]=|<<|>>|\+\+|--|->|::|[&|!<>=+\-*/%^~?])"
+    rf'|(?P<TEXT_BLOCK>"""{_BLANKS_EOL}[\s\S]*)'  # unterminated: runs to the end
+    r'|(?P<LITERAL>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"'
+    r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*')"
+    r'|(?P<OPEN_LITERAL>"(?:\\[\s\S]|[^"\\\n])*\\?'
+    r"|'(?:\\[\s\S]|[^'\\\n])*\\?)"
+    r"|(?P<PUNCT>.)"
+    r"|(?P<END>\Z)"
+)
+
+_SINGLE = {
+    "{": TokenKind.BRACE_OPEN,
+    "}": TokenKind.BRACE_CLOSE,
+    "(": TokenKind.PAREN_OPEN,
+    ")": TokenKind.PAREN_CLOSE,
+    ";": TokenKind.SEMICOLON,
+}
+_IDENTIFIER = TokenKind.IDENTIFIER
+_KEYWORD = TokenKind.KEYWORD
+_PUNCT = TokenKind.PUNCT
+_OPERATOR = TokenKind.OPERATOR
 
 
-def _is_ident_part(ch: str) -> bool:
-    return ch.isalnum() or ch in "_$"
+@lru_cache(maxsize=32)
+def _scanner(odd_digits: str = "", odd_numerics: str = ""):
+    """Compile the scanner, widening its classes for a few odd characters.
+
+    ``\\d`` is ``str.isdecimal`` but numbers start at ``str.isdigit``, so
+    ``odd_digits`` (digits that are not decimal, e.g. superscript two)
+    join the digit class. ``\\w`` also matches numeric characters that are
+    not ``str.isalpha``; ``odd_numerics`` (e.g. one half) may continue a
+    word but never start one.
+    """
+    digit = rf"[\d{re.escape(odd_digits)}]" if odd_digits else r"\d"
+    word_start = rf"(?![{re.escape(odd_numerics)}])" if odd_numerics else ""
+    tokens = _TOKENS.format(digit=digit, word_start=word_start)
+    return re.compile(f"{_SKIP}(?:{tokens})").finditer
+
+
+def _scanner_for(text: str):
+    if text.isascii():
+        return _scanner()
+    odd = {
+        ch for ch in set(text)
+        if ch.isnumeric() and not ch.isdecimal() and not ch.isalpha()
+    }
+    if not odd:
+        return _scanner()
+    digits = "".join(sorted(ch for ch in odd if ch.isdigit()))
+    numerics = "".join(sorted(ch for ch in odd if not ch.isdigit()))
+    return _scanner(digits, numerics)
 
 
 def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Diagnostic]]:
-    """Tokenize ``text``, eliding comments and string/char literals."""
+    """Tokenize ``text``, eliding comments and string/char literals.
+
+    A byte-order mark at offset 0 is skipped; offsets still index ``text``.
+    The returned list always ends with exactly one END token.
+    """
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    i = 0
+    append = tokens.append
+    count = text.count
     line = 1
+    last = 0  # newlines before ``last`` are already in ``line``
+    pos = 1 if text.startswith("\ufeff") else 0
+
+    for m in _scanner_for(text)(text, pos):
+        group = m.lastgroup
+        start, end = m.span(group)
+        if start != last:
+            line += count("\n", last, start)
+        if group == "WORD":
+            word = text[start:end]
+            append(Token(_KEYWORD if word in KEYWORDS else _IDENTIFIER, word, line, start, end))
+        elif group == "SINGLE":
+            word = text[start:end]
+            append(Token(_SINGLE[word], word, line, start, end))
+        elif group == "OPERATOR":
+            append(Token(_OPERATOR, text[start:end], line, start, end))
+        elif group == "PUNCT" or group == "NUMBER":
+            append(Token(_PUNCT, text[start:end], line, start, end))
+        elif group == "LITERAL":
+            pass  # closed, but spans a backslash-newline: not counted
+        elif group == "OPEN_LITERAL":
+            kind_name = "string" if text[start] == '"' else "character"
+            diagnostics.append(error(file, line, f"unterminated {kind_name} literal"))
+        elif group == "BLOCK_COMMENT":
+            diagnostics.append(error(file, line, "unterminated block comment"))
+            end = start  # its newlines still count toward the END line
+        elif group == "TEXT_BLOCK":
+            diagnostics.append(error(file, line, "unterminated text block"))
+            end = start
+        else:  # END
+            break
+        last = end
+
     n = len(text)
-
-    def emit(kind: TokenKind, start: int, end: int, at_line: int) -> None:
-        tokens.append(Token(kind, text[start:end], at_line, start, end))
-
-    while i < n:
-        ch = text[i]
-
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            start_line = line
-            i += 2
-            closed = False
-            while i < n:
-                if text[i] == "\n":
-                    line += 1
-                elif text[i] == "*" and i + 1 < n and text[i + 1] == "/":
-                    i += 2
-                    closed = True
-                    break
-                i += 1
-            if not closed:
-                diagnostics.append(error(file, start_line, "unterminated block comment"))
-            continue
-
-        if ch == '"' or ch == "'":
-            quote = ch
-            start_line = line
-            i += 1
-            closed = False
-            while i < n:
-                c = text[i]
-                if c == "\\" and i + 1 < n:
-                    i += 2
-                    continue
-                if c == quote:
-                    i += 1
-                    closed = True
-                    break
-                if c == "\n":
-                    # Recover at the next line; the literal is invalid anyway.
-                    break
-                i += 1
-            if not closed:
-                kind_name = "string" if quote == '"' else "character"
-                diagnostics.append(error(file, start_line, f"unterminated {kind_name} literal"))
-            continue
-
-        if _is_ident_start(ch):
-            start = i
-            while i < n and _is_ident_part(text[i]):
-                i += 1
-            word = text[start:i]
-            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENTIFIER
-            emit(kind, start, i, line)
-            continue
-
-        if ch.isdigit():
-            start = i
-            i += 1
-            while i < n and (_is_ident_part(text[i]) or (text[i] == "." and i + 1 < n and text[i + 1].isdigit())):
-                i += 1
-            emit(TokenKind.PUNCT, start, i, line)
-            continue
-
-        if ch == "{":
-            emit(TokenKind.BRACE_OPEN, i, i + 1, line)
-            i += 1
-            continue
-        if ch == "}":
-            emit(TokenKind.BRACE_CLOSE, i, i + 1, line)
-            i += 1
-            continue
-        if ch == "(":
-            emit(TokenKind.PAREN_OPEN, i, i + 1, line)
-            i += 1
-            continue
-        if ch == ")":
-            emit(TokenKind.PAREN_CLOSE, i, i + 1, line)
-            i += 1
-            continue
-        if ch == ";":
-            emit(TokenKind.SEMICOLON, i, i + 1, line)
-            i += 1
-            continue
-
-        pair = text[i : i + 2]
-        if pair in _TWO_CHAR_OPERATORS:
-            emit(TokenKind.OPERATOR, i, i + 2, line)
-            i += 2
-            continue
-        if ch in "&|!<>=+-*/%^~?":
-            emit(TokenKind.OPERATOR, i, i + 1, line)
-            i += 1
-            continue
-
-        # ., ,, :, @, [, ] and anything exotic
-        emit(TokenKind.PUNCT, i, i + 1, line)
-        i += 1
-
-    tokens.append(Token(TokenKind.END, "", line, n, n))
+    append(Token(TokenKind.END, "", line, n, n))
     return tokens, diagnostics

@@ -129,6 +129,8 @@ def _normalize_tokens(tokens: list[Token]) -> str:
 
 class _DeclParser:
     def __init__(self, tokens: list[Token], file: object, source: str):
+        # ``tokens`` ends with two END tokens. ``advance`` never moves past
+        # the first, so ``peek(1)`` can index without a bounds check.
         self.tokens = tokens
         self.pos = 0
         self.source = source
@@ -139,8 +141,7 @@ class _DeclParser:
     # -- cursor helpers -------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        return self.tokens[self.pos + offset]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -149,7 +150,7 @@ class _DeclParser:
         return tok
 
     def at_end(self) -> bool:
-        return self.peek().kind is TokenKind.END
+        return self.tokens[self.pos].kind is TokenKind.END
 
     def warn(self, line: int, message: str) -> None:
         self.diagnostics.append(warning(self.label, line, message))
@@ -671,8 +672,11 @@ def parse_unit(
     source: str,
     lex_diagnostics: list[Diagnostic] | None = None,
 ) -> SourceUnit:
-    """Parse a token stream into a SourceUnit of declaration signatures."""
-    parser = _DeclParser(tokens, file, source)
+    """Parse a token stream into a SourceUnit of declaration signatures.
+
+    ``tokens`` ends with one END token, as ``tokenize`` returns it.
+    """
+    parser = _DeclParser([*tokens, tokens[-1]], file, source)
     unit = SourceUnit(file=file)
     if lex_diagnostics:
         parser.diagnostics.extend(lex_diagnostics)

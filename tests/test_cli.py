@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from aometrics.cli import main
+from aometrics.cli import _read_source, main
 from helpers import MINI_UAS, MINI_UAS_ORDER, TEST_FIXTURES
 
 
@@ -209,3 +209,25 @@ def test_compare_reruns_byte_identical(tmp_path: Path):
     main(args + ["--out", str(tmp_path / "b")])
     for name in ("comparison.json", "comparison.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_measure_warns_once_on_invalid_utf8_and_still_measures(tmp_path: Path, capsys):
+    legacy = TEST_FIXTURES / "latin1" / "V"
+    with pytest.raises(UnicodeDecodeError):
+        (legacy / "Legacy.java").read_bytes().decode("utf-8")
+    code = main(["measure", str(legacy), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert err.splitlines() == [
+        f"{legacy / 'Legacy.java'}:0: warning: invalid UTF-8 replaced with U+FFFD"
+    ]
+    payload = json.loads((tmp_path / "V.json").read_text(encoding="utf-8"))
+    assert payload["wmca"] == 1
+
+
+def test_read_source_decodes_like_read_text(tmp_path: Path):
+    path = tmp_path / "Mixed.java"
+    path.write_bytes("class Café {\r\n int a;\r int b;\n}".encode("utf-8"))
+    assert _read_source(path) == (path.read_text(encoding="utf-8"), False)
+    path.write_bytes(b"class A {\r\n // \xe9\r}")
+    assert _read_source(path) == ("class A {\n // \ufffd\n}", True)

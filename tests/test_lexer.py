@@ -68,3 +68,45 @@ def test_fixture_token_count_matches_hand_count():
     assert not diags
     assert len(tokens) == 42  # 41 + END
     assert tokens[-1].kind is TokenKind.END
+
+
+def test_byte_order_mark_skipped_and_offsets_slice_source():
+    text = (TEST_FIXTURES / "bom" / "V" / "Account.java").read_text(encoding="utf-8")
+    assert text.startswith("\ufeff")
+    tokens, diags = tokenize(text)
+    assert not diags
+    assert (tokens[0].text, tokens[0].line, tokens[0].start) == ("package", 1, 1)
+    for tok in tokens[:-1]:
+        assert text[tok.start : tok.end] == tok.text
+
+
+def test_byte_order_mark_only_skipped_at_offset_zero():
+    tokens, _ = tokenize("class A {}\ufeff")
+    assert tokens[-2].text == "\ufeff"
+
+
+def test_text_block_elided_and_its_newlines_counted():
+    text = (TEST_FIXTURES / "text_block" / "V" / "Banner.java").read_text(encoding="utf-8")
+    tokens, diags = tokenize(text)
+    assert not diags
+    texts = [t.text for t in tokens]
+    assert "aspect" not in texts and "pointcut" not in texts and "Fake" not in texts
+    assert texts.count("{") == texts.count("}") == 2
+    lines = {}
+    for tok in tokens:
+        lines.setdefault(tok.text, tok.line)
+    assert (lines["art"], lines["render"], lines["width"]) == (2, 7, 8)
+
+
+def test_text_block_escaped_quote_does_not_close_it():
+    tokens, diags = tokenize('s = """\n  a \\""" b\n  """; int x;')
+    assert not diags
+    assert [t.text for t in tokens[:-1]] == ["s", "=", ";", "int", "x", ";"]
+    assert tokens[-2].line == 3
+
+
+def test_unterminated_text_block_is_one_error_at_its_opening_line():
+    tokens, diags = tokenize('class A {\n  String s = """\n  x\n  "\n}\n')
+    assert [(d.line, d.message) for d in diags] == [(2, "unterminated text block")]
+    assert [t.text for t in tokens[:-1]] == ["class", "A", "{", "String", "s", "="]
+    assert tokens[-1].line == 6

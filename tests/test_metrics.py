@@ -21,7 +21,7 @@ from aometrics import (
     wpa_aspect,
 )
 from aometrics.pointcuts import parse_pointcut_expression
-from helpers import MINI_UAS, parse_version_dir
+from helpers import MINI_UAS, TEST_FIXTURES, measure_dir, parse_version_dir
 
 W = default_weights()
 
@@ -338,3 +338,18 @@ def test_java_only_versions_have_zero_aspect_metrics(bodies):
     assert m.wpa.is_zero() and m.waa.is_zero() and m.wjp.is_zero()
     assert m.wmca == sum(n for n, _ in bodies)
     assert m.class_attribute_count == sum(a for _, a in bodies)
+
+
+def test_byte_order_mark_file_is_measured():
+    m = measure_dir(TEST_FIXTURES / "bom" / "V")
+    assert m.diagnostics == []
+    assert [(c.class_name, c.wmca, c.attribute_count) for c in m.per_class] == [("Account", 3, 2)]
+    assert (m.wmca, m.class_attribute_count, m.class_count) == (3, 2, 1)
+    assert m.nac_rendered() == "2.000"
+
+
+def test_text_block_contents_never_reach_the_parser():
+    m = measure_dir(TEST_FIXTURES / "text_block" / "V")
+    assert m.diagnostics == []
+    assert m.aspect_count == 0 and m.aspect_free
+    assert [(c.class_name, c.wmca, c.attribute_count) for c in m.per_class] == [("Banner", 1, 2)]
