@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .diagnostics import warning
+from .diagnostics import Diagnostic, warning
 from .errors import AnalysisError, TooFewVersions, WriteFailure
 from .metrics import VersionMetrics, measure_version
-from .parser import SourceUnit, parse_source
+from .parser import SourceUnit, file_label, parse_source
 from .report import (
     compare_versions,
     render_table,
@@ -29,18 +28,7 @@ from .scanner import ScanMode, VersionRef, scan_corpus
 from .weights import WeightTable, default_weights, load_weight_overrides
 
 _FORMATS = ("log", "json", "csv", "table")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    roots: list[Path]
-    versions_mode: bool = False
-    weights_path: Path | None = None
-    formats: set[str] = field(default_factory=lambda: {"log", "json", "csv"})
-    output_dir: Path = Path(".")
-    strict: bool = False
-    order: list[str] | None = None
+_DEFAULT_FORMATS = ("log", "json", "csv")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -103,12 +91,11 @@ def _load_table(path: Path | None) -> WeightTable:
     return load_weight_overrides(path)
 
 
-def _read_source(path: Path) -> tuple[str, bool]:
+def _decode_source(data: bytes) -> tuple[str, bool]:
     """Decode UTF-8 with universal newlines, as ``read_text`` does.
 
     Undecodable bytes become U+FFFD; the flag says whether any did.
     """
-    data = path.read_bytes()
     try:
         text, lossy = data.decode("utf-8"), False
     except UnicodeDecodeError:
@@ -118,14 +105,39 @@ def _read_source(path: Path) -> tuple[str, bool]:
     return text, lossy
 
 
-def _parse_version(version: VersionRef) -> list[SourceUnit]:
+def _parse_version(
+    version: VersionRef, parsed: dict[bytes, SourceUnit]
+) -> list[SourceUnit]:
+    """Parse a version's files, each distinct file content only once.
+
+    ``parsed`` maps raw file bytes to the unit first parsed from them and
+    lives for the whole run. A parse depends on the path only through its
+    diagnostics' labels, so a repeated content gets a new unit for its own
+    path that shares the parsed declarations (which nothing mutates) and
+    carries the diagnostics relabeled.
+    """
     units = []
     for ref in version.files:
-        text, lossy = _read_source(ref.path)
-        unit = parse_source(text, ref)
-        if lossy:
-            unit.parse_diagnostics.insert(
-                0, warning(str(ref.path), 0, "invalid UTF-8 replaced with U+FFFD")
+        data = ref.path.read_bytes()
+        label = file_label(ref)
+        first = parsed.get(data)
+        if first is None:
+            text, lossy = _decode_source(data)
+            unit = parse_source(text, ref)
+            if lossy:
+                unit.parse_diagnostics.insert(
+                    0, warning(label, 0, "invalid UTF-8 replaced with U+FFFD")
+                )
+            parsed[data] = unit
+        else:
+            unit = SourceUnit(
+                file=ref,
+                classes=first.classes,
+                aspects=first.aspects,
+                parse_diagnostics=[
+                    Diagnostic(label, d.line, d.severity, d.message)
+                    for d in first.parse_diagnostics
+                ],
             )
         units.append(unit)
     return units
@@ -145,9 +157,12 @@ def _write(path: Path, text: str) -> None:
 
 
 def _measure_one(
-    version: VersionRef, table: WeightTable, strict: bool
+    version: VersionRef,
+    table: WeightTable,
+    strict: bool,
+    parsed: dict[bytes, SourceUnit],
 ) -> tuple[VersionMetrics, list[SourceUnit]]:
-    units = _parse_version(version)
+    units = _parse_version(version, parsed)
     metrics = measure_version(version, units, table, strict=strict)
     _report_diagnostics(metrics)
     return metrics, units
@@ -164,27 +179,20 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        command="measure",
-        roots=[args.root],
-        weights_path=args.weights,
-        formats=set(args.formats) if args.formats else {"log", "json", "csv"},
-        output_dir=args.out,
-        strict=args.strict,
-    )
-    table = _load_table(config.weights_path)
-    (version,) = scan_corpus(config.roots[0], ScanMode.SINGLE_VERSION)
-    metrics, units = _measure_one(version, table, config.strict)
+    formats = set(args.formats or _DEFAULT_FORMATS)
+    table = _load_table(args.weights)
+    (version,) = scan_corpus(args.root, ScanMode.SINGLE_VERSION)
+    metrics, units = _measure_one(version, table, args.strict, {})
 
-    out = config.output_dir
-    if "log" in config.formats:
+    out = args.out
+    if "log" in formats:
         usable = [u for u in units if not u.has_errors]
         _write(out / f"{metrics.version_id}.log", write_log(usable, metrics))
-    if "json" in config.formats:
+    if "json" in formats:
         _write(out / f"{metrics.version_id}.json", write_json(metrics))
-    if "csv" in config.formats:
+    if "csv" in formats:
         _write(out / f"{metrics.version_id}.csv", write_csv([metrics]))
-    if "table" in config.formats:
+    if "table" in formats:
         _write(out / f"{metrics.version_id}.txt", render_table([metrics]))
     sys.stdout.write(render_table([metrics]))
     return 0
@@ -206,37 +214,27 @@ def _cmd_compare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     if not args.versions_root and len(args.roots) < 2:
         parser.error("compare needs --versions-root or at least two version roots")
 
-    config = RunConfig(
-        command="compare",
-        roots=list(args.roots),
-        versions_mode=bool(args.versions_root),
-        weights_path=args.weights,
-        formats=set(args.formats) if args.formats else {"log", "json", "csv"},
-        output_dir=args.out,
-        strict=args.strict,
-        order=args.order,
-    )
-    table = _load_table(config.weights_path)
+    formats = set(args.formats or _DEFAULT_FORMATS)
+    table = _load_table(args.weights)
 
-    if config.versions_mode:
+    if args.versions_root:
         versions = scan_corpus(args.versions_root, ScanMode.VERSIONS_ROOT)
     else:
-        versions = [
-            scan_corpus(root, ScanMode.SINGLE_VERSION)[0] for root in config.roots
-        ]
-    versions = _ordered_versions(versions, config.order)
+        versions = [scan_corpus(root, ScanMode.SINGLE_VERSION)[0] for root in args.roots]
+    versions = _ordered_versions(versions, args.order)
     if len(versions) < 2:
         raise TooFewVersions(f"need at least 2 versions, found {len(versions)}")
 
-    all_metrics = [_measure_one(v, table, config.strict)[0] for v in versions]
+    parsed: dict[bytes, SourceUnit] = {}
+    all_metrics = [_measure_one(v, table, args.strict, parsed)[0] for v in versions]
     report = compare_versions(all_metrics)
 
-    out = config.output_dir
-    if "json" in config.formats:
+    out = args.out
+    if "json" in formats:
         _write(out / "comparison.json", write_json(report))
-    if "csv" in config.formats:
+    if "csv" in formats:
         _write(out / "comparison.csv", write_csv(all_metrics))
-    if "table" in config.formats:
+    if "table" in formats:
         _write(out / "comparison.txt", render_table(all_metrics))
     sys.stdout.write(render_table(all_metrics))
     sys.stdout.write(render_trends(report))

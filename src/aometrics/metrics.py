@@ -26,11 +26,13 @@ from .parser import (
     ClassDecl,
     PointcutDecl,
     SourceUnit,
+    file_label,
     walk_classes,
 )
 from .pointcuts import (
     KINDED_DESIGNATORS,
     NamedRef,
+    Not,
     PointcutExpr,
     Primitive,
     extract_signature_pattern,
@@ -91,12 +93,18 @@ class VersionMetrics:
     def nac_rendered(self) -> str:
         if self.class_count == 0:
             return "NA"
-        return render_ratio(self.class_attribute_count, self.class_count)
+        return render_ratio(self.nac)
 
 
-def render_ratio(num: int, den: int) -> str:
-    """Exact three-decimal rendering of num/den (banker's rounding)."""
-    return str((Decimal(num) / Decimal(den)).quantize(Decimal("0.001"), rounding=ROUND_HALF_EVEN))
+def render_ratio(value: Fraction, signed: bool = False) -> str:
+    """Exact three-decimal rendering of a ratio (banker's rounding).
+
+    ``signed`` prefixes a positive value with ``+``, as deltas are shown.
+    """
+    dec = (Decimal(value.numerator) / Decimal(value.denominator)).quantize(
+        Decimal("0.001"), rounding=ROUND_HALF_EVEN
+    )
+    return f"+{dec}" if signed and value > 0 else str(dec)
 
 
 class _PointcutIndex:
@@ -143,47 +151,44 @@ def classify_joinpoint_categories(
     line: int = 0,
     _seen: frozenset[int] = frozenset(),
 ) -> frozenset[JoinPointCategory]:
-    """Map an expression to the set of join-point categories it selects."""
+    """Map an expression to the set of join-point categories it selects.
+
+    Leaves are visited left to right with an explicit stack, so a wide
+    ``||`` chain needs no recursion; a named reference recurses once per
+    declaration it resolves to.
+    """
     cats: set[JoinPointCategory] = set()
     diags = diagnostics if diagnostics is not None else []
-
-    def visit(node: PointcutExpr, seen: frozenset[int]) -> None:
+    stack = [expr]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Primitive):
             cats.update(_primitive_categories(node, diags, file, line))
-            return
-        if isinstance(node, NamedRef):
+        elif isinstance(node, NamedRef):
             decl = resolve(node.name) if resolve is not None else None
             if decl is None:
                 diags.append(
                     warning(file, line, f"unresolved pointcut reference '{node.name}'")
                 )
-                return
-            if id(decl) in seen:
-                return
-            sub = classify_joinpoint_categories(
-                decl.expression,
-                resolve=resolve,
-                diagnostics=diags,
-                file=file,
-                line=line,
-                _seen=seen | {id(decl)},
-            )
-            cats.update(sub)
-            return
-        # And / Or / Not
-        for child in _children(node):
-            visit(child, seen)
-
-    visit(expr, _seen)
+            elif id(decl) not in _seen:
+                cats.update(
+                    classify_joinpoint_categories(
+                        decl.expression,
+                        resolve=resolve,
+                        diagnostics=diags,
+                        file=file,
+                        line=line,
+                        _seen=_seen | {id(decl)},
+                    )
+                )
+        elif isinstance(node, Not):
+            stack.append(node.child)
+        else:  # And / Or
+            stack.append(node.right)
+            stack.append(node.left)
     if is_combined(expr):
         cats.add(JoinPointCategory.BOOLEAN_OR_COMBINED)
     return frozenset(cats)
-
-
-def _children(node: PointcutExpr):
-    if hasattr(node, "child"):
-        return (node.child,)
-    return (node.left, node.right)
 
 
 def _primitive_categories(
@@ -321,7 +326,7 @@ def wjp_version(
     class_parts: list[tuple[str, Weight]] = []
     total = w.zero()
     for unit in units:
-        label = _unit_label(unit)
+        label = file_label(unit.file)
         index = _PointcutIndex(unit)
         for aspect in unit.aspects:
             part = _aspect_wjp(aspect, w, index.resolver_for(aspect), diags, label)
@@ -352,10 +357,6 @@ def _count_nac(units: list[SourceUnit]) -> tuple[int, int]:
     return na, nc
 
 
-def _unit_label(unit: SourceUnit) -> str:
-    return str(getattr(unit.file, "path", unit.file))
-
-
 def measure_version(
     v: VersionRef | str,
     units: list[SourceUnit],
@@ -370,15 +371,15 @@ def measure_version(
     version_id = v if isinstance(v, str) else v.id
     failed = [u for u in units if u.has_errors]
     if strict and failed:
-        raise StrictModeParseFailure(sorted(_unit_label(u) for u in failed))
+        raise StrictModeParseFailure(sorted(file_label(u.file) for u in failed))
 
-    usable = sorted((u for u in units if not u.has_errors), key=_unit_label)
+    usable = sorted((u for u in units if not u.has_errors), key=lambda u: file_label(u.file))
     diags: list[Diagnostic] = []
     for unit in units:
         diags.extend(unit.parse_diagnostics)
     for unit in failed:
         diags.append(
-            warning(_unit_label(unit), 0, "file excluded from metrics (parse errors)")
+            warning(file_label(unit.file), 0, "file excluded from metrics (parse errors)")
         )
 
     per_aspect: list[AspectMetrics] = []
@@ -390,7 +391,7 @@ def measure_version(
     attribute_count = 0
 
     for unit in usable:
-        label = _unit_label(unit)
+        label = file_label(unit.file)
         index = _PointcutIndex(unit)
         for aspect in unit.aspects:
             resolve = index.resolver_for(aspect)

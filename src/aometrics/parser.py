@@ -109,7 +109,8 @@ class SourceUnit:
         return any(d.severity is Severity.ERROR for d in self.parse_diagnostics)
 
 
-def _file_label(file: object) -> str:
+def file_label(file: object) -> str:
+    """The path a unit's diagnostics and reports name: ``file.path`` or ``file``."""
     return str(getattr(file, "path", file))
 
 
@@ -135,7 +136,7 @@ class _DeclParser:
         self.pos = 0
         self.source = source
         self.file = file
-        self.label = _file_label(file)
+        self.label = file_label(file)
         self.diagnostics: list[Diagnostic] = []
 
     # -- cursor helpers -------------------------------------------------
@@ -694,7 +695,7 @@ def parse_unit(
 
 def parse_source(text: str, file: object) -> SourceUnit:
     """Tokenize and parse one file's text."""
-    tokens, lex_diags = tokenize(text, file=_file_label(file))
+    tokens, lex_diags = tokenize(text, file=file_label(file))
     return parse_unit(tokens, file, text, lex_diagnostics=lex_diags)
 
 

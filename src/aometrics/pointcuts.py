@@ -263,7 +263,9 @@ def render_expression(expr: PointcutExpr) -> str:
 
     Parentheses are emitted only where needed to re-parse to the same
     tree: lower-precedence children, and same-precedence right children
-    (the grammar is left-associative).
+    (the grammar is left-associative). The tree is walked with an explicit
+    stack of nodes and pending text, so a wide ``||`` chain needs no
+    recursion.
     """
 
     def prec(node: PointcutExpr) -> int:
@@ -275,22 +277,30 @@ def render_expression(expr: PointcutExpr) -> str:
             return 3
         return 4
 
-    def go(node: PointcutExpr, parent_prec: int, is_right: bool) -> str:
+    parts: list[str] = []
+    # Items are (node, parent precedence, is right child) or literal text.
+    stack: list = [(expr, 0, False)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        node, parent_prec, is_right = item
         own = prec(node)
-        if isinstance(node, Primitive):
-            text = f"{node.designator}({node.argument_text})"
-        elif isinstance(node, NamedRef):
-            text = f"{node.name}()"
-        elif isinstance(node, Not):
-            text = f"!{go(node.child, own, False)}"
-        else:
-            op = "&&" if isinstance(node, And) else "||"
-            text = f"{go(node.left, own, False)} {op} {go(node.right, own, True)}"
         if own < parent_prec or (own == parent_prec and is_right):
-            return f"({text})"
-        return text
-
-    return go(expr, 0, False)
+            parts.append("(")
+            stack.append(")")
+        if isinstance(node, Primitive):
+            parts.append(f"{node.designator}({node.argument_text})")
+        elif isinstance(node, NamedRef):
+            parts.append(f"{node.name}()")
+        elif isinstance(node, Not):
+            parts.append("!")
+            stack.append((node.child, own, False))
+        else:
+            op = " && " if isinstance(node, And) else " || "
+            stack.extend(((node.right, own, True), op, (node.left, own, False)))
+    return "".join(parts)
 
 
 def _split_member_name(token: str) -> tuple[str, str]:
@@ -380,14 +390,20 @@ def extract_signature_pattern(
 
 
 def walk_primitives(expr: PointcutExpr):
-    """Yield every Primitive leaf of an expression tree."""
-    if isinstance(expr, Primitive):
-        yield expr
-    elif isinstance(expr, Not):
-        yield from walk_primitives(expr.child)
-    elif isinstance(expr, (And, Or)):
-        yield from walk_primitives(expr.left)
-        yield from walk_primitives(expr.right)
+    """Yield every Primitive leaf of an expression tree, left to right.
+
+    An explicit stack replaces recursion, so a wide ``||`` chain is safe.
+    """
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Primitive):
+            yield node
+        elif isinstance(node, Not):
+            stack.append(node.child)
+        elif isinstance(node, (And, Or)):
+            stack.append(node.right)
+            stack.append(node.left)
 
 
 def is_combined(expr: PointcutExpr) -> bool:

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
 from .errors import TooFewVersions
-from .metrics import VersionMetrics, classify_joinpoint_categories, _PointcutIndex
-from .parser import SourceUnit, walk_classes
+from .metrics import VersionMetrics, classify_joinpoint_categories, render_ratio, _PointcutIndex
+from .parser import SourceUnit, file_label, walk_classes
 from .pointcuts import NamedRef, render_expression
 from .weights import JoinPointCategory, Weight
 
@@ -30,10 +29,10 @@ _CATEGORY_ORDER = {cat: i for i, cat in enumerate(JoinPointCategory)}
 def write_log(units: list[SourceUnit], metrics: VersionMetrics) -> str:
     """Three-phase log: file inventory, declaration signatures, metrics."""
     lines: list[str] = []
-    ordered = sorted(units, key=_unit_path)
+    ordered = sorted(units, key=lambda u: file_label(u.file))
 
     for unit in ordered:
-        lines.append(f"FILE {_unit_path(unit)}")
+        lines.append(f"FILE {file_label(unit.file)}")
 
     for unit in ordered:
         index = _PointcutIndex(unit)
@@ -50,10 +49,6 @@ def write_log(units: list[SourceUnit], metrics: VersionMetrics) -> str:
     lines.append(f"METRIC WMCA {metrics.wmca}")
     lines.append(f"METRIC NAC {metrics.nac_rendered()}")
     return "\n".join(lines) + "\n"
-
-
-def _unit_path(unit: SourceUnit) -> str:
-    return str(getattr(unit.file, "path", unit.file))
 
 
 def _emit_members(lines: list[str], decl, index: _PointcutIndex, has_advice: bool) -> None:
@@ -196,15 +191,6 @@ def _signed_weight(delta_units: int, scale: int) -> str:
     return f"{sign}{whole}.{frac:0{decimals}d}"
 
 
-def _signed_ratio(diff: Fraction) -> str:
-    dec = (Decimal(diff.numerator) / Decimal(diff.denominator)).quantize(
-        Decimal("0.001"), rounding=ROUND_HALF_EVEN
-    )
-    if diff > 0:
-        return f"+{dec}"
-    return str(dec)
-
-
 def _trend(deltas: list[int | Fraction | None]) -> str:
     present = [d for d in deltas if d is not None]
     if not present or all(d == 0 for d in present):
@@ -255,8 +241,8 @@ def compare_versions(reports: list[VersionMetrics]) -> ComparisonReport:
     series(
         "nac",
         [m.nac for m in reports],
-        lambda v: "NA" if v is None else render_ratio_fraction(v),
-        _signed_ratio,
+        lambda v: "NA" if v is None else render_ratio(v),
+        lambda d: render_ratio(d, signed=True),
     )
     for metric in ("wpa", "waa", "wjp"):
         series(
@@ -266,13 +252,6 @@ def compare_versions(reports: list[VersionMetrics]) -> ComparisonReport:
             lambda d: _signed_weight(d, scale),
         )
     return ComparisonReport(versions=list(reports), deltas=deltas, trends=trends)
-
-
-def render_ratio_fraction(value: Fraction) -> str:
-    dec = (Decimal(value.numerator) / Decimal(value.denominator)).quantize(
-        Decimal("0.001"), rounding=ROUND_HALF_EVEN
-    )
-    return str(dec)
 
 
 def _comparison_payload(report: ComparisonReport) -> dict:

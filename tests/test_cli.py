@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import copy
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from aometrics.cli import _read_source, main
+import aometrics.cli as cli
+from aometrics import ScanMode, default_weights, measure_version, parse_source, scan_corpus
+from aometrics.cli import _decode_source, main
+from aometrics.report import write_json, write_log
 from helpers import MINI_UAS, MINI_UAS_ORDER, TEST_FIXTURES
 
 
@@ -228,6 +233,138 @@ def test_measure_warns_once_on_invalid_utf8_and_still_measures(tmp_path: Path, c
 def test_read_source_decodes_like_read_text(tmp_path: Path):
     path = tmp_path / "Mixed.java"
     path.write_bytes("class Café {\r\n int a;\r int b;\n}".encode("utf-8"))
-    assert _read_source(path) == (path.read_text(encoding="utf-8"), False)
+    assert _decode_source(path.read_bytes()) == (path.read_text(encoding="utf-8"), False)
     path.write_bytes(b"class A {\r\n // \xe9\r}")
-    assert _read_source(path) == ("class A {\n // \ufffd\n}", True)
+    assert _decode_source(path.read_bytes()) == ("class A {\n // \ufffd\n}", True)
+
+
+_TRACING_ASPECT = """\
+aspect Tracing {
+    pointcut broken(): execution(* );
+    after(): broken();
+}
+"""
+
+
+def _shared_content_tree(root: Path) -> list[Path]:
+    """Two versions sharing three byte-identical files, each with a diagnostic.
+
+    ``Legacy.java`` gets the invalid-UTF-8 warning, ``Broken.java`` is
+    excluded for parse errors and ``Tracing.aj`` draws a parse warning and
+    a metric warning. One more file differs between the versions.
+    """
+    versions = [root / "V1", root / "V2"]
+    for version in versions:
+        version.mkdir(parents=True)
+        shutil.copy(TEST_FIXTURES / "latin1" / "V" / "Legacy.java", version)
+        shutil.copy(TEST_FIXTURES / "corrupt" / "V" / "Broken.java", version)
+        (version / "Tracing.aj").write_text(_TRACING_ASPECT, encoding="utf-8")
+    shutil.copy(TEST_FIXTURES / "corrupt" / "V" / "Good.java", versions[0])
+    (versions[1] / "Other.java").write_text("class Other { int a; void f() {} }\n")
+    return versions
+
+
+def test_compare_parses_each_distinct_content_once(tmp_path: Path, monkeypatch):
+    roots = _shared_content_tree(tmp_path / "corpus")
+    calls = []
+
+    def counting_parse_source(text, file):
+        calls.append(file.path.name)
+        return parse_source(text, file)
+
+    monkeypatch.setattr(cli, "parse_source", counting_parse_source)
+    code = main(["compare", *map(str, roots), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert sorted(calls) == [
+        "Broken.java", "Good.java", "Legacy.java", "Other.java", "Tracing.aj"
+    ]
+
+
+def test_compare_reports_shared_diagnostics_once_per_version(tmp_path: Path, capsys):
+    roots = _shared_content_tree(tmp_path / "corpus")
+    expected = []
+    for root in roots:
+        assert main(["measure", str(root), "--out", str(tmp_path / root.name)]) == 0
+        expected.extend(capsys.readouterr().err.splitlines())
+
+    assert main(["compare", *map(str, roots), "--out", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == expected
+    for root in roots:
+        for line in (
+            f"{root / 'Legacy.java'}:0: warning: invalid UTF-8 replaced with U+FFFD",
+            f"{root / 'Broken.java'}:0: warning: file excluded from metrics (parse errors)",
+            f"{root / 'Tracing.aj'}:3: warning: after advice without a body",
+        ):
+            assert err.count(line) == 1, line
+        # The WPA and WJP passes each report a malformed signature, so only
+        # the path of this metric-time warning is checked here.
+        assert (
+            f"{root / 'Tracing.aj'}:2: warning: malformed execution signature: "
+            "missing parameter list"
+        ) in err
+    assert "Traceback" not in "\n".join(err)
+
+
+def test_compare_payloads_match_fresh_single_version_parses(tmp_path: Path, capsys):
+    roots = _shared_content_tree(tmp_path / "corpus")
+    assert main(["compare", *map(str, roots), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "out" / "comparison.json").read_text(encoding="utf-8"))
+    for root, reported in zip(roots, payload["versions"]):
+        (version,) = scan_corpus(root, ScanMode.SINGLE_VERSION)
+        units = [
+            parse_source(_decode_source(ref.path.read_bytes())[0], ref) for ref in version.files
+        ]
+        fresh = measure_version(version, units, default_weights())
+        assert reported == json.loads(write_json(fresh))
+
+
+def test_shared_declarations_survive_measuring_and_logging(tmp_path: Path):
+    roots = _shared_content_tree(tmp_path / "corpus")
+    versions = [scan_corpus(root, ScanMode.SINGLE_VERSION)[0] for root in roots]
+    parsed = {}
+    first = cli._parse_version(versions[0], parsed)
+    snapshot = copy.deepcopy([(u.classes, u.aspects, u.parse_diagnostics) for u in first])
+    second = cli._parse_version(versions[1], parsed)
+
+    shared = {u.file.path.name: u for u in first}
+    for unit in second:
+        if unit.file.path.name in ("Legacy.java", "Broken.java", "Tracing.aj"):
+            original = shared[unit.file.path.name]
+            assert unit.classes is original.classes
+            assert unit.aspects is original.aspects
+            assert [d.file for d in unit.parse_diagnostics] == [
+                str(unit.file.path)
+            ] * len(original.parse_diagnostics)
+
+    for version, units in zip(versions, (first, second)):
+        metrics = measure_version(version, units, default_weights())
+        write_log([u for u in units if not u.has_errors], metrics)
+    assert [(u.classes, u.aspects, u.parse_diagnostics) for u in first] == snapshot
+
+
+def test_wide_or_pointcut_measures_without_traceback(tmp_path: Path, capsys):
+    width = 1200
+    primitives = [f"call(void app.Service.m{i}(int))" for i in range(width)]
+    expression = " || ".join(primitives)
+    version = tmp_path / "V"
+    version.mkdir()
+    (version / "Wide.aj").write_text(
+        "aspect Wide {\n"
+        f"    pointcut wide(): {expression};\n"
+        "    before(): wide() { }\n"
+        "}\n",
+        encoding="utf-8",
+    )
+    code = main(["measure", str(version), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    payload = json.loads((tmp_path / "out" / "V.json").read_text(encoding="utf-8"))
+    # Each primitive: call 0.2 + fully qualified signature 0.1.
+    assert payload["wpa"] == f"{width * 3 // 10}.0"
+    # One declared pointcut: particular_method 0.6 + boolean_or_combined 1.0.
+    assert payload["wjp"] == "1.6"
+    log = (tmp_path / "out" / "V.log").read_text(encoding="utf-8")
+    assert f"  POINTCUT wide: {expression}\n" in log
