@@ -20,11 +20,8 @@ from .metrics import (
     VersionMetrics,
     classify_joinpoint_categories,
     measure_version,
-    nac_version,
     waa_aspect,
-    wjp_version,
     wmca_unit,
-    wpa_aspect,
 )
 from .parser import (
     AdviceDecl,

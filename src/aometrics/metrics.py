@@ -22,6 +22,7 @@ from fractions import Fraction
 from .diagnostics import Diagnostic, warning
 from .errors import StrictModeParseFailure
 from .parser import (
+    AdviceDecl,
     AspectDecl,
     ClassDecl,
     PointcutDecl,
@@ -32,9 +33,6 @@ from .parser import (
 from .pointcuts import (
     KINDED_DESIGNATORS,
     NamedRef,
-    Not,
-    PointcutExpr,
-    Primitive,
     extract_signature_pattern,
     is_combined,
     walk_primitives,
@@ -46,7 +44,6 @@ from .weights import (
     Weight,
     WeightTable,
     signature_specificity,
-    signature_weight,
 )
 
 
@@ -108,14 +105,12 @@ def render_ratio(value: Fraction, signed: bool = False) -> str:
 
 
 class _PointcutIndex:
-    """Named-pointcut lookup within one source unit."""
+    """Named-pointcut lookup over one source unit's (name, container) pairs."""
 
-    def __init__(self, unit: SourceUnit):
+    def __init__(self, containers: list[tuple[str, object]]):
         self._by_container: dict[int, dict[str, PointcutDecl]] = {}
         self._qualified: dict[str, PointcutDecl] = {}
         self._simple: dict[str, PointcutDecl | None] = {}
-        containers: list[tuple[str, object]] = [(a.name, a) for a in unit.aspects]
-        containers.extend((name, cls) for name, cls in walk_classes(unit))
         for owner_name, owner in containers:
             local: dict[str, PointcutDecl] = {}
             for decl in owner.pointcuts:
@@ -142,134 +137,182 @@ class _PointcutIndex:
         return resolve
 
 
-def classify_joinpoint_categories(
-    expr: PointcutExpr,
-    *,
-    resolve=None,
-    diagnostics: list[Diagnostic] | None = None,
-    file: str = "<unit>",
-    line: int = 0,
-    _seen: frozenset[int] = frozenset(),
-) -> frozenset[JoinPointCategory]:
-    """Map an expression to the set of join-point categories it selects.
+@dataclass(frozen=True)
+class PointcutFacts:
+    """What WPA, WJP and the log read from one pointcut or advice.
 
-    Leaves are visited left to right with an explicit stack, so a wide
-    ``||`` chain needs no recursion; a named reference recurses once per
-    declaration it resolves to.
+    Advice bound to a bare named pointcut gets an empty record: it selects
+    through that declaration, which already counts (and may be abstract,
+    which the parser does not record).
     """
-    cats: set[JoinPointCategory] = set()
+
+    designators: tuple[str, ...]  # each known primitive's, left to right
+    levels: tuple[SpecificityLevel, ...]  # each well-formed signature's
+    categories: frozenset[JoinPointCategory]  # resolved through references
+
+    def pointcut_weight(self, table: WeightTable) -> Weight:
+        """CW of a pointcut: designator weights plus signature weights."""
+        total = table.zero()
+        for designator in self.designators:
+            weight = table.designator(designator)
+            if weight is not None:
+                total = total + weight
+        for level in self.levels:
+            total = total + table.signature_level(level)
+        return total
+
+    def joinpoint_weight(self, table: WeightTable) -> Weight:
+        total = table.zero()
+        for category in self.categories:
+            total = total + table.joinpoint(category)
+        return total
+
+
+# execution/call with a fully qualified signature and within are decided in
+# the builder; this/target/args/withincode/*initialization select nothing.
+_CATEGORY_BY_DESIGNATOR = {
+    "execution": JoinPointCategory.METHOD_EXECUTION,
+    "call": JoinPointCategory.METHOD_CALL,
+    "get": JoinPointCategory.ATTRIBUTE,
+    "set": JoinPointCategory.ATTRIBUTE,
+    "handler": JoinPointCategory.EXCEPTION_HANDLING,
+    "adviceexecution": JoinPointCategory.WITHIN_ADVICE,
+    "cflow": JoinPointCategory.CONTROL_FLOW,
+    "cflowbelow": JoinPointCategory.CONTROL_FLOW,
+}
+
+
+def classify_joinpoint_categories(
+    unit: SourceUnit, diagnostics: list[Diagnostic] | None = None
+) -> dict[int, PointcutFacts]:
+    """One facts record per pointcut and advice of a unit, keyed by ``id(decl)``.
+
+    Each declaration's own leaves are classified once, and each diagnostic
+    is reported at the line of the declaration that holds the fault. A
+    named reference resolves in the scope of the declaration making it.
+    A declaration's categories are the union over every declaration it
+    reaches; an iterative Tarjan pass over the reference graph gives every
+    member of a cycle the cycle's union.
+    """
+    containers: list[tuple[str, object]] = [(a.name, a) for a in unit.aspects]
+    containers.extend(walk_classes(unit))
+    if not any(owner.pointcuts or getattr(owner, "advices", None) for _, owner in containers):
+        return {}
     diags = diagnostics if diagnostics is not None else []
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Primitive):
-            cats.update(_primitive_categories(node, diags, file, line))
-        elif isinstance(node, NamedRef):
-            decl = resolve(node.name) if resolve is not None else None
-            if decl is None:
-                diags.append(
-                    warning(file, line, f"unresolved pointcut reference '{node.name}'")
-                )
-            elif id(decl) not in _seen:
-                cats.update(
-                    classify_joinpoint_categories(
-                        decl.expression,
-                        resolve=resolve,
-                        diagnostics=diags,
-                        file=file,
-                        line=line,
-                        _seen=_seen | {id(decl)},
+    label = file_label(unit.file)
+    index = _PointcutIndex(containers)
+
+    own: dict[int, tuple[tuple[str, ...], tuple[SpecificityLevel, ...]]] = {}
+    local: dict[int, set[JoinPointCategory]] = {}
+    edges: dict[int, list[int]] = {}
+    for _, owner in containers:
+        resolve = index.resolver_for(owner)
+        for decl in (*owner.pointcuts, *getattr(owner, "advices", ())):
+            key = id(decl)
+            cats: set[JoinPointCategory] = set()
+            refs: list[int] = []
+            designators: list[str] = []
+            levels: list[SpecificityLevel] = []
+            line = decl.source_line
+            bound = isinstance(decl, AdviceDecl) and isinstance(decl.expression, NamedRef)
+            for leaf in () if bound else walk_primitives(decl.expression):
+                if isinstance(leaf, NamedRef):
+                    target = resolve(leaf.name)
+                    if target is None:
+                        diags.append(
+                            warning(label, line, f"unresolved pointcut reference '{leaf.name}'")
+                        )
+                    else:
+                        refs.append(id(target))
+                    continue
+                if not leaf.known:
+                    continue
+                d = leaf.designator
+                designators.append(d)
+                level = None
+                if d in KINDED_DESIGNATORS:
+                    pat = extract_signature_pattern(leaf, diagnostics=diags, file=label, line=line)
+                    if pat is not None:
+                        level = signature_specificity(pat)
+                        levels.append(level)
+                if level is SpecificityLevel.FULLY_QUALIFIED and d in ("execution", "call"):
+                    cats.add(JoinPointCategory.PARTICULAR_METHOD)
+                elif d == "within":
+                    cats.add(
+                        JoinPointCategory.PARTICULAR_PACKAGE
+                        if leaf.argument_text.endswith("..*")
+                        else JoinPointCategory.PARTICULAR_CLASS
                     )
-                )
-        elif isinstance(node, Not):
-            stack.append(node.child)
-        else:  # And / Or
-            stack.append(node.right)
-            stack.append(node.left)
-    if is_combined(expr):
-        cats.add(JoinPointCategory.BOOLEAN_OR_COMBINED)
-    return frozenset(cats)
+                elif d in _CATEGORY_BY_DESIGNATOR:
+                    cats.add(_CATEGORY_BY_DESIGNATOR[d])
+            if is_combined(decl.expression):
+                cats.add(JoinPointCategory.BOOLEAN_OR_COMBINED)
+            local[key] = cats
+            edges[key] = refs
+            own[key] = (tuple(designators), tuple(levels))
+
+    reached = _reached_union(local, edges)
+    return {
+        key: PointcutFacts(designators, levels, reached[key])
+        for key, (designators, levels) in own.items()
+    }
 
 
-def _primitive_categories(
-    p: Primitive, diags: list[Diagnostic], file: str, line: int
-) -> set[JoinPointCategory]:
-    if not p.known:
-        return set()
-    d = p.designator
-    if d in ("execution", "call"):
-        pat = extract_signature_pattern(p, diagnostics=diags, file=file, line=line)
-        if pat is not None and signature_specificity(pat) is SpecificityLevel.FULLY_QUALIFIED:
-            return {JoinPointCategory.PARTICULAR_METHOD}
-        if d == "execution":
-            return {JoinPointCategory.METHOD_EXECUTION}
-        return {JoinPointCategory.METHOD_CALL}
-    if d in ("get", "set"):
-        return {JoinPointCategory.ATTRIBUTE}
-    if d == "handler":
-        return {JoinPointCategory.EXCEPTION_HANDLING}
-    if d == "adviceexecution":
-        return {JoinPointCategory.WITHIN_ADVICE}
-    if d == "within":
-        if p.argument_text.endswith("..*"):
-            return {JoinPointCategory.PARTICULAR_PACKAGE}
-        return {JoinPointCategory.PARTICULAR_CLASS}
-    if d in ("cflow", "cflowbelow"):
-        return {JoinPointCategory.CONTROL_FLOW}
-    # this/target/args/initialization variants and anything else: no category.
-    return set()
+def _reached_union(
+    local: dict[int, set[JoinPointCategory]], edges: dict[int, list[int]]
+) -> dict[int, frozenset[JoinPointCategory]]:
+    """Union of ``local`` over every node each node reaches (itself included).
 
+    Iterative Tarjan: strongly connected components complete in reverse
+    topological order, so a component's successors outside it are done
+    when it is popped. Each node and each edge is visited once.
+    """
+    order: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    work: list[tuple[int, object]] = []  # (node, iterator over its edges)
+    done: dict[int, frozenset[JoinPointCategory]] = {}
 
-def _pointcut_weight(
-    expr: PointcutExpr,
-    table: WeightTable,
-    diags: list[Diagnostic],
-    file: str,
-    line: int,
-) -> Weight:
-    """CW of one pointcut: designator weights plus signature weights."""
-    total = table.zero()
-    for prim in walk_primitives(expr):
-        if not prim.known:
-            continue
-        designator_weight = table.designator(prim.designator)
-        if designator_weight is not None:
-            total = total + designator_weight
-        if prim.designator in KINDED_DESIGNATORS:
-            pat = extract_signature_pattern(prim, diagnostics=diags, file=file, line=line)
-            if pat is not None:
-                total = total + signature_weight(pat, table)
-    return total
+    def enter(node: int) -> None:
+        order[node] = low[node] = len(order)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(edges[node])))
 
-
-def _expression_joinpoint_weight(
-    expr: PointcutExpr,
-    table: WeightTable,
-    resolve,
-    diags: list[Diagnostic],
-    file: str,
-    line: int,
-) -> Weight:
-    total = table.zero()
-    categories = classify_joinpoint_categories(
-        expr, resolve=resolve, diagnostics=diags, file=file, line=line
-    )
-    for category in sorted(categories, key=lambda c: c.value):
-        total = total + table.joinpoint(category)
-    return total
-
-
-def wpa_aspect(
-    a: AspectDecl,
-    w: WeightTable,
-    diagnostics: list[Diagnostic] | None = None,
-    file: str = "<unit>",
-) -> Weight:
-    diags = diagnostics if diagnostics is not None else []
-    total = w.zero()
-    for decl in a.pointcuts:
-        total = total + _pointcut_weight(decl.expression, w, diags, file, decl.source_line)
-    return total
+    for root in local:
+        if root not in order:
+            enter(root)
+        while work:
+            node, successors = work[-1]
+            for succ in successors:
+                if succ not in order:
+                    enter(succ)
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], order[succ])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] != order[node]:
+                    continue
+                at = len(stack) - 1
+                while stack[at] != node:  # the component is the stack above node
+                    at -= 1
+                members = stack[at:]
+                del stack[at:]
+                on_stack.difference_update(members)
+                cats: set[JoinPointCategory] = set()
+                for member in members:
+                    cats.update(local[member])
+                    for succ in edges[member]:
+                        cats.update(done.get(succ, ()))
+                union = frozenset(cats)
+                for member in members:
+                    done[member] = union
+    return done
 
 
 def waa_aspect(a: AspectDecl, w: WeightTable) -> Weight:
@@ -282,79 +325,6 @@ def waa_aspect(a: AspectDecl, w: WeightTable) -> Weight:
 def wmca_unit(u: ClassDecl | AspectDecl) -> int:
     """Methods weighted 1 each; constructors excluded, intertype included."""
     return sum(1 for m in u.methods if not m.is_constructor)
-
-
-def _aspect_wjp(
-    aspect: AspectDecl,
-    table: WeightTable,
-    resolve,
-    diags: list[Diagnostic],
-    file: str,
-) -> Weight:
-    total = table.zero()
-    for decl in aspect.pointcuts:
-        total = total + _expression_joinpoint_weight(
-            decl.expression, table, resolve, diags, file, decl.source_line
-        )
-    for advice in aspect.advices:
-        if isinstance(advice.expression, NamedRef):
-            # Bound to a named pointcut: already counted at its declaration.
-            continue
-        total = total + _expression_joinpoint_weight(
-            advice.expression, table, resolve, diags, file, advice.source_line
-        )
-    return total
-
-
-def _class_wjp(
-    cls: ClassDecl, table: WeightTable, resolve, diags: list[Diagnostic], file: str
-) -> Weight:
-    total = table.zero()
-    for decl in cls.pointcuts:
-        total = total + _expression_joinpoint_weight(
-            decl.expression, table, resolve, diags, file, decl.source_line
-        )
-    return total
-
-
-def wjp_version(
-    units: list[SourceUnit], w: WeightTable, diagnostics: list[Diagnostic] | None = None
-) -> tuple[Weight, list[tuple[str, Weight]], list[tuple[str, Weight]]]:
-    """Version WJP plus the per-aspect and per-class parts."""
-    diags = diagnostics if diagnostics is not None else []
-    aspect_parts: list[tuple[str, Weight]] = []
-    class_parts: list[tuple[str, Weight]] = []
-    total = w.zero()
-    for unit in units:
-        label = file_label(unit.file)
-        index = _PointcutIndex(unit)
-        for aspect in unit.aspects:
-            part = _aspect_wjp(aspect, w, index.resolver_for(aspect), diags, label)
-            aspect_parts.append((aspect.name, part))
-            total = total + part
-        for qname, cls in walk_classes(unit):
-            part = _class_wjp(cls, w, index.resolver_for(cls), diags, label)
-            class_parts.append((qname, part))
-            total = total + part
-    return total, aspect_parts, class_parts
-
-
-def nac_version(units: list[SourceUnit]) -> Fraction | None:
-    """Attributes per class as an exact ratio; None when there is no class."""
-    na, nc = _count_nac(units)
-    if nc == 0:
-        return None
-    return Fraction(na, nc)
-
-
-def _count_nac(units: list[SourceUnit]) -> tuple[int, int]:
-    na = 0
-    nc = 0
-    for unit in units:
-        for _, cls in walk_classes(unit):
-            nc += 1
-            na += len(cls.attributes)
-    return na, nc
 
 
 def measure_version(
@@ -391,13 +361,14 @@ def measure_version(
     attribute_count = 0
 
     for unit in usable:
-        label = file_label(unit.file)
-        index = _PointcutIndex(unit)
+        facts = classify_joinpoint_categories(unit, diags)
         for aspect in unit.aspects:
-            resolve = index.resolver_for(aspect)
-            a_wpa = wpa_aspect(aspect, w, diags, label)
+            a_wpa = sum((facts[id(pc)].pointcut_weight(w) for pc in aspect.pointcuts), w.zero())
             a_waa = waa_aspect(aspect, w)
-            a_wjp = _aspect_wjp(aspect, w, resolve, diags, label)
+            a_wjp = sum(
+                (facts[id(d)].joinpoint_weight(w) for d in (*aspect.pointcuts, *aspect.advices)),
+                w.zero(),
+            )
             per_aspect.append(
                 AspectMetrics(aspect.name, a_wpa, a_waa, a_wjp, wmca_unit(aspect))
             )
@@ -407,8 +378,7 @@ def measure_version(
             method_count += len(aspect.methods)
             attribute_count += len(aspect.attributes)
         for qname, cls in walk_classes(unit):
-            resolve = index.resolver_for(cls)
-            c_wjp = _class_wjp(cls, w, resolve, diags, label)
+            c_wjp = sum((facts[id(pc)].joinpoint_weight(w) for pc in cls.pointcuts), w.zero())
             per_class.append(
                 ClassMetrics(qname, wmca_unit(cls), len(cls.attributes), c_wjp)
             )

@@ -19,15 +19,9 @@ from typing import Union
 
 from .diagnostics import Diagnostic, error, warning
 from .lexer import Token, TokenKind, tokenize
-from .pointcuts import PointcutExpr, parse_pointcut_expression
+from .pointcuts import SIGNATURE_MODIFIERS, PointcutExpr, parse_pointcut_expression
 
-MODIFIER_WORDS = frozenset(
-    {
-        "public", "private", "protected", "static", "final", "abstract",
-        "synchronized", "native", "strictfp", "transient", "volatile",
-        "privileged", "default",
-    }
-)
+MODIFIER_WORDS = SIGNATURE_MODIFIERS | {"privileged", "default"}
 
 _TYPE_KEYWORDS = ("class", "interface", "enum")
 

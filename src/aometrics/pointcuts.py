@@ -27,7 +27,8 @@ DESIGNATORS = frozenset(
 #: Designators that carry a member signature inside their argument.
 KINDED_DESIGNATORS = frozenset({"execution", "call", "get", "set", "handler"})
 
-_MODIFIER_WORDS = frozenset(
+#: Modifiers a member signature may carry; skipped when reading one.
+SIGNATURE_MODIFIERS = frozenset(
     {"public", "private", "protected", "static", "final", "abstract",
      "synchronized", "native", "strictfp", "transient", "volatile"}
 )
@@ -354,7 +355,7 @@ def extract_signature_pattern(
         if "(" in arg:
             malformed("unexpected parameter list")
             return None
-        words = [w for w in arg.split() if w not in _MODIFIER_WORDS]
+        words = [w for w in arg.split() if w not in SIGNATURE_MODIFIERS]
         if not words:
             malformed("no field pattern")
             return None
@@ -376,7 +377,7 @@ def extract_signature_pattern(
         return None
     header = arg[:open_idx].strip()
     params = arg[open_idx + 1 : close_idx].strip()
-    words = [w for w in header.split() if w not in _MODIFIER_WORDS]
+    words = [w for w in header.split() if w not in SIGNATURE_MODIFIERS]
     if not words:
         malformed("no method pattern")
         return None
@@ -390,18 +391,18 @@ def extract_signature_pattern(
 
 
 def walk_primitives(expr: PointcutExpr):
-    """Yield every Primitive leaf of an expression tree, left to right.
+    """Yield every leaf (Primitive or NamedRef) of an expression, left to right.
 
     An explicit stack replaces recursion, so a wide ``||`` chain is safe.
     """
     stack = [expr]
     while stack:
         node = stack.pop()
-        if isinstance(node, Primitive):
+        if isinstance(node, (Primitive, NamedRef)):
             yield node
         elif isinstance(node, Not):
             stack.append(node.child)
-        elif isinstance(node, (And, Or)):
+        else:  # And / Or
             stack.append(node.right)
             stack.append(node.left)
 

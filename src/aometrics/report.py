@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TooFewVersions
-from .metrics import VersionMetrics, classify_joinpoint_categories, render_ratio, _PointcutIndex
+from .metrics import PointcutFacts, VersionMetrics, classify_joinpoint_categories, render_ratio
 from .parser import SourceUnit, file_label, walk_classes
-from .pointcuts import NamedRef, render_expression
+from .pointcuts import render_expression
 from .weights import JoinPointCategory, Weight
 
 VERSION_SCHEMA = "ao-metrics-version@1"
@@ -35,13 +35,13 @@ def write_log(units: list[SourceUnit], metrics: VersionMetrics) -> str:
         lines.append(f"FILE {file_label(unit.file)}")
 
     for unit in ordered:
-        index = _PointcutIndex(unit)
+        facts = classify_joinpoint_categories(unit)
         for name, cls in walk_classes(unit):
             lines.append(f"CLASS {name}")
-            _emit_members(lines, cls, index, has_advice=False)
+            _emit_members(lines, cls, facts, has_advice=False)
         for aspect in unit.aspects:
             lines.append(f"ASPECT {aspect.name}")
-            _emit_members(lines, aspect, index, has_advice=True)
+            _emit_members(lines, aspect, facts, has_advice=True)
 
     lines.append(f"METRIC WPA {metrics.wpa.render()}")
     lines.append(f"METRIC WAA {metrics.waa.render()}")
@@ -51,27 +51,26 @@ def write_log(units: list[SourceUnit], metrics: VersionMetrics) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_members(lines: list[str], decl, index: _PointcutIndex, has_advice: bool) -> None:
-    resolve = index.resolver_for(decl)
+def _emit_members(
+    lines: list[str], decl, facts: dict[int, PointcutFacts], has_advice: bool
+) -> None:
     for method in decl.methods:
         lines.append(f"  METHOD {method.signature_text}")
     for attr in decl.attributes:
         lines.append(f"  ATTRIBUTE {attr.declared_type or '?'} {attr.name}")
     for pc in decl.pointcuts:
         lines.append(f"  POINTCUT {pc.name}: {render_expression(pc.expression)}")
-        _emit_joinpoints(lines, pc.expression, resolve)
+        _emit_joinpoints(lines, facts[id(pc)])
     if has_advice:
         for advice in decl.advices:
             lines.append(
                 f"  ADVICE {advice.kind.value}: {render_expression(advice.expression)}"
             )
-            if not isinstance(advice.expression, NamedRef):
-                _emit_joinpoints(lines, advice.expression, resolve)
+            _emit_joinpoints(lines, facts[id(advice)])
 
 
-def _emit_joinpoints(lines: list[str], expression, resolve) -> None:
-    categories = classify_joinpoint_categories(expression, resolve=resolve, diagnostics=[])
-    for category in sorted(categories, key=_CATEGORY_ORDER.get):
+def _emit_joinpoints(lines: list[str], facts: PointcutFacts) -> None:
+    for category in sorted(facts.categories, key=_CATEGORY_ORDER.get):
         lines.append(f"    JOINPOINT {category.value}")
 
 
@@ -184,13 +183,6 @@ class ComparisonReport:
     trends: dict[str, str]
 
 
-def _signed_weight(delta_units: int, scale: int) -> str:
-    decimals = 1 if scale == 10 else 2
-    sign = "-" if delta_units < 0 else "+" if delta_units > 0 else ""
-    whole, frac = divmod(abs(delta_units), scale)
-    return f"{sign}{whole}.{frac:0{decimals}d}"
-
-
 def _trend(deltas: list[int | Fraction | None]) -> str:
     present = [d for d in deltas if d is not None]
     if not present or all(d == 0 for d in present):
@@ -249,7 +241,7 @@ def compare_versions(reports: list[VersionMetrics]) -> ComparisonReport:
             metric,
             [getattr(m, metric).units for m in reports],
             lambda units: Weight(units, scale).render(),
-            lambda d: _signed_weight(d, scale),
+            lambda d: ("-" if d < 0 else "+" if d > 0 else "") + Weight(abs(d), scale).render(),
         )
     return ComparisonReport(versions=list(reports), deltas=deltas, trends=trends)
 

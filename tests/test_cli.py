@@ -295,14 +295,10 @@ def test_compare_reports_shared_diagnostics_once_per_version(tmp_path: Path, cap
             f"{root / 'Legacy.java'}:0: warning: invalid UTF-8 replaced with U+FFFD",
             f"{root / 'Broken.java'}:0: warning: file excluded from metrics (parse errors)",
             f"{root / 'Tracing.aj'}:3: warning: after advice without a body",
+            f"{root / 'Tracing.aj'}:2: warning: malformed execution signature: "
+            "missing parameter list",
         ):
             assert err.count(line) == 1, line
-        # The WPA and WJP passes each report a malformed signature, so only
-        # the path of this metric-time warning is checked here.
-        assert (
-            f"{root / 'Tracing.aj'}:2: warning: malformed execution signature: "
-            "missing parameter list"
-        ) in err
     assert "Traceback" not in "\n".join(err)
 
 
@@ -368,3 +364,43 @@ def test_wide_or_pointcut_measures_without_traceback(tmp_path: Path, capsys):
     assert payload["wjp"] == "1.6"
     log = (tmp_path / "out" / "V.log").read_text(encoding="utf-8")
     assert f"  POINTCUT wide: {expression}\n" in log
+
+
+def test_chain_of_named_pointcuts_measures_without_traceback(tmp_path: Path, capsys):
+    length = 1000
+    links = [f"    pointcut p{i}(): p{i + 1}();\n" for i in range(length)]
+    version = tmp_path / "V"
+    version.mkdir()
+    (version / "Chain.aj").write_text(
+        "aspect Chain {\n"
+        + "".join(links)
+        + f"    pointcut p{length}(): execution(* uas.A.f(..));\n"
+        "}\n",
+        encoding="utf-8",
+    )
+    code = main(["measure", str(version), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    payload = json.loads((tmp_path / "out" / "V.json").read_text(encoding="utf-8"))
+    # Only the last pointcut has a designator: execution 0.1 + wildcard return 0.3.
+    assert payload["wpa"] == "0.4"
+    # Every one of the 1001 pointcuts reaches method_execution 0.1.
+    assert payload["wjp"] == "100.1"
+
+
+def test_fault_in_referenced_pointcut_is_reported_once(tmp_path: Path, capsys):
+    version = tmp_path / "V"
+    version.mkdir()
+    (version / "A.aj").write_text(
+        "aspect A {\n"
+        "    pointcut p(): execution(* );\n"
+        "    pointcut q(): p();\n"
+        "    before(): p() && within(uas.A) {}\n"
+        "}\n",
+        encoding="utf-8",
+    )
+    assert main(["measure", str(version), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"{version / 'A.aj'}:2: warning: malformed execution signature: missing parameter list"
+    ]

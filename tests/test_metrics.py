@@ -13,14 +13,11 @@ from aometrics import (
     classify_joinpoint_categories,
     default_weights,
     measure_version,
-    nac_version,
     parse_source,
     waa_aspect,
-    wjp_version,
     wmca_unit,
-    wpa_aspect,
 )
-from aometrics.pointcuts import parse_pointcut_expression
+from aometrics.diagnostics import Diagnostic, Severity
 from helpers import MINI_UAS, TEST_FIXTURES, measure_dir, parse_version_dir
 
 W = default_weights()
@@ -30,14 +27,22 @@ def aspect_of(src: str):
     return parse_source(src, "A.aj").aspects[0]
 
 
+def categories_of(expression: str) -> frozenset[JoinPointCategory]:
+    """Categories of one pointcut declared with ``expression`` in a small aspect."""
+    unit = parse_source(f"aspect A {{ pointcut p(): {expression}; }}", "A.aj")
+    return classify_joinpoint_categories(unit)[id(unit.aspects[0].pointcuts[0])].categories
+
+
+def measure_source(src: str):
+    return measure_version("v", [parse_source(src, "A.aj")], W)
+
+
 def test_classify_execution_wildcards():
-    expr = parse_pointcut_expression("execution(* *.f(..))")
-    assert classify_joinpoint_categories(expr) == {JoinPointCategory.METHOD_EXECUTION}
+    assert categories_of("execution(* *.f(..))") == {JoinPointCategory.METHOD_EXECUTION}
 
 
 def test_classify_combined_particular():
-    expr = parse_pointcut_expression("call(void pkg.A.g()) && within(pkg.A)")
-    assert classify_joinpoint_categories(expr) == {
+    assert categories_of("call(void pkg.A.g()) && within(pkg.A)") == {
         JoinPointCategory.PARTICULAR_METHOD,
         JoinPointCategory.PARTICULAR_CLASS,
         JoinPointCategory.BOOLEAN_OR_COMBINED,
@@ -45,22 +50,20 @@ def test_classify_combined_particular():
 
 
 def test_classify_handler():
-    expr = parse_pointcut_expression("handler(java.io.IOException)")
-    assert classify_joinpoint_categories(expr) == {JoinPointCategory.EXCEPTION_HANDLING}
+    assert categories_of("handler(java.io.IOException)") == {
+        JoinPointCategory.EXCEPTION_HANDLING
+    }
 
 
 def test_classify_package_vs_class_within():
-    pkg = parse_pointcut_expression("within(uas.test..*)")
-    cls = parse_pointcut_expression("within(uas.LoginService)")
-    assert classify_joinpoint_categories(pkg) == {JoinPointCategory.PARTICULAR_PACKAGE}
-    assert classify_joinpoint_categories(cls) == {JoinPointCategory.PARTICULAR_CLASS}
+    assert categories_of("within(uas.test..*)") == {JoinPointCategory.PARTICULAR_PACKAGE}
+    assert categories_of("within(uas.LoginService)") == {JoinPointCategory.PARTICULAR_CLASS}
 
 
 def test_classify_cflow_adviceexecution_get_set():
-    expr = parse_pointcut_expression(
+    assert categories_of(
         "cflow(p()) && adviceexecution() && get(int A.x) && set(int A.x)"
-    )
-    assert classify_joinpoint_categories(expr) == {
+    ) == {
         JoinPointCategory.CONTROL_FLOW,
         JoinPointCategory.WITHIN_ADVICE,
         JoinPointCategory.ATTRIBUTE,
@@ -69,8 +72,9 @@ def test_classify_cflow_adviceexecution_get_set():
 
 
 def test_classify_args_this_target_contribute_nothing():
-    expr = parse_pointcut_expression("args(x) && this(A) && target(B)")
-    assert classify_joinpoint_categories(expr) == {JoinPointCategory.BOOLEAN_OR_COMBINED}
+    assert categories_of("args(x) && this(A) && target(B)") == {
+        JoinPointCategory.BOOLEAN_OR_COMBINED
+    }
 
 
 def test_classify_named_ref_resolution_and_warning():
@@ -79,26 +83,22 @@ def test_classify_named_ref_resolution_and_warning():
         aspect A {
             pointcut base(): handler(java.io.IOException);
             pointcut uses(): base() && within(X);
+            before(): missing() && within(X) {}
         }
         """,
         "A.aj",
     )
-    from aometrics.metrics import _PointcutIndex
-
     aspect = unit.aspects[0]
-    index = _PointcutIndex(unit)
-    resolve = index.resolver_for(aspect)
-    cats = classify_joinpoint_categories(aspect.pointcuts[1].expression, resolve=resolve)
-    assert cats == {
+    diags = []
+    facts = classify_joinpoint_categories(unit, diags)
+    assert facts[id(aspect.pointcuts[1])].categories == {
         JoinPointCategory.EXCEPTION_HANDLING,
         JoinPointCategory.PARTICULAR_CLASS,
         JoinPointCategory.BOOLEAN_OR_COMBINED,
     }
-
-    diags = []
-    unknown = parse_pointcut_expression("missing() && within(X)")
-    classify_joinpoint_categories(unknown, resolve=resolve, diagnostics=diags)
-    assert any("unresolved" in d.message for d in diags)
+    assert diags == [
+        Diagnostic("A.aj", 5, Severity.WARNING, "unresolved pointcut reference 'missing'")
+    ]
 
 
 def test_classify_cyclic_references_terminate():
@@ -111,26 +111,26 @@ def test_classify_cyclic_references_terminate():
         """,
         "A.aj",
     )
-    from aometrics.metrics import _PointcutIndex
-
-    aspect = unit.aspects[0]
-    resolve = _PointcutIndex(unit).resolver_for(aspect)
-    cats = classify_joinpoint_categories(aspect.pointcuts[0].expression, resolve=resolve)
-    assert JoinPointCategory.EXCEPTION_HANDLING in cats
+    p, q = unit.aspects[0].pointcuts
+    facts = classify_joinpoint_categories(unit)
+    # Every member of a cycle gets the cycle's union.
+    assert facts[id(p)].categories == facts[id(q)].categories == {
+        JoinPointCategory.EXCEPTION_HANDLING,
+        JoinPointCategory.BOOLEAN_OR_COMBINED,
+    }
 
 
 def test_wpa_single_pointcut():
-    aspect = aspect_of("aspect A { pointcut p(): execution(* *.login(..)); }")
-    assert wpa_aspect(aspect, W).render() == "0.6"
+    m = measure_source("aspect A { pointcut p(): execution(* *.login(..)); }")
+    assert m.per_aspect[0].wpa.render() == "0.6"
 
 
 def test_wpa_empty_aspect():
-    aspect = aspect_of("aspect A { }")
-    assert wpa_aspect(aspect, W).render() == "0.0"
+    assert measure_source("aspect A { }").per_aspect[0].wpa.render() == "0.0"
 
 
 def test_wpa_two_pointcuts():
-    aspect = aspect_of(
+    m = measure_source(
         """
         aspect A {
             pointcut a(): call(void pkg.A.save(int));
@@ -138,15 +138,15 @@ def test_wpa_two_pointcuts():
         }
         """
     )
-    assert wpa_aspect(aspect, W).render() == "1.3"
+    assert m.per_aspect[0].wpa.render() == "1.3"
 
 
 def test_wpa_counts_every_table_designator_occurrence():
-    aspect = aspect_of(
+    m = measure_source(
         "aspect A { pointcut p(): call(* uas.D.store(..)) || execution(* *.register(..)); }"
     )
     # 0.2 + 0.3 (call + wildcard-return sig) + 0.1 + 0.5 (execution + wildcard-class sig)
-    assert wpa_aspect(aspect, W).render() == "1.1"
+    assert m.per_aspect[0].wpa.render() == "1.1"
 
 
 def test_waa_kinds():
@@ -196,17 +196,17 @@ def test_nac_direct_ratio():
         parse_source("class A { int a; int b; int c; }", "A.java"),
         parse_source("class B { int a; int b; int c; int d; }", "B.java"),
     ]
-    assert nac_version(units) == Fraction(7, 2)
+    assert measure_version("v", units, W).nac == Fraction(7, 2)
 
 
 def test_nac_not_applicable():
     units = [parse_source("aspect A { int x; }", "A.aj")]
-    assert nac_version(units) is None
+    assert measure_version("v", units, W).nac is None
 
 
 def test_nac_excludes_aspect_fields():
     units = [parse_source("class A { int a; } aspect B { int z; }", "M.java")]
-    assert nac_version(units) == Fraction(1, 1)
+    assert measure_version("v", units, W).nac == Fraction(1, 1)
 
 
 def test_wjp_split_between_aspects_and_classes():
@@ -218,28 +218,113 @@ def test_wjp_split_between_aspects_and_classes():
             "class C { pointcut q(): call(void uas.C.g()); }", "C.java"
         ),
     ]
-    total, aspect_parts, class_parts = wjp_version(units, W)
-    assert total.render() == "0.7"  # 0.1 method_execution + 0.6 particular_method
-    assert [(n, p.render()) for n, p in aspect_parts] == [("A", "0.1")]
-    assert [(n, p.render()) for n, p in class_parts] == [("C", "0.6")]
+    m = measure_version("v", units, W)
+    assert m.wjp.render() == "0.7"  # 0.1 method_execution + 0.6 particular_method
+    assert [(a.aspect_name, a.wjp.render()) for a in m.per_aspect] == [("A", "0.1")]
+    assert [(c.class_name, c.wjp_contribution.render()) for c in m.per_class] == [("C", "0.6")]
 
 
 def test_wjp_bare_named_ref_not_double_counted():
-    with_ref = parse_source(
-        "aspect A { pointcut p(): handler(E); before(): p() {} }", "A.aj"
-    )
-    without_advice = parse_source(
-        "aspect A { pointcut p(): handler(E); }", "A.aj"
-    )
-    assert wjp_version([with_ref], W)[0] == wjp_version([without_advice], W)[0]
+    with_ref = measure_source("aspect A { pointcut p(): handler(E); before(): p() {} }")
+    without_advice = measure_source("aspect A { pointcut p(): handler(E); }")
+    assert with_ref.wjp == without_advice.wjp
+    assert with_ref.wjp.render() == "0.3"
 
 
 def test_wjp_inline_advice_counts():
+    m = measure_source("aspect A { after() throwing: execution(* uas.D.store(..)) {} }")
+    assert m.wjp.render() == "0.1"
+
+
+def test_wjp_diamond_of_named_references_is_linear():
+    # Each link references the next twice: 2**60 paths, 61 declarations.
+    lines = [f"pointcut p{i}(): p{i + 1}() || p{i + 1}();" for i in range(60)]
+    lines.append("pointcut p60(): execution(* uas.A.f(..));")
+    m = measure_source("aspect A { " + " ".join(lines) + " }")
+    # 60 x (1.0 combined + 0.1 method_execution) + 0.1
+    assert m.wjp.render() == "66.1"
+    assert m.diagnostics == []
+
+
+def test_nested_reference_resolves_in_its_declaring_scope():
     unit = parse_source(
-        "aspect A { after() throwing: execution(* uas.D.store(..)) {} }", "A.aj"
+        """
+        aspect A {
+            pointcut r(): handler(E);
+            pointcut uses(): B.q();
+        }
+        aspect B {
+            pointcut r(): get(int X.y);
+            pointcut q(): r();
+        }
+        """,
+        "S.aj",
     )
-    total, _, _ = wjp_version([unit], W)
-    assert total.render() == "0.1"
+    facts = classify_joinpoint_categories(unit)
+    uses = unit.aspects[0].pointcuts[1]
+    assert facts[id(uses)].categories == {JoinPointCategory.ATTRIBUTE}
+    m = measure_version("v", [unit], W)
+    # 0.3 exception_handling (A.r) + 0.5 attribute (uses, through B.q and B.r)
+    assert [(a.aspect_name, a.wjp.render()) for a in m.per_aspect] == [
+        ("A", "0.8"), ("B", "1.0")
+    ]
+
+
+def test_categories_are_the_union_over_every_reached_declaration():
+    primitives = ["handler(E)", "within(x.Y)", "get(int x.Y.f)", "cflow(q())", "args(a)"]
+    rng = random.Random(11)
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        leaves = [rng.choice(primitives) for _ in range(n)]
+        refs = [[rng.randrange(n) for _ in range(rng.randint(0, 3))] for _ in range(n)]
+        decls = " ".join(
+            f"pointcut p{i}(): {' || '.join([leaves[i], *(f'p{j}()' for j in refs[i])])};"
+            for i in range(n)
+        )
+        unit = parse_source(f"aspect A {{ {decls} }}", "A.aj")
+        facts = classify_joinpoint_categories(unit)
+        for i, decl in enumerate(unit.aspects[0].pointcuts):
+            reached, todo = {i}, [i]
+            while todo:
+                for j in refs[todo.pop()]:
+                    if j not in reached:
+                        reached.add(j)
+                        todo.append(j)
+            expected = set().union(*(categories_of(leaves[j]) for j in reached))
+            if any(refs[j] for j in reached):
+                expected.add(JoinPointCategory.BOOLEAN_OR_COMBINED)
+            assert facts[id(decl)].categories == expected, (decls, i)
+
+
+def test_fault_in_referenced_pointcut_is_reported_once_at_its_line():
+    m = measure_source(
+        """aspect A {
+            pointcut p(): execution(* );
+            pointcut q(): p();
+            before(): p() && within(uas.A) {}
+        }"""
+    )
+    assert [(d.line, d.message) for d in m.diagnostics] == [
+        (2, "malformed execution signature: missing parameter list")
+    ]
+
+
+def test_signature_of_every_kinded_primitive_is_checked_once():
+    unit = parse_source(
+        """aspect A {
+            before(): get() && handler(E(int)) {}
+        }
+        class C {
+            pointcut f(): set(static);
+        }""",
+        "A.aj",
+    )
+    m = measure_version("v", [unit], W)
+    assert [(d.line, d.message) for d in m.diagnostics] == [
+        (2, "malformed get signature: empty argument"),
+        (2, "malformed handler signature: unexpected parameter list"),
+        (5, "malformed set signature: no field pattern"),
+    ]
 
 
 def test_measure_zero_aspect_version():
@@ -259,7 +344,8 @@ def test_measure_single_aspect_version_totals():
         )
     ]
     m = measure_version("v", units, W)
-    assert m.wpa == wpa_aspect(units[0].aspects[0], W)
+    assert m.wpa.render() == "0.6"  # execution 0.1 + wildcard-class signature 0.5
+    assert m.per_aspect[0].wpa == m.wpa
     assert m.per_aspect[0].aspect_name == "A"
     assert m.nac is None
     assert m.nac_rendered() == "NA"
