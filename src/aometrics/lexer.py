@@ -10,6 +10,11 @@ One compiled alternation does the whole scan. Each match is the blanks,
 comments and closed literals before a token (the skipped prefix) followed
 by one named alternative; ``tokenize`` dispatches on ``m.lastgroup`` and
 recovers line numbers by counting newlines between matches.
+
+The declaration parser never reads a statement, so the inside of a body
+(a brace block at parenthesis depth 0 that no type keyword announced) is
+scanned by a second alternation that matches only braces, comments,
+literals and runs of other characters, and builds no token.
 """
 
 from __future__ import annotations
@@ -32,6 +37,13 @@ KEYWORDS = frozenset(
         "throw", "throws", "transient", "try", "void", "volatile", "while",
     }
 )
+
+# Keywords that announce a type body. The lexer keeps every token of such
+# a body; the parser recognises the same words. Which '{' opens a type body
+# is decided twice, by the ``pending`` rule in ``tokenize`` and by the
+# parser's header and member logic: a new type-introducing construct (a
+# ``record``, an enum constant with a body) must change both together.
+TYPE_KEYWORDS = frozenset({"class", "interface", "enum", "aspect"})
 
 
 class TokenKind(Enum):
@@ -76,20 +88,33 @@ _SKIP = (
     r")\s*)*"
 )
 
-_TOKENS = (
-    r"(?P<NUMBER>{digit}(?:[\w$]|\.{digit})*)"
-    r"|(?P<WORD>{word_start}[\w$]+)"
-    r"|(?P<SINGLE>[{{}}();])"
-    r"|(?P<BLOCK_COMMENT>/\*[\s\S]*)"  # unterminated: runs to the end
-    r"|(?P<OPERATOR>&&|\|\||[=!<>+\-*/%&|^]=|<<|>>|\+\+|--|->|::|[&|!<>=+\-*/%^~?])"
+# The four events that need Python code: a closed literal whose escapes
+# span a newline (those newlines are not counted), and the unterminated
+# comment, text block and literal, each reported.
+_EVENTS = (
+    r"(?P<BLOCK_COMMENT>/\*[\s\S]*)"  # unterminated: runs to the end
     rf'|(?P<TEXT_BLOCK>"""{_BLANKS_EOL}[\s\S]*)'  # unterminated: runs to the end
     r'|(?P<LITERAL>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"'
     r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*')"
     r'|(?P<OPEN_LITERAL>"(?:\\[\s\S]|[^"\\\n])*\\?'
     r"|'(?:\\[\s\S]|[^'\\\n])*\\?)"
+)
+
+_TOKENS = (
+    r"(?P<NUMBER>{digit}(?:[\w$]|\.{digit})*)"
+    r"|(?P<WORD>{word_start}[\w$]+)"
+    r"|(?P<SINGLE>[{{}}();])"
+    rf"|{_EVENTS}"
+    r"|(?P<OPERATOR>&&|\|\||[=!<>+\-*/%&|^]=|<<|>>|\+\+|--|->|::|[&|!<>=+\-*/%^~?])"
     r"|(?P<PUNCT>.)"
     r"|(?P<END>\Z)"
 )
+
+# Inside a body only braces and the events matter. A run stops before
+# every character that can open a brace, comment or literal.
+_scan_body = re.compile(
+    rf"{_SKIP}(?:(?P<BRACE>[{{}}])|{_EVENTS}|(?P<RUN>[^{{}}\"'/]+|/)|(?P<END>\Z))"
+).finditer
 
 _SINGLE = {
     "{": TokenKind.BRACE_OPEN,
@@ -102,6 +127,7 @@ _IDENTIFIER = TokenKind.IDENTIFIER
 _KEYWORD = TokenKind.KEYWORD
 _PUNCT = TokenKind.PUNCT
 _OPERATOR = TokenKind.OPERATOR
+_BRACE_CLOSE = TokenKind.BRACE_CLOSE
 
 
 @lru_cache(maxsize=32)
@@ -134,8 +160,32 @@ def _scanner_for(text: str):
     return _scanner(digits, numerics)
 
 
+_UNTERMINATED = frozenset({"BLOCK_COMMENT", "TEXT_BLOCK", "OPEN_LITERAL"})
+
+
+def _report(
+    group: str, text: str, start: int, end: int, file: str, line: int, diagnostics: list[Diagnostic]
+) -> int:
+    """Report an unterminated comment or literal; return where line counting resumes."""
+    if group == "OPEN_LITERAL":
+        kind_name = "string" if text[start] == '"' else "character"
+        diagnostics.append(error(file, line, f"unterminated {kind_name} literal"))
+        return end  # its escaped newlines are not counted
+    what = "block comment" if group == "BLOCK_COMMENT" else "text block"
+    diagnostics.append(error(file, line, f"unterminated {what}"))
+    return start  # it runs to the end; its newlines still count toward END
+
+
 def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Diagnostic]]:
-    """Tokenize ``text``, eliding comments and string/char literals.
+    """Tokenize ``text``, eliding comments, string/char literals and bodies.
+
+    A brace block opened at parenthesis depth 0 that no type keyword
+    announced (a method, advice or initializer body, or an array or
+    anonymous-class initializer) keeps only its outer ``{`` and matching
+    ``}``; its inside is scanned for braces, comments and literals only,
+    so its diagnostics still come out, but no token is built for it. A
+    type keyword announces the next ``{`` at depth 0 unless a ``;`` at
+    depth 0 comes first. An unclosed body drops the rest of the text.
 
     A byte-order mark at offset 0 is skipped; offsets still index ``text``.
     The returned list always ends with exactly one END token.
@@ -144,39 +194,73 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
     diagnostics: list[Diagnostic] = []
     append = tokens.append
     count = text.count
+    scan = _scanner_for(text)
     line = 1
     last = 0  # newlines before ``last`` are already in ``line``
     pos = 1 if text.startswith("\ufeff") else 0
+    depth = 0  # parentheses open, clamped at 0
+    pending = False  # a type keyword awaits its body
 
-    for m in _scanner_for(text)(text, pos):
-        group = m.lastgroup
-        start, end = m.span(group)
-        if start != last:
-            line += count("\n", last, start)
-        if group == "WORD":
-            word = text[start:end]
-            append(Token(_KEYWORD if word in KEYWORDS else _IDENTIFIER, word, line, start, end))
-        elif group == "SINGLE":
-            word = text[start:end]
-            append(Token(_SINGLE[word], word, line, start, end))
-        elif group == "OPERATOR":
-            append(Token(_OPERATOR, text[start:end], line, start, end))
-        elif group == "PUNCT" or group == "NUMBER":
-            append(Token(_PUNCT, text[start:end], line, start, end))
-        elif group == "LITERAL":
-            pass  # closed, but spans a backslash-newline: not counted
-        elif group == "OPEN_LITERAL":
-            kind_name = "string" if text[start] == '"' else "character"
-            diagnostics.append(error(file, line, f"unterminated {kind_name} literal"))
-        elif group == "BLOCK_COMMENT":
-            diagnostics.append(error(file, line, "unterminated block comment"))
-            end = start  # its newlines still count toward the END line
-        elif group == "TEXT_BLOCK":
-            diagnostics.append(error(file, line, "unterminated text block"))
-            end = start
-        else:  # END
+    while True:
+        for m in scan(text, pos):
+            group = m.lastgroup
+            start, end = m.span(group)
+            if start != last:
+                line += count("\n", last, start)
+            last = end
+            if group == "WORD":
+                word = text[start:end]
+                if word in KEYWORDS:
+                    append(Token(_KEYWORD, word, line, start, end))
+                    if word in TYPE_KEYWORDS:
+                        pending = True
+                else:
+                    append(Token(_IDENTIFIER, word, line, start, end))
+            elif group == "SINGLE":
+                word = text[start]
+                append(Token(_SINGLE[word], word, line, start, end))
+                if word == "(":
+                    depth += 1
+                elif word == ")":
+                    if depth:
+                        depth -= 1
+                elif depth == 0 and word != "}":
+                    if word == "{" and not pending:
+                        break  # a body
+                    pending = False
+            elif group == "OPERATOR":
+                append(Token(_OPERATOR, text[start:end], line, start, end))
+            elif group == "PUNCT" or group == "NUMBER":
+                append(Token(_PUNCT, text[start:end], line, start, end))
+            elif group in _UNTERMINATED:
+                last = _report(group, text, start, end, file, line, diagnostics)
+            # else LITERAL (closed, but spans a backslash-newline: not
+            # counted) or END, the last match
+        else:
             break
-        last = end
+
+        nesting = 1
+        for m in _scan_body(text, end):
+            group = m.lastgroup
+            if group == "RUN":
+                continue  # a run's newlines are counted at the next event
+            start, end = m.span(group)
+            if start != last:
+                line += count("\n", last, start)
+            last = end
+            if group == "BRACE":
+                if text[start] == "{":
+                    nesting += 1
+                else:
+                    nesting -= 1
+                    if nesting == 0:
+                        append(Token(_BRACE_CLOSE, "}", line, start, end))
+                        break
+            elif group in _UNTERMINATED:
+                last = _report(group, text, start, end, file, line, diagnostics)
+        else:
+            break  # an unclosed body runs to the end
+        pos = end
 
     n = len(text)
     append(Token(TokenKind.END, "", line, n, n))

@@ -223,14 +223,22 @@ def load_weight_overrides(config_path: Path | str) -> WeightTable:
         for dec in entries.values()
     )
     scale = 100 if needs_hundredths else 10
-    table = _build_table(scale)
+    base = _build_table(scale)
 
-    for key, dec in overrides.get("designator", {}).items():
-        table.designator_weights[key] = Weight.from_decimal(dec, scale)
-    for key, dec in overrides.get("advice", {}).items():
-        table.advice_weights[_ADVICE_BY_NAME[key]] = Weight.from_decimal(dec, scale)
-    for key, dec in overrides.get("joinpoint_type", {}).items():
-        table.joinpoint_type_weights[_CATEGORY_BY_NAME[key]] = Weight.from_decimal(dec, scale)
-    for key, dec in overrides.get("signature_level", {}).items():
-        table.signature_level_weights[_LEVEL_BY_NAME[key]] = Weight.from_decimal(dec, scale)
-    return table
+    def merged(weights: dict, section: str, by_name: dict | None = None) -> dict:
+        out = dict(weights)
+        for key, dec in overrides.get(section, {}).items():
+            out[by_name[key] if by_name else key] = Weight.from_decimal(dec, scale)
+        return out
+
+    return WeightTable(
+        designator_weights=merged(base.designator_weights, "designator"),
+        advice_weights=merged(base.advice_weights, "advice", _ADVICE_BY_NAME),
+        joinpoint_type_weights=merged(
+            base.joinpoint_type_weights, "joinpoint_type", _CATEGORY_BY_NAME
+        ),
+        signature_level_weights=merged(
+            base.signature_level_weights, "signature_level", _LEVEL_BY_NAME
+        ),
+        scale=scale,
+    )

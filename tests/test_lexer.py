@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import reference_lexer
 from aometrics.diagnostics import Severity
 from aometrics.lexer import TokenKind, tokenize
 from helpers import TEST_FIXTURES
@@ -62,12 +63,18 @@ def test_offsets_slice_source():
 
 
 def test_fixture_token_count_matches_hand_count():
-    # Hand-tokenized once: 41 tokens before the end-of-stream marker.
+    # Hand-tokenized once: 41 tokens before the end-of-stream marker, 6 of
+    # them inside the advice body, which ``tokenize`` elides.
     text = (TEST_FIXTURES / "one_aspect" / "V1" / "Logging.aj").read_text(encoding="utf-8")
+    full, full_diags = reference_lexer.tokenize(text)
+    assert not full_diags
+    assert len(full) == 42  # 41 + END
     tokens, diags = tokenize(text)
     assert not diags
-    assert len(tokens) == 42  # 41 + END
+    assert len(tokens) == 36  # 35 + END
     assert tokens[-1].kind is TokenKind.END
+    body = [t.text for t in tokens if t.line in (6, 7, 8)]
+    assert body == ["before", "(", ")", ":", "loginFlow", "(", ")", "{", "}"]
 
 
 def test_byte_order_mark_skipped_and_offsets_slice_source():

@@ -439,3 +439,9 @@ def test_text_block_contents_never_reach_the_parser():
     assert m.diagnostics == []
     assert m.aspect_count == 0 and m.aspect_free
     assert [(c.class_name, c.wmca, c.attribute_count) for c in m.per_class] == [("Banner", 1, 2)]
+
+
+def test_c_style_array_returns_are_measured():
+    m = measure_dir(TEST_FIXTURES / "array_return" / "V")
+    assert m.diagnostics == []
+    assert [(c.class_name, c.wmca, c.attribute_count) for c in m.per_class] == [("Grid", 3, 1)]

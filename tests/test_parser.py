@@ -269,3 +269,54 @@ def test_comment_keyword_immunity_pairs():
     assert [c.name for c in plain.classes] == [c.name for c in noisy.classes]
     assert not noisy.aspects
     assert len(noisy.classes[0].methods) == 1
+
+
+def test_c_style_array_return():
+    unit = parse_source(
+        "class A {\n int f()[] { return null; }\n int g() { return 1; } }\n"
+        "interface I { String[] h(int n)[][] throws E; }",
+        "A.java",
+    )
+    assert not unit.parse_diagnostics
+    a, i = unit.classes
+    assert [(m.name, m.signature_text, m.line) for m in a.methods] == [
+        ("f", "int f()[]", 2),
+        ("g", "int g()", 3),
+    ]
+    assert [m.signature_text for m in i.methods] == ["String[] h(int n)[][]"]
+
+
+def _members(unit):
+    return [
+        [d.name, *(a.name for a in d.attributes), *(m.name for m in d.methods)]
+        for d in (*unit.classes, *unit.aspects)
+    ]
+
+
+def test_brace_block_in_initializer_is_passed_whole():
+    # javac rejects both; a '(' or '[' inside the block no longer hides
+    # the next field.
+    for text in ("class A { int x = { ( } ; int y; }", "class A { int x = a[ { ( } ]; int y; }"):
+        unit = parse_source(text, "A.java")
+        assert _members(unit) == [["A", "x", "y"]]
+        assert not unit.parse_diagnostics
+
+
+def test_brace_block_after_a_later_declarator_ends_the_field():
+    unit = parse_source("class A { int a, b { c; d } int e; }", "A.java")
+    assert _members(unit) == [["A", "a", "b", "e"]]
+    assert [str(d) for d in unit.parse_diagnostics] == [
+        "A.java:1: warning: unexpected '{' in member declaration"
+    ]
+
+
+def test_brace_block_past_a_stray_paren_in_a_pointcut_is_passed_whole():
+    unit = parse_source("aspect A { pointcut p(): a()) { ; } ; int y; }", "A.aj")
+    # Past the stray ')' no token ends the expression, and the ';' inside
+    # the block is not read.
+    assert [str(d) for d in unit.parse_diagnostics] == [
+        "A.aj:1: error: missing ';' after pointcut 'p'",
+        "A.aj:1: warning: malformed pointcut expression: unexpected trailing text at offset 3",
+        "A.aj:1: error: unexpected end of file inside 'A'",
+    ]
+    assert _members(unit) == [["A"]]

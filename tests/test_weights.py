@@ -116,6 +116,28 @@ def test_single_override(tmp_path: Path):
     assert table.designator_weights["execution"].render() == "0.1"
 
 
+def test_loading_overrides_leaves_the_default_table_unchanged(tmp_path: Path):
+    fresh = default_weights()
+    path = write_config(
+        tmp_path,
+        {
+            "designator": {"call": 0.3},
+            "advice": {"around": 0.5},
+            "joinpoint_type": {"attribute": 0.9},
+            "signature_level": {"fully_qualified": 0.2},
+        },
+    )
+    defaults = default_weights()
+    table = load_weight_overrides(path)
+    assert table != fresh
+    assert defaults == fresh
+    assert default_weights() == fresh
+    assert table.designator_weights["call"].render() == "0.3"
+    assert table.advice(AdviceKind.AROUND).render() == "0.5"
+    assert table.joinpoint(JoinPointCategory.ATTRIBUTE).render() == "0.9"
+    assert table.signature_level(SpecificityLevel.FULLY_QUALIFIED).render() == "0.2"
+
+
 def test_two_decimal_override_switches_scale(tmp_path: Path):
     path = write_config(tmp_path, {"advice": {"around": 0.25}})
     table = load_weight_overrides(path)
