@@ -3,8 +3,8 @@
 Line comments, block comments, string and character literals, and Java 15
 text blocks are elided so that keywords mentioned inside them can never
 reach the declaration parser. Tokens keep their source offsets so callers
-can slice raw text back out (pointcut expressions are re-lexed from such
-slices).
+can slice raw text back out, as the pointcut parser does for a
+designator's argument.
 
 One compiled alternation does the whole scan. Each match is the blanks,
 comments and closed literals before a token (the skipped prefix) followed

@@ -257,37 +257,31 @@ class _DeclParser:
                 continue
             return mods
 
-    # -- raw expression capture -----------------------------------------
+    # -- expression capture ----------------------------------------------
 
-    def capture_expression(self, stop_kinds: tuple[TokenKind, ...]) -> tuple[str, Token]:
-        """Slice raw source text from here up to a stop token at paren depth 0.
+    def capture_expression(self, stop_kinds: tuple[TokenKind, ...]) -> list[Token]:
+        """The tokens from here up to a stop token at paren depth 0, stop token last.
 
-        Past an unmatched ')' no token stops the capture, and a brace
-        block there is passed whole.
+        The depth is clamped at 0, as in the lexer, so an unmatched ')'
+        does not hide the stop token behind it.
         """
         tokens = self.tokens
-        pos = self.pos
-        start = tokens[pos].start
+        start = pos = self.pos
         depth = 0
         while True:
-            tok = tokens[pos]
-            kind = tok.kind
+            kind = tokens[pos].kind
             if kind is _END:
                 break
             if kind is _PAREN_OPEN:
                 depth += 1
             elif kind is _PAREN_CLOSE:
-                depth -= 1
+                if depth:
+                    depth -= 1
             elif depth == 0 and kind in stop_kinds:
                 break
-            elif depth < 0 and kind is _BRACE_OPEN:
-                self.pos = pos + 1
-                self.skip_balanced_braces()
-                pos = self.pos
-                continue
             pos += 1
         self.pos = pos
-        return self.source[start : tok.start], tok
+        return tokens[start : pos + 1]
 
     # -- declarations ----------------------------------------------------
 
@@ -436,7 +430,8 @@ class _DeclParser:
             self.skip_to_semicolon()
             return
         self.advance()  # ':'
-        raw, stop = self.capture_expression((_SEMICOLON, _BRACE_OPEN))
+        expression = self.capture_expression((_SEMICOLON, _BRACE_OPEN))
+        stop = expression[-1]
         if stop.kind is _SEMICOLON:
             self.advance()
         else:
@@ -444,7 +439,7 @@ class _DeclParser:
         if is_abstract:
             return
         expr = parse_pointcut_expression(
-            raw, diagnostics=self.diagnostics, file=self.label, line=kw.line
+            expression, self.source, diagnostics=self.diagnostics, file=self.label, line=kw.line
         )
         container.pointcuts.append(PointcutDecl(name=name, expression=expr, source_line=kw.line))
 
@@ -481,7 +476,8 @@ class _DeclParser:
             self.skip_to_semicolon()
             return
         self.advance()  # ':'
-        raw, stop = self.capture_expression((_BRACE_OPEN, _SEMICOLON))
+        expression = self.capture_expression((_BRACE_OPEN, _SEMICOLON))
+        stop = expression[-1]
         if stop.kind is _BRACE_OPEN:
             self.advance()
             if not self.skip_balanced_braces():
@@ -491,7 +487,7 @@ class _DeclParser:
             if stop.kind is _SEMICOLON:
                 self.advance()
         expr = parse_pointcut_expression(
-            raw, diagnostics=self.diagnostics, file=self.label, line=line
+            expression, self.source, diagnostics=self.diagnostics, file=self.label, line=line
         )
         container.advices.append(AdviceDecl(kind=kind, expression=expr, source_line=line))
 

@@ -10,11 +10,11 @@ nested pointcuts inside e.g. ``cflow(...)`` are deliberately not expanded.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .diagnostics import Diagnostic, warning
-from .lexer import KEYWORDS
+from .lexer import KEYWORDS, Token, TokenKind
 
 DESIGNATORS = frozenset(
     {
@@ -84,7 +84,6 @@ class _Malformed(Exception):
     pass
 
 
-_WS_RE = re.compile(r"\s+")
 _LINE_COMMENT_RE = re.compile(r"//[^\n]*")
 _BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.DOTALL)
 
@@ -92,171 +91,133 @@ _BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.DOTALL)
 def _normalize(text: str) -> str:
     text = _BLOCK_COMMENT_RE.sub(" ", text)
     text = _LINE_COMMENT_RE.sub(" ", text)
-    return _WS_RE.sub(" ", text).strip()
+    return " ".join(text.split())
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+_WORDS = (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
+_PAREN_OPEN = TokenKind.PAREN_OPEN
+_PAREN_CLOSE = TokenKind.PAREN_CLOSE
+_OPERATOR = TokenKind.OPERATOR
 
-    def skip_blanks(self) -> None:
-        n = len(self.text)
-        while self.pos < n:
-            ch = self.text[self.pos]
-            if ch.isspace():
-                self.pos += 1
-            elif self.text.startswith("//", self.pos):
-                nl = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if nl < 0 else nl
-            elif self.text.startswith("/*", self.pos):
-                close = self.text.find("*/", self.pos + 2)
-                if close < 0:
-                    raise _Malformed("unterminated comment in pointcut expression")
-                self.pos = close + 2
-            else:
-                return
-
-    def peek(self) -> str:
-        self.skip_blanks()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def startswith(self, s: str) -> bool:
-        self.skip_blanks()
-        return self.text.startswith(s, self.pos)
-
-    def take(self, s: str) -> bool:
-        if self.startswith(s):
-            self.pos += len(s)
-            return True
-        return False
-
-    def read_name(self) -> str:
-        """Read a possibly dotted identifier (keywords allowed as segments)."""
-        self.skip_blanks()
-        start = self.pos
-        text, n = self.text, len(self.text)
-
-        def segment() -> bool:
-            nonlocal_start = self.pos
-            if self.pos < n and (text[self.pos].isalpha() or text[self.pos] in "_$"):
-                self.pos += 1
-                while self.pos < n and (text[self.pos].isalnum() or text[self.pos] in "_$"):
-                    self.pos += 1
-            return self.pos > nonlocal_start
-
-        if not segment():
-            raise _Malformed("expected a designator or pointcut name")
-        while self.pos < n and text[self.pos] == "." and self.pos + 1 < n and (
-            text[self.pos + 1].isalpha() or text[self.pos + 1] in "_$"
-        ):
-            self.pos += 1
-            segment()
-        return text[start:self.pos]
-
-    def read_balanced_argument(self) -> str:
-        """Consume '( ... )' with balanced parens, returning the inner text."""
-        self.skip_blanks()
-        if self.pos >= len(self.text) or self.text[self.pos] != "(":
-            raise _Malformed("expected '('")
-        depth = 0
-        start = self.pos + 1
-        text, n = self.text, len(self.text)
-        i = self.pos
-        while i < n:
-            ch = text[i]
-            if ch in "\"'":
-                quote = ch
-                i += 1
-                while i < n and text[i] != quote:
-                    i += 2 if text[i] == "\\" else 1
-                i += 1
-                continue
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    self.pos = i + 1
-                    return _normalize(text[start:i])
-            i += 1
-        raise _Malformed("unbalanced parentheses")
-
-    def at_end(self) -> bool:
-        self.skip_blanks()
-        return self.pos >= len(self.text)
+# Binding levels of the pending entries on the parser's stack. An entry
+# is (level, left operand); '(' and '!' have no left operand.
+_GROUP, _OR, _AND, _NOT = 0, 1, 2, 3
 
 
-def _parse_or(cur: _Cursor, diags: list[Diagnostic], file: str, line: int) -> PointcutExpr:
-    expr = _parse_and(cur, diags, file, line)
-    while cur.take("||"):
-        expr = Or(expr, _parse_and(cur, diags, file, line))
+def _reduce(stack: list, expr: PointcutExpr, floor: int) -> PointcutExpr:
+    """Apply the pending operators on top of ``stack`` that bind at ``floor`` or tighter."""
+    while stack and stack[-1][0] >= floor:
+        level, left = stack.pop()
+        if level == _NOT:
+            expr = Not(expr)
+        elif level == _AND:
+            expr = And(left, expr)
+        else:
+            expr = Or(left, expr)
     return expr
 
 
-def _parse_and(cur: _Cursor, diags: list[Diagnostic], file: str, line: int) -> PointcutExpr:
-    expr = _parse_unary(cur, diags, file, line)
-    while True:
-        cur.skip_blanks()
-        if cur.text.startswith("&&", cur.pos):
-            cur.pos += 2
-            expr = And(expr, _parse_unary(cur, diags, file, line))
-        else:
-            return expr
+def _read_atom(
+    tokens: list[Token], i: int, source: str, diags: list[Diagnostic], file: str, line: int
+) -> tuple[PointcutExpr, int]:
+    """Read ``name(argument)`` at ``tokens[i]``; return it and the index past it.
 
-
-def _parse_unary(cur: _Cursor, diags: list[Diagnostic], file: str, line: int) -> PointcutExpr:
-    cur.skip_blanks()
-    if cur.startswith("!") and not cur.startswith("!="):
-        cur.pos += 1
-        return Not(_parse_unary(cur, diags, file, line))
-    return _parse_atom(cur, diags, file, line)
-
-
-def _parse_atom(cur: _Cursor, diags: list[Diagnostic], file: str, line: int) -> PointcutExpr:
-    cur.skip_blanks()
-    if cur.peek() == "(":
-        if cur.text[cur.pos] != "(":
-            raise _Malformed("expected '('")
-        cur.pos += 1
-        expr = _parse_or(cur, diags, file, line)
-        cur.skip_blanks()
-        if not cur.take(")"):
-            raise _Malformed("expected ')'")
-        return expr
-
-    name = cur.read_name()
-    argument = cur.read_balanced_argument()
+    The name may be dotted: words joined by '.' with no gap between them.
+    """
+    tok = tokens[i]
+    if tok.kind not in _WORDS:
+        raise _Malformed("expected a designator or pointcut name")
+    start, end = tok.start, tok.end
+    i += 1
+    # The stop token is never '.', so a '.' is followed by another token.
+    while (
+        tokens[i].text == "."
+        and tokens[i].start == end
+        and tokens[i + 1].kind in _WORDS
+        and tokens[i + 1].start == end + 1
+    ):
+        end = tokens[i + 1].end
+        i += 2
+    name = source[start:end]
+    opening = tokens[i]
+    if opening.kind is not _PAREN_OPEN:
+        raise _Malformed("expected '('")
+    last = len(tokens) - 1
+    depth = 1
+    while depth:
+        i += 1
+        if i == last:
+            raise _Malformed("unbalanced parentheses")
+        kind = tokens[i].kind
+        if kind is _PAREN_OPEN:
+            depth += 1
+        elif kind is _PAREN_CLOSE:
+            depth -= 1
+    argument = _normalize(source[opening.end : tokens[i].start])
     if "." not in name and name in DESIGNATORS:
-        return Primitive(name, argument)
+        return Primitive(name, argument), i + 1
     if "." not in name and name in KEYWORDS:
         diags.append(warning(file, line, f"unknown pointcut designator '{name}'"))
-        return Primitive(name, argument, known=False)
-    return NamedRef(name)
+        return Primitive(name, argument, known=False), i + 1
+    return NamedRef(name), i + 1
 
 
 def parse_pointcut_expression(
-    text: str,
+    tokens: list[Token],
+    source: str,
     *,
     diagnostics: list[Diagnostic] | None = None,
     file: str = "<pointcut>",
     line: int = 1,
 ) -> PointcutExpr:
-    """Parse the text after ':' in a pointcut or advice declaration.
+    """Parse the tokens of the expression after ':' in a pointcut or advice.
+
+    ``tokens`` holds the expression's tokens and then one stop token
+    (``;``, ``{`` or END); their offsets index ``source``. Operators are
+    applied by precedence climbing over one explicit stack, so neither
+    ``(`` nor ``!`` recurses, however deep it nests.
 
     Malformed input yields a warning diagnostic and an unknown primitive so
     downstream metrics degrade gracefully instead of failing.
     """
     diags = diagnostics if diagnostics is not None else []
-    cur = _Cursor(text)
+    stack: list[tuple[int, PointcutExpr | None]] = []
+    groups = 0  # '(' entries on the stack
+    i = 0
     try:
-        expr = _parse_or(cur, diags, file, line)
-        if not cur.at_end():
-            raise _Malformed(f"unexpected trailing text at offset {cur.pos}")
-        return expr
+        while True:
+            tok = tokens[i]
+            while True:
+                if tok.kind is _PAREN_OPEN:
+                    stack.append((_GROUP, None))
+                    groups += 1
+                elif tok.kind is _OPERATOR and tok.text == "!":
+                    stack.append((_NOT, None))
+                else:
+                    break
+                i += 1
+                tok = tokens[i]
+            expr, i = _read_atom(tokens, i, source, diags, file, line)
+            tok = tokens[i]
+            while groups and tok.kind is _PAREN_CLOSE:
+                expr = _reduce(stack, expr, _OR)
+                stack.pop()
+                groups -= 1
+                i += 1
+                tok = tokens[i]
+            if tok.kind is not _OPERATOR or tok.text not in ("&&", "||"):
+                break
+            level = _AND if tok.text == "&&" else _OR
+            stack.append((level, _reduce(stack, expr, level)))
+            i += 1
+        if groups:
+            raise _Malformed("expected ')'")
+        if i != len(tokens) - 1:
+            raise _Malformed(f"unexpected trailing text at offset {tok.start - tokens[0].start}")
+        return _reduce(stack, expr, _OR)
     except _Malformed as exc:
         diags.append(warning(file, line, f"malformed pointcut expression: {exc}"))
-        return Primitive("", _normalize(text), known=False)
+        return Primitive("", _normalize(source[tokens[0].start : tokens[-1].start]), known=False)
 
 
 def render_expression(expr: PointcutExpr) -> str:

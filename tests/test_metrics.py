@@ -17,6 +17,7 @@ from aometrics import (
     waa_aspect,
     wmca_unit,
 )
+from aometrics.cli import main
 from aometrics.diagnostics import Diagnostic, Severity
 from helpers import MINI_UAS, TEST_FIXTURES, measure_dir, parse_version_dir
 
@@ -445,3 +446,39 @@ def test_c_style_array_returns_are_measured():
     m = measure_dir(TEST_FIXTURES / "array_return" / "V")
     assert m.diagnostics == []
     assert [(c.class_name, c.wmca, c.attribute_count) for c in m.per_class] == [("Grid", 3, 1)]
+
+
+_DEPTH = 3000  # well past Python's default recursion limit of 1000
+_DEEP_AND_SHALLOW = [
+    ("(" * _DEPTH + "within(A)" + ")" * _DEPTH, "within(A)"),
+    ("!" * _DEPTH + "within(A)", "!!within(A)"),
+]
+
+
+def _aspect_with(expression: str) -> str:
+    return (
+        f"aspect A {{ pointcut p(): {expression};\n"
+        f"  before(): p() && {expression} {{}}\n"
+        f"  after(): {expression} {{}} }}\n"
+        "class B { void f() {} }"
+    )
+
+
+def test_deeply_nested_pointcuts_measure_like_their_shallow_form():
+    # Metrics are compared, never the trees: dataclass __eq__ recurses.
+    for deep, shallow in _DEEP_AND_SHALLOW:
+        m = measure_source(_aspect_with(deep))
+        assert m.diagnostics == []
+        assert m == measure_source(_aspect_with(shallow))
+
+
+def test_deeply_nested_pointcuts_measure_through_the_cli(tmp_path, capsys):
+    for i, (deep, _) in enumerate(_DEEP_AND_SHALLOW):
+        version = tmp_path / f"V{i}"
+        version.mkdir()
+        (version / "A.aj").write_text(_aspect_with(deep), encoding="utf-8")
+        code = main(["measure", str(version), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in captured.err
+        assert (tmp_path / "out" / f"V{i}.log").is_file()

@@ -311,12 +311,19 @@ def test_brace_block_after_a_later_declarator_ends_the_field():
 
 
 def test_brace_block_past_a_stray_paren_in_a_pointcut_is_passed_whole():
+    # An unmatched ')' does not hide the stop token behind it: the '{'
+    # ends the expression, and the block is passed whole as an
+    # initializer.
     unit = parse_source("aspect A { pointcut p(): a()) { ; } ; int y; }", "A.aj")
-    # Past the stray ')' no token ends the expression, and the ';' inside
-    # the block is not read.
     assert [str(d) for d in unit.parse_diagnostics] == [
         "A.aj:1: error: missing ';' after pointcut 'p'",
         "A.aj:1: warning: malformed pointcut expression: unexpected trailing text at offset 3",
-        "A.aj:1: error: unexpected end of file inside 'A'",
     ]
-    assert _members(unit) == [["A"]]
+    assert _members(unit) == [["A", "y"]]
+
+    unit = parse_source("aspect A { pointcut p(): a()) ; int y; void g() {} }", "A.aj")
+    assert [str(d) for d in unit.parse_diagnostics] == [
+        "A.aj:1: warning: malformed pointcut expression: unexpected trailing text at offset 3",
+    ]
+    assert _members(unit) == [["A", "y", "g"]]
+    assert [pc.name for pc in unit.aspects[0].pointcuts] == ["p"]

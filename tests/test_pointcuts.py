@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aometrics.diagnostics import Severity
+from aometrics.lexer import tokenize
 from aometrics.pointcuts import (
     And,
     NamedRef,
@@ -17,20 +18,26 @@ from aometrics.pointcuts import (
 from aometrics.weights import SpecificityLevel, default_weights, signature_specificity, signature_weight
 
 
+def _parse(text: str, **kwargs):
+    """Tokenize ``text`` and parse all of it as one pointcut expression."""
+    tokens, _ = tokenize(text)
+    return parse_pointcut_expression(tokens, text, **kwargs)
+
+
 def test_single_primitive():
-    expr = parse_pointcut_expression("execution(* *.f(..))")
+    expr = _parse("execution(* *.f(..))")
     assert expr == Primitive("execution", "* *.f(..)")
 
 
 def test_and_of_primitives():
-    expr = parse_pointcut_expression("call(void A.g()) && within(A)")
+    expr = _parse("call(void A.g()) && within(A)")
     assert isinstance(expr, And)
     assert expr.left == Primitive("call", "void A.g()")
     assert expr.right == Primitive("within", "A")
 
 
 def test_precedence_not_over_or():
-    expr = parse_pointcut_expression("!cflow(p()) || handler(java.io.IOException)")
+    expr = _parse("!cflow(p()) || handler(java.io.IOException)")
     assert isinstance(expr, Or)
     assert isinstance(expr.left, Not)
     assert expr.left.child == Primitive("cflow", "p()")
@@ -38,46 +45,54 @@ def test_precedence_not_over_or():
 
 
 def test_parentheses_group():
-    expr = parse_pointcut_expression("execution(* f()) && (within(A) || within(B))")
+    expr = _parse("execution(* f()) && (within(A) || within(B))")
     assert isinstance(expr, And)
     assert isinstance(expr.right, Or)
 
 
 def test_named_reference():
-    expr = parse_pointcut_expression("loginFlow()")
+    expr = _parse("loginFlow()")
     assert expr == NamedRef("loginFlow")
 
 
 def test_dotted_named_reference():
-    expr = parse_pointcut_expression("Other.loginFlow()")
+    expr = _parse("Other.loginFlow()")
     assert expr == NamedRef("Other.loginFlow")
 
 
 def test_keyword_designator_flagged_unknown():
     diags = []
-    expr = parse_pointcut_expression("if(enabled)", diagnostics=diags)
+    expr = _parse("if(enabled)", diagnostics=diags)
     assert expr == Primitive("if", "enabled", known=False)
     assert diags and diags[0].severity is Severity.WARNING
 
 
 def test_malformed_expression_degrades():
     diags = []
-    expr = parse_pointcut_expression("execution(* f() && ", diagnostics=diags)
+    expr = _parse("execution(* f() && ", diagnostics=diags)
     assert isinstance(expr, Primitive)
     assert not expr.known
     assert any("malformed" in d.message for d in diags)
 
 
 def test_whitespace_and_comments_inside_expression():
-    expr = parse_pointcut_expression("call(void A.g())   /* glue */  && within(A)")
+    expr = _parse("call(void A.g())   /* glue */  && within(A)")
     assert isinstance(expr, And)
 
 
+def test_literals_and_comments_are_read_as_the_lexer_reads_them():
+    # A literal outside every argument is skipped like a comment, and a
+    # parenthesis inside a comment within an argument does not count.
+    diags = []
+    expr = _parse('within(A) "x" && call(a /* ) */ b)', diagnostics=diags)
+    assert expr == And(Primitive("within", "A"), Primitive("call", "a b"))
+    assert not diags
+
 def test_render_round_trip_structure():
     source = "!cflow(p()) || handler(java.io.IOException) && within(A)"
-    expr = parse_pointcut_expression(source)
+    expr = _parse(source)
     rendered = render_expression(expr)
-    assert parse_pointcut_expression(rendered) == expr
+    assert _parse(rendered) == expr
 
 
 _leaves = st.sampled_from(
@@ -104,7 +119,7 @@ _expr_trees = st.recursive(
 def test_render_parse_round_trip_random_trees(expr):
     rendered = render_expression(expr)
     diags = []
-    assert parse_pointcut_expression(rendered, diagnostics=diags) == expr
+    assert _parse(rendered, diagnostics=diags) == expr
     assert not diags
 
 
