@@ -2,14 +2,19 @@
 
 Line comments, block comments, string and character literals, and Java 15
 text blocks are elided so that keywords mentioned inside them can never
-reach the declaration parser. Tokens keep their source offsets so callers
-can slice raw text back out, as the pointcut parser does for a
-designator's argument.
+reach the declaration parser.
+
+A token is a plain tuple ``(kind, text, line, start, end)``, built inline
+in ``tokenize``'s loop with no constructor call. ``start`` and ``end``
+are offsets into the text, so callers can slice raw text back out, as
+the pointcut parser does for a designator's argument.
 
 One compiled alternation does the whole scan. Each match is the blanks,
 comments and closed literals before a token (the skipped prefix) followed
 by one named alternative; ``tokenize`` dispatches on ``m.lastgroup`` and
-recovers line numbers by counting newlines between matches.
+recovers line numbers by counting newlines between matches. Newlines
+escaped inside a literal are not counted, so a line cannot be recovered
+later from a plain table of newline offsets; each token carries its own.
 
 The declaration parser never reads a statement, so the inside of a body
 (a brace block at parenthesis depth 0 that no type keyword announced) is
@@ -59,18 +64,8 @@ class TokenKind(Enum):
     END = "end"
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "start", "end")
-
-    def __init__(self, kind: TokenKind, text: str, line: int, start: int = 0, end: int = 0):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.start = start
-        self.end = end
-
-    def __repr__(self) -> str:
-        return f"Token({self.kind}, {self.text!r}, {self.line}, {self.start}, {self.end})"
+#: ``(kind, text, line, start, end)``; see the module docstring.
+Token = tuple[TokenKind, str, int, int, int]
 
 
 _BLANKS_EOL = r"[ \t\f]*\r?\n"  # after a text block's opening quotes
@@ -211,14 +206,14 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
             if group == "WORD":
                 word = text[start:end]
                 if word in KEYWORDS:
-                    append(Token(_KEYWORD, word, line, start, end))
+                    append((_KEYWORD, word, line, start, end))
                     if word in TYPE_KEYWORDS:
                         pending = True
                 else:
-                    append(Token(_IDENTIFIER, word, line, start, end))
+                    append((_IDENTIFIER, word, line, start, end))
             elif group == "SINGLE":
                 word = text[start]
-                append(Token(_SINGLE[word], word, line, start, end))
+                append((_SINGLE[word], word, line, start, end))
                 if word == "(":
                     depth += 1
                 elif word == ")":
@@ -229,9 +224,9 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
                         break  # a body
                     pending = False
             elif group == "OPERATOR":
-                append(Token(_OPERATOR, text[start:end], line, start, end))
+                append((_OPERATOR, text[start:end], line, start, end))
             elif group == "PUNCT" or group == "NUMBER":
-                append(Token(_PUNCT, text[start:end], line, start, end))
+                append((_PUNCT, text[start:end], line, start, end))
             elif group in _UNTERMINATED:
                 last = _report(group, text, start, end, file, line, diagnostics)
             # else LITERAL (closed, but spans a backslash-newline: not
@@ -254,7 +249,7 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
                 else:
                     nesting -= 1
                     if nesting == 0:
-                        append(Token(_BRACE_CLOSE, "}", line, start, end))
+                        append((_BRACE_CLOSE, "}", line, start, end))
                         break
             elif group in _UNTERMINATED:
                 last = _report(group, text, start, end, file, line, diagnostics)
@@ -263,5 +258,5 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
         pos = end
 
     n = len(text)
-    append(Token(TokenKind.END, "", line, n, n))
+    append((TokenKind.END, "", line, n, n))
     return tokens, diagnostics

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
-from .diagnostics import Diagnostic, error, warning
+from .diagnostics import Diagnostic, Severity, error, warning
 from .lexer import TYPE_KEYWORDS, Token, TokenKind, tokenize
 from .pointcuts import SIGNATURE_MODIFIERS, PointcutExpr, parse_pointcut_expression
 
@@ -31,7 +31,6 @@ _TYPE_KEYWORDS = TYPE_KEYWORDS - {"aspect"}
 
 _IDENTIFIER = TokenKind.IDENTIFIER
 _KEYWORD = TokenKind.KEYWORD
-_PUNCT = TokenKind.PUNCT
 _OPERATOR = TokenKind.OPERATOR
 _BRACE_OPEN = TokenKind.BRACE_OPEN
 _BRACE_CLOSE = TokenKind.BRACE_CLOSE
@@ -39,6 +38,12 @@ _PAREN_OPEN = TokenKind.PAREN_OPEN
 _PAREN_CLOSE = TokenKind.PAREN_CLOSE
 _SEMICOLON = TokenKind.SEMICOLON
 _END = TokenKind.END
+
+# A member's 'throws' clause and the 'around' lookahead stop at
+# _MEMBER_STOPS. An advice's 'throws' clause stops at ':' or at
+# _ADVICE_THROWS_STOPS, so it runs past a '}'.
+_MEMBER_STOPS = (_BRACE_OPEN, _SEMICOLON, _BRACE_CLOSE, _END)
+_ADVICE_THROWS_STOPS = (_BRACE_OPEN, _SEMICOLON, _END)
 
 
 class AdviceKind(Enum):
@@ -113,8 +118,6 @@ class SourceUnit:
 
     @property
     def has_errors(self) -> bool:
-        from .diagnostics import Severity
-
         return any(d.severity is Severity.ERROR for d in self.parse_diagnostics)
 
 
@@ -123,25 +126,60 @@ def file_label(file: object) -> str:
     return str(getattr(file, "path", file))
 
 
+# Tokens whose text takes no blank before or after it in a signature.
+_NO_SPACE_BEFORE = frozenset({".", ",", "(", ")", "<", ">", "[", "]", ";"})
+_NO_SPACE_AFTER = frozenset({".", "(", "<", "["})
+
+_ADVICE_KINDS = {"before": AdviceKind.BEFORE, "after": AdviceKind.AFTER, "around": AdviceKind.AROUND}
+
+
 def _normalize_tokens(tokens: list[Token]) -> str:
-    no_space_before = {".", ",", "(", ")", "<", ">", "[", "]", ";"}
-    no_space_after = {".", "(", "<", "["}
     parts: list[str] = []
     prev = ""
     for tok in tokens:
-        text = tok.text
-        if parts and text not in no_space_before and prev not in no_space_after:
+        text = tok[1]
+        if parts and text not in _NO_SPACE_BEFORE and prev not in _NO_SPACE_AFTER:
             parts.append(" ")
         parts.append(text)
         prev = text
     return "".join(parts)
 
 
+def _split_member_name(head: list[Token]) -> tuple[list[Token], list[Token]]:
+    """Split head tokens into (type tokens, trailing dotted-name tokens)."""
+    idx = len(head)
+    want_name = True
+    while idx > 0:
+        kind, text, _, _, _ = head[idx - 1]
+        if want_name and (kind is _IDENTIFIER or text == "new"):
+            idx -= 1
+            want_name = False
+        elif not want_name and text == ".":
+            idx -= 1
+            want_name = True
+        else:
+            break
+    if want_name:
+        # Trailing '.' without a segment; treat everything as type text.
+        return head, []
+    return head[:idx], head[idx:]
+
+
 class _DeclParser:
+    """Recursive descent over the declaration tokens.
+
+    ``self.pos`` is the cursor between methods; each method works on a
+    local ``pos`` and stores it back before it calls another that moves
+    the cursor. Helpers named ``*_end`` only look ahead: they take a
+    position and return one, and move nothing.
+
+    Every keyword and punctuation mark has a single token kind, so a token
+    is tested by its text alone wherever the text is fixed.
+    """
+
     def __init__(self, tokens: list[Token], file: object, source: str):
         # ``tokens`` ends with two END tokens. No cursor moves past the
-        # first, so ``peek(1)`` and ``tokens[pos + 1]`` can index without a
-        # bounds check.
+        # first, so ``tokens[pos + 1]`` can index without a bounds check.
         self.tokens = tokens
         self.pos = 0
         self.source = source
@@ -149,225 +187,215 @@ class _DeclParser:
         self.label = file_label(file)
         self.diagnostics: list[Diagnostic] = []
 
-    # -- cursor helpers -------------------------------------------------
-
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[self.pos + offset]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind is not _END:
-            self.pos += 1
-        return tok
-
-    def at_end(self) -> bool:
-        return self.tokens[self.pos].kind is _END
-
     def warn(self, line: int, message: str) -> None:
         self.diagnostics.append(warning(self.label, line, message))
 
     def err(self, line: int, message: str) -> None:
         self.diagnostics.append(error(self.label, line, message))
 
-    def skip_balanced_braces(self) -> bool:
-        """Consume tokens of an already-opened brace block; True if closed.
+    # -- look-ahead helpers ----------------------------------------------
 
-        This is the only way the parser passes a brace block it does not
-        parse as a type body: the lexer keeps no token inside a method,
-        advice or initializer body but the outer braces.
+    def paren_end(self, pos: int) -> int:
+        """Position past the ')' matching a '(' at ``pos``; ``pos`` if none is there.
+
+        An unclosed '(' ends at the END token.
         """
-        depth = 1
-        while not self.at_end():
-            tok = self.advance()
-            if tok.kind is _BRACE_OPEN:
-                depth += 1
-            elif tok.kind is _BRACE_CLOSE:
-                depth -= 1
-                if depth == 0:
-                    return True
-        return False
-
-    def skip_balanced_parens(self) -> list[Token]:
-        """Consume '( ... )' starting at the current '(' token."""
         tokens = self.tokens
-        start = pos = self.pos
-        if tokens[pos].kind is not _PAREN_OPEN:
-            return []
+        if tokens[pos][0] is not _PAREN_OPEN:
+            return pos
         depth = 0
         while True:
-            kind = tokens[pos].kind
+            kind = tokens[pos][0]
             if kind is _END:
-                break
+                return pos
             pos += 1
             if kind is _PAREN_OPEN:
                 depth += 1
             elif kind is _PAREN_CLOSE:
                 depth -= 1
                 if depth == 0:
-                    break
-        self.pos = pos
-        return tokens[start:pos]
+                    return pos
 
-    def skip_to_semicolon(self) -> None:
-        depth = 0
-        while not self.at_end():
-            tok = self.advance()
-            if tok.kind is _BRACE_OPEN:
-                depth += 1
-            elif tok.kind is _BRACE_CLOSE:
-                if depth == 0:
-                    self.pos -= 1
-                    return
-                depth -= 1
-            elif tok.kind is _SEMICOLON and depth == 0:
-                return
-
-    def skip_annotation(self) -> None:
-        self.advance()  # '@'
-        if self.peek().kind is _KEYWORD and self.peek().text == "interface":
-            # Annotation type declaration: skip name and body wholesale.
-            self.advance()
-            while not self.at_end() and self.peek().kind is not _BRACE_OPEN:
-                self.advance()
-            if self.peek().kind is _BRACE_OPEN:
-                self.advance()
-                self.skip_balanced_braces()
-            return
-        while self.peek().kind is _IDENTIFIER:
-            self.advance()
-            if self.peek().kind is _PUNCT and self.peek().text == ".":
-                self.advance()
-            else:
-                break
-        if self.peek().kind is _PAREN_OPEN:
-            self.skip_balanced_parens()
-
-    def collect_modifiers(self) -> set[str]:
-        mods: set[str] = set()
-        while True:
-            tok = self.peek()
-            if tok.kind is _PUNCT and tok.text == "@":
-                if self.peek(1).kind is _KEYWORD and self.peek(1).text == "interface":
-                    return mods
-                self.skip_annotation()
-                continue
-            if tok.kind is _KEYWORD and tok.text in MODIFIER_WORDS:
-                mods.add(tok.text)
-                self.advance()
-                continue
-            return mods
-
-    # -- expression capture ----------------------------------------------
-
-    def capture_expression(self, stop_kinds: tuple[TokenKind, ...]) -> list[Token]:
-        """The tokens from here up to a stop token at paren depth 0, stop token last.
+    def expression_end(self, pos: int) -> int:
+        """Position of the first ';', '{' or END at paren depth 0 from ``pos``.
 
         The depth is clamped at 0, as in the lexer, so an unmatched ')'
         does not hide the stop token behind it.
         """
         tokens = self.tokens
-        start = pos = self.pos
         depth = 0
         while True:
-            kind = tokens[pos].kind
-            if kind is _END:
-                break
+            kind = tokens[pos][0]
             if kind is _PAREN_OPEN:
                 depth += 1
             elif kind is _PAREN_CLOSE:
                 if depth:
                     depth -= 1
-            elif depth == 0 and kind in stop_kinds:
+            elif kind is _END or (depth == 0 and (kind is _SEMICOLON or kind is _BRACE_OPEN)):
+                return pos
+            pos += 1
+
+    # -- skipping ----------------------------------------------------------
+
+    def skip_balanced_braces(self, pos: int) -> bool:
+        """Move past the brace block whose '{' is at ``pos``; False if it is unclosed.
+
+        This is the only way the parser passes a brace block it does not
+        parse as a type body: the lexer keeps no token inside a method,
+        advice or initializer body but the outer braces.
+        """
+        tokens = self.tokens
+        depth = 0
+        while True:
+            kind = tokens[pos][0]
+            if kind is _END:
+                self.pos = pos
+                return False
+            pos += 1
+            if kind is _BRACE_OPEN:
+                depth += 1
+            elif kind is _BRACE_CLOSE:
+                depth -= 1
+                if depth == 0:
+                    self.pos = pos
+                    return True
+
+    def skip_to_semicolon(self) -> None:
+        """Move past the next ';' at brace depth 0, or to the '}' that closes the block."""
+        tokens = self.tokens
+        pos = self.pos
+        depth = 0
+        while True:
+            kind = tokens[pos][0]
+            if kind is _END:
+                break
+            if kind is _BRACE_OPEN:
+                depth += 1
+            elif kind is _BRACE_CLOSE:
+                if depth == 0:
+                    break
+                depth -= 1
+            elif kind is _SEMICOLON and depth == 0:
+                pos += 1
                 break
             pos += 1
         self.pos = pos
-        return tokens[start : pos + 1]
+
+    def skip_annotation(self) -> None:
+        """Move past the annotation, or the annotation type, whose '@' is at the cursor."""
+        tokens = self.tokens
+        pos = self.pos + 1
+        if tokens[pos][1] == "interface":
+            # Annotation type declaration: skip name and body wholesale.
+            while tokens[pos][0] is not _BRACE_OPEN and tokens[pos][0] is not _END:
+                pos += 1
+            self.skip_balanced_braces(pos)
+            return
+        while tokens[pos][0] is _IDENTIFIER:
+            pos += 1
+            if tokens[pos][1] != ".":
+                break
+            pos += 1
+        self.pos = self.paren_end(pos)
+
+    def skip_modifiers(self) -> bool:
+        """Move past modifiers and annotations; True if 'abstract' is among them."""
+        tokens = self.tokens
+        is_abstract = False
+        while True:
+            text = tokens[self.pos][1]
+            if text == "@":
+                if tokens[self.pos + 1][1] == "interface":
+                    return is_abstract
+                self.skip_annotation()
+            elif text in MODIFIER_WORDS:
+                is_abstract = is_abstract or text == "abstract"
+                self.pos += 1
+            else:
+                return is_abstract
 
     # -- declarations ----------------------------------------------------
 
     def parse_unit_body(self, unit: SourceUnit) -> None:
-        while not self.at_end():
-            tok = self.peek()
-            if tok.kind is _SEMICOLON:
-                self.advance()
+        tokens = self.tokens
+        while True:
+            kind, text, _, _, _ = tokens[self.pos]
+            if kind is _END:
+                return
+            if kind is _SEMICOLON:
+                self.pos += 1
                 continue
-            if tok.kind is _KEYWORD and tok.text in ("package", "import"):
+            if text == "package" or text == "import":
                 self.skip_to_semicolon()
                 continue
-            if tok.kind is _PUNCT and tok.text == "@":
+            if text == "@":
                 self.skip_annotation()
                 continue
-            self.collect_modifiers()
-            tok = self.peek()
-            if tok.kind is _KEYWORD and tok.text in _TYPE_KEYWORDS:
-                unit.classes.append(self.parse_class())
-            elif tok.kind is _KEYWORD and tok.text == "aspect":
-                unit.aspects.append(self.parse_aspect())
-            elif tok.kind is _END:
-                break
+            self.skip_modifiers()
+            kind, text, line, _, _ = tokens[self.pos]
+            if text in _TYPE_KEYWORDS:
+                unit.classes.append(self.parse_type(is_aspect=False))
+            elif text == "aspect":
+                unit.aspects.append(self.parse_type(is_aspect=True))
+            elif kind is _END:
+                return
             else:
-                self.err(tok.line, f"unexpected token at top level: {tok.text!r}")
+                self.err(line, f"unexpected token at top level: {text!r}")
                 self.recover_to_type_keyword()
 
     def recover_to_type_keyword(self) -> None:
+        tokens = self.tokens
+        pos = self.pos
         depth = 0
-        while not self.at_end():
-            tok = self.peek()
-            if depth == 0 and tok.kind is _KEYWORD and tok.text in TYPE_KEYWORDS:
-                return
-            if tok.kind is _BRACE_OPEN:
+        while True:
+            kind, text, _, _, _ = tokens[pos]
+            if kind is _END or (depth == 0 and text in TYPE_KEYWORDS):
+                break
+            if kind is _BRACE_OPEN:
                 depth += 1
-            elif tok.kind is _BRACE_CLOSE:
-                depth = max(0, depth - 1)
-            self.advance()
+            elif kind is _BRACE_CLOSE and depth:
+                depth -= 1
+            pos += 1
+        self.pos = pos
 
-    def _parse_type_header(self) -> tuple[str, int]:
-        kw = self.advance()
-        if self.peek().kind is _IDENTIFIER:
-            name = self.advance().text
+    def parse_type(self, is_aspect: bool) -> UnitDecl:
+        """Parse the class, interface, enum or aspect whose keyword is at the cursor."""
+        tokens = self.tokens
+        pos = self.pos
+        _, word, line, _, _ = tokens[pos]
+        kind, name, _, _, _ = tokens[pos + 1]
+        if kind is _IDENTIFIER:
+            pos += 2
         else:
-            self.err(kw.line, f"missing name after '{kw.text}'")
+            self.err(line, f"missing name after '{word}'")
             name = "<anonymous>"
+            pos += 1
         # extends/implements/generics/per-clauses: everything up to the body.
-        while not self.at_end() and self.peek().kind not in (
-            _BRACE_OPEN,
-            _SEMICOLON,
-        ):
-            if self.peek().kind is _PAREN_OPEN:
-                self.skip_balanced_parens()
-                continue
-            self.advance()
-        return name, kw.line
-
-    def parse_class(self) -> ClassDecl:
-        kind_word = self.peek().text
-        name, line = self._parse_type_header()
-        decl = ClassDecl(name=name, kind=kind_word, line=line)
-        if self.peek().kind is _BRACE_OPEN:
-            self.advance()
-            self.parse_members(decl, is_aspect=False)
+        while True:
+            kind = tokens[pos][0]
+            if kind is _PAREN_OPEN:
+                pos = self.paren_end(pos)
+            elif kind is _BRACE_OPEN or kind is _SEMICOLON or kind is _END:
+                break
+            else:
+                pos += 1
+        if is_aspect:
+            decl: UnitDecl = AspectDecl(name=name, line=line)
         else:
-            if self.peek().kind is _SEMICOLON:
-                self.advance()
-        return decl
-
-    def parse_aspect(self) -> AspectDecl:
-        name, line = self._parse_type_header()
-        decl = AspectDecl(name=name, line=line)
-        if self.peek().kind is _BRACE_OPEN:
-            self.advance()
-            self.parse_members(decl, is_aspect=True)
+            decl = ClassDecl(name=name, kind=word, line=line)
+        if kind is _END:
+            self.pos = pos
         else:
-            if self.peek().kind is _SEMICOLON:
-                self.advance()
+            self.pos = pos + 1
+            if kind is _BRACE_OPEN:
+                self.parse_members(decl, is_aspect)
         return decl
 
     def parse_members(self, container: UnitDecl, is_aspect: bool) -> None:
         tokens = self.tokens
         while True:
             pos = self.pos
-            tok = tokens[pos]
-            kind = tok.kind
+            kind, text, line, _, _ = tokens[pos]
             if kind is _SEMICOLON:
                 self.pos = pos + 1
                 continue
@@ -375,163 +403,133 @@ class _DeclParser:
                 self.pos = pos + 1
                 return
             if kind is _END:
-                self.err(tok.line, f"unexpected end of file inside '{container.name}'")
+                self.err(line, f"unexpected end of file inside '{container.name}'")
                 return
-            if kind is _PUNCT and tok.text == "@":
+            if text == "@":
                 self.skip_annotation()
                 continue
 
-            mods = self.collect_modifiers()
+            is_abstract = self.skip_modifiers()
             pos = self.pos
-            tok = tokens[pos]
-            kind = tok.kind
+            kind, text, line, _, _ = tokens[pos]
 
             if kind is _KEYWORD:
-                if tok.text in _TYPE_KEYWORDS:
-                    container.nested.append(self.parse_class())
+                if text in _TYPE_KEYWORDS:
+                    container.nested.append(self.parse_type(is_aspect=False))
                     continue
-                if tok.text == "pointcut":
-                    self.parse_pointcut_member(container, "abstract" in mods)
+                if text == "pointcut":
+                    self.parse_pointcut_member(container, is_abstract)
                     continue
             elif kind is _IDENTIFIER and is_aspect:
-                text = tok.text
-                if (text == "before" or text == "after") and tokens[pos + 1].kind is _PAREN_OPEN:
-                    self.parse_advice(container)
+                if (text == "before" or text == "after") and tokens[pos + 1][0] is _PAREN_OPEN:
+                    self.parse_advice(container, pos)
                     continue
                 if text == "declare":
                     self.skip_to_semicolon()
                     continue
             elif kind is _BRACE_OPEN:
                 # Instance or static initializer block.
-                self.pos = pos + 1
-                if not self.skip_balanced_braces():
-                    self.err(tok.line, "unclosed initializer block")
+                if not self.skip_balanced_braces(pos):
+                    self.err(line, "unclosed initializer block")
                 continue
 
             self.parse_member_tail(container, is_aspect)
 
     def parse_pointcut_member(self, container: UnitDecl, is_abstract: bool) -> None:
-        kw = self.advance()  # 'pointcut'
-        name = None
-        if self.peek().kind is _IDENTIFIER:
-            name = self.advance().text
+        tokens = self.tokens
+        pos = self.pos
+        line = tokens[pos][2]  # 'pointcut'
+        kind, name, _, _, _ = tokens[pos + 1]
+        if kind is _IDENTIFIER:
+            pos += 2
         else:
-            self.err(kw.line, "missing pointcut name")
-        if self.peek().kind is _PAREN_OPEN:
-            self.skip_balanced_parens()
-        tok = self.peek()
-        if tok.kind is _SEMICOLON:
+            self.err(line, "missing pointcut name")
+            name = None
+            pos += 1
+        pos = self.paren_end(pos)
+        text = tokens[pos][1]
+        if text == ";":
             # Abstract pointcut: a declaration without an expression selects
             # nothing by itself, so it is not recorded.
-            self.advance()
+            self.pos = pos + 1
             return
-        if not (tok.kind is _PUNCT and tok.text == ":"):
-            self.err(kw.line, f"malformed pointcut declaration '{name}'")
+        if text != ":":
+            self.err(line, f"malformed pointcut declaration '{name}'")
+            self.pos = pos
             self.skip_to_semicolon()
             return
-        self.advance()  # ':'
-        expression = self.capture_expression((_SEMICOLON, _BRACE_OPEN))
-        stop = expression[-1]
-        if stop.kind is _SEMICOLON:
-            self.advance()
+        start = pos + 1
+        stop = self.expression_end(start)
+        if tokens[stop][0] is _SEMICOLON:
+            self.pos = stop + 1
         else:
-            self.err(kw.line, f"missing ';' after pointcut '{name}'")
+            self.pos = stop
+            self.err(line, f"missing ';' after pointcut '{name}'")
         if is_abstract:
             return
         expr = parse_pointcut_expression(
-            expression, self.source, diagnostics=self.diagnostics, file=self.label, line=kw.line
+            tokens[start : stop + 1], self.source, diagnostics=self.diagnostics, file=self.label, line=line
         )
-        container.pointcuts.append(PointcutDecl(name=name, expression=expr, source_line=kw.line))
+        container.pointcuts.append(PointcutDecl(name=name, expression=expr, source_line=line))
 
-    def parse_advice(self, container: UnitDecl, head_word: Token | None = None) -> None:
-        first = head_word if head_word is not None else self.advance()
-        line = first.line
-        if first.text == "around":
-            kind = AdviceKind.AROUND
-        elif first.text == "before":
-            kind = AdviceKind.BEFORE
-        else:
-            kind = AdviceKind.AFTER
-        if self.peek().kind is _PAREN_OPEN:
-            self.skip_balanced_parens()
-        if kind is AdviceKind.AFTER and self.peek().kind is _IDENTIFIER:
-            if self.peek().text == "returning":
+    def parse_advice(self, container: UnitDecl, pos: int) -> None:
+        """Parse the advice whose 'before', 'after' or 'around' is at ``pos``."""
+        tokens = self.tokens
+        _, word, line, _, _ = tokens[pos]
+        kind = _ADVICE_KINDS[word]
+        pos = self.paren_end(pos + 1)
+        if kind is AdviceKind.AFTER and tokens[pos][0] is _IDENTIFIER:
+            text = tokens[pos][1]
+            if text == "returning":
                 kind = AdviceKind.AFTER_RETURNING
-                self.advance()
-            elif self.peek().text == "throwing":
+                pos += 1
+            elif text == "throwing":
                 kind = AdviceKind.AFTER_THROWING
-                self.advance()
-            if self.peek().kind is _PAREN_OPEN:
-                self.skip_balanced_parens()
-        if self.peek().kind is _KEYWORD and self.peek().text == "throws":
-            while not self.at_end() and not (
-                self.peek().kind is _PUNCT and self.peek().text == ":"
-            ):
-                if self.peek().kind in (_BRACE_OPEN, _SEMICOLON):
-                    break
-                self.advance()
-        tok = self.peek()
-        if not (tok.kind is _PUNCT and tok.text == ":"):
-            self.err(line, f"malformed {first.text} advice (missing ':')")
+                pos += 1
+            pos = self.paren_end(pos)
+        if tokens[pos][1] == "throws":
+            while tokens[pos][1] != ":" and tokens[pos][0] not in _ADVICE_THROWS_STOPS:
+                pos += 1
+        if tokens[pos][1] != ":":
+            self.err(line, f"malformed {word} advice (missing ':')")
+            self.pos = pos
             self.skip_to_semicolon()
             return
-        self.advance()  # ':'
-        expression = self.capture_expression((_BRACE_OPEN, _SEMICOLON))
-        stop = expression[-1]
-        if stop.kind is _BRACE_OPEN:
-            self.advance()
-            if not self.skip_balanced_braces():
+        start = pos + 1
+        stop = self.expression_end(start)
+        stop_kind = tokens[stop][0]
+        if stop_kind is _BRACE_OPEN:
+            if not self.skip_balanced_braces(stop):
                 self.err(line, "unclosed advice body")
         else:
-            self.warn(line, f"{first.text} advice without a body")
-            if stop.kind is _SEMICOLON:
-                self.advance()
+            self.warn(line, f"{word} advice without a body")
+            self.pos = stop + 1 if stop_kind is _SEMICOLON else stop
         expr = parse_pointcut_expression(
-            expression, self.source, diagnostics=self.diagnostics, file=self.label, line=line
+            tokens[start : stop + 1], self.source, diagnostics=self.diagnostics, file=self.label, line=line
         )
         container.advices.append(AdviceDecl(kind=kind, expression=expr, source_line=line))
 
     def _looks_like_around_advice(self, pos: int) -> bool:
         """Bounded lookahead from an 'around' identifier at ``pos``."""
-        idx = pos + 1
-        if self.tokens[idx].kind is not _PAREN_OPEN:
+        tokens = self.tokens
+        if tokens[pos + 1][0] is not _PAREN_OPEN:
             return False
-        depth = 0
-        while idx < len(self.tokens):
-            kind = self.tokens[idx].kind
-            if kind is _PAREN_OPEN:
-                depth += 1
-            elif kind is _PAREN_CLOSE:
-                depth -= 1
-                if depth == 0:
-                    idx += 1
-                    break
-            elif kind is _END:
-                return False
-            idx += 1
-        while idx < len(self.tokens):
-            tok = self.tokens[idx]
-            if tok.kind is _PUNCT and tok.text == ":":
+        pos = self.paren_end(pos + 1)
+        while True:
+            kind, text, _, _, _ = tokens[pos]
+            if text == ":":
                 return True
-            if tok.kind in (
-                _BRACE_OPEN,
-                _SEMICOLON,
-                _BRACE_CLOSE,
-                _END,
-            ):
+            if kind in _MEMBER_STOPS:
                 return False
-            idx += 1
-        return False
+            pos += 1
 
     def parse_member_tail(self, container: UnitDecl, is_aspect: bool) -> None:
         tokens = self.tokens
         start = pos = self.pos
         angle_depth = 0
         while True:
-            tok = tokens[pos]
-            kind = tok.kind
+            kind, text, line, _, _ = tokens[pos]
             if kind is _OPERATOR:
-                text = tok.text
                 if text == "<":
                     angle_depth += 1
                 elif text == ">":
@@ -542,98 +540,67 @@ class _DeclParser:
                 elif text == "=" and angle_depth == 0:
                     break
             elif kind is _IDENTIFIER:
-                if is_aspect and tok.text == "around" and self._looks_like_around_advice(pos):
+                if is_aspect and text == "around" and self._looks_like_around_advice(pos):
                     # Preceding head tokens are the advice return type; drop them.
-                    self.pos = pos + 1
-                    self.parse_advice(container, head_word=tok)
+                    self.parse_advice(container, pos)
                     return
             elif kind is _PAREN_OPEN:
                 if angle_depth == 0:
                     self.pos = pos
                     self.finish_method(container, tokens[start:pos])
                     return
-            elif kind is _SEMICOLON or (kind is _PUNCT and tok.text == ","):
+            elif kind is _SEMICOLON or text == ",":
                 if angle_depth == 0:
                     break
             elif kind is _BRACE_OPEN:
-                self.warn(tok.line, "unexpected '{' in member declaration")
-                self.pos = pos + 1
-                self.skip_balanced_braces()
+                self.warn(line, "unexpected '{' in member declaration")
+                self.skip_balanced_braces(pos)
                 return
             elif kind is _BRACE_CLOSE or kind is _END:
                 if pos > start:
-                    self.err(tok.line, "dangling member declaration")
+                    self.err(line, "dangling member declaration")
                 self.pos = pos
                 return
             pos += 1
         self.pos = pos
         self.finish_field(container, tokens[start:pos])
 
-    def _split_member_name(self, head: list[Token]) -> tuple[list[Token], list[Token]]:
-        """Split head tokens into (type tokens, trailing dotted-name tokens)."""
-        idx = len(head)
-        want_name = True
-        while idx > 0:
-            tok = head[idx - 1]
-            if want_name and (
-                tok.kind is _IDENTIFIER
-                or (tok.kind is _KEYWORD and tok.text == "new")
-            ):
-                idx -= 1
-                want_name = False
-            elif not want_name and tok.kind is _PUNCT and tok.text == ".":
-                idx -= 1
-                want_name = True
-            else:
-                break
-        if want_name:
-            # Trailing '.' without a segment; treat everything as type text.
-            return head, []
-        return head[:idx], head[idx:]
-
     def finish_method(self, container: UnitDecl, head: list[Token]) -> None:
-        paren_tok = self.peek()
-        type_tokens, name_tokens = self._split_member_name(head)
+        """Finish the method or constructor whose parameter list opens at the cursor."""
+        tokens = self.tokens
+        pos = self.pos
+        type_tokens, name_tokens = _split_member_name(head)
         if not name_tokens:
-            self.err(paren_tok.line, "method declaration without a name")
-            self.skip_balanced_parens()
+            self.err(tokens[pos][2], "method declaration without a name")
+            self.pos = self.paren_end(pos)
             self.skip_to_semicolon()
             return
-        name = "".join(t.text for t in name_tokens)
+        name = "".join(tok[1] for tok in name_tokens)
         simple = name.rsplit(".", 1)[-1]
         is_intertype = "." in name
         is_constructor = simple == "new" or (not type_tokens and simple == container.name)
-        params = self.skip_balanced_parens()
+        end = self.paren_end(pos)
         # C-style array return: ``int f()[]`` is ``int[] f()``.
-        tokens = self.tokens
-        pos = self.pos
-        while tokens[pos].text == "[" and tokens[pos + 1].text == "]":
-            pos += 2
-        params += tokens[self.pos : pos]
-        self.pos = pos
-        signature = _normalize_tokens(type_tokens + name_tokens + params)
-        line = name_tokens[0].line
-
-        if self.peek().kind is _KEYWORD and self.peek().text == "throws":
-            while not self.at_end() and self.peek().kind not in (
-                _BRACE_OPEN,
-                _SEMICOLON,
-                _BRACE_CLOSE,
-            ):
-                self.advance()
-        tok = self.peek()
-        if tok.kind is _BRACE_OPEN:
-            self.advance()
-            if not self.skip_balanced_braces():
+        while tokens[end][1] == "[" and tokens[end + 1][1] == "]":
+            end += 2
+        signature = _normalize_tokens(type_tokens + name_tokens + tokens[pos:end])
+        line = name_tokens[0][2]
+        pos = end
+        if tokens[pos][1] == "throws":
+            while tokens[pos][0] not in _MEMBER_STOPS:
+                pos += 1
+        kind, text, _, _, _ = tokens[pos]
+        if kind is _BRACE_OPEN:
+            if not self.skip_balanced_braces(pos):
                 self.err(line, f"unclosed body of '{name}'")
-        elif tok.kind is _SEMICOLON:
-            self.advance()
-        elif tok.kind is _PUNCT and tok.text == ":":
-            self.warn(line, f"unexpected ':' after member '{name}'")
-            self.skip_to_semicolon()
-            return
+        elif kind is _SEMICOLON:
+            self.pos = pos + 1
         else:
-            self.err(line, f"malformed declaration of '{name}'")
+            if text == ":":
+                self.warn(line, f"unexpected ':' after member '{name}'")
+            else:
+                self.err(line, f"malformed declaration of '{name}'")
+            self.pos = pos
             self.skip_to_semicolon()
             return
         container.methods.append(
@@ -649,40 +616,38 @@ class _DeclParser:
     def finish_field(self, container: UnitDecl, head: list[Token]) -> None:
         tokens = self.tokens
         pos = self.pos
-        if not head or head[-1].kind is not _IDENTIFIER:
-            self.warn(tokens[pos].line, "unrecognized member declaration")
+        if not head or head[-1][0] is not _IDENTIFIER:
+            self.warn(tokens[pos][2], "unrecognized member declaration")
             self.skip_to_semicolon()
             return
         declared_type = _normalize_tokens(head[:-1])
-        names: list[tuple[str, int]] = [(head[-1].text, head[-1].line)]
+        names: list[tuple[str, int]] = [(head[-1][1], head[-1][2])]
         while True:
-            tok = tokens[pos]
-            kind = tok.kind
+            kind, text, line, _, _ = tokens[pos]
             if kind is _SEMICOLON:
                 pos += 1
                 break
-            if kind is _OPERATOR and tok.text == "=":
+            if text == "=":
                 pos = self._skip_initializer(pos + 1)
                 continue
-            if kind is _PUNCT and tok.text == ",":
+            if text == ",":
                 nxt = tokens[pos + 1]
-                if nxt.kind is _IDENTIFIER:
-                    names.append((nxt.text, nxt.line))
+                if nxt[0] is _IDENTIFIER:
+                    names.append((nxt[1], nxt[2]))
                     pos += 2
                     continue
                 self.pos = pos + 1
-                self.warn(tok.line, "missing declarator after ','")
+                self.warn(line, "missing declarator after ','")
                 self.skip_to_semicolon()
                 pos = self.pos
                 break
             if kind is _BRACE_OPEN:
-                self.warn(tok.line, "unexpected '{' in member declaration")
-                self.pos = pos + 1
-                self.skip_balanced_braces()
+                self.warn(line, "unexpected '{' in member declaration")
+                self.skip_balanced_braces(pos)
                 pos = self.pos
                 break
             if kind is _BRACE_CLOSE or kind is _END:
-                self.warn(tok.line, "unterminated field declaration")
+                self.warn(line, "unterminated field declaration")
                 break
             # Array brackets and other trailing tokens on the declarator.
             pos += 1
@@ -697,22 +662,18 @@ class _DeclParser:
         tokens = self.tokens
         depth = 0
         while True:
-            tok = tokens[pos]
-            kind = tok.kind
+            kind, text, _, _, _ = tokens[pos]
             if kind is _BRACE_OPEN:
-                self.pos = pos + 1
-                self.skip_balanced_braces()
+                self.skip_balanced_braces(pos)
                 pos = self.pos
                 continue
-            if kind is _PAREN_OPEN or tok.text == "[":
+            if kind is _PAREN_OPEN or text == "[":
                 depth += 1
             elif kind is _BRACE_CLOSE and depth == 0:
                 return pos
-            elif kind is _PAREN_CLOSE or kind is _BRACE_CLOSE or tok.text == "]":
+            elif kind is _PAREN_CLOSE or kind is _BRACE_CLOSE or text == "]":
                 depth = max(0, depth - 1)
-            elif kind is _END or (
-                depth == 0 and (kind is _SEMICOLON or (kind is _PUNCT and tok.text == ","))
-            ):
+            elif kind is _END or (depth == 0 and (kind is _SEMICOLON or text == ",")):
                 return pos
             pos += 1
 

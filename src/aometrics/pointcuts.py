@@ -97,7 +97,6 @@ def _normalize(text: str) -> str:
 _WORDS = (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
 _PAREN_OPEN = TokenKind.PAREN_OPEN
 _PAREN_CLOSE = TokenKind.PAREN_CLOSE
-_OPERATOR = TokenKind.OPERATOR
 
 # Binding levels of the pending entries on the parser's stack. An entry
 # is (level, left operand); '(' and '!' have no left operand.
@@ -124,36 +123,35 @@ def _read_atom(
 
     The name may be dotted: words joined by '.' with no gap between them.
     """
-    tok = tokens[i]
-    if tok.kind not in _WORDS:
+    kind, _, _, start, end = tokens[i]
+    if kind not in _WORDS:
         raise _Malformed("expected a designator or pointcut name")
-    start, end = tok.start, tok.end
     i += 1
     # The stop token is never '.', so a '.' is followed by another token.
     while (
-        tokens[i].text == "."
-        and tokens[i].start == end
-        and tokens[i + 1].kind in _WORDS
-        and tokens[i + 1].start == end + 1
+        tokens[i][1] == "."
+        and tokens[i][3] == end
+        and tokens[i + 1][0] in _WORDS
+        and tokens[i + 1][3] == end + 1
     ):
-        end = tokens[i + 1].end
+        end = tokens[i + 1][4]
         i += 2
     name = source[start:end]
-    opening = tokens[i]
-    if opening.kind is not _PAREN_OPEN:
+    if tokens[i][0] is not _PAREN_OPEN:
         raise _Malformed("expected '('")
+    argument_start = tokens[i][4]
     last = len(tokens) - 1
     depth = 1
     while depth:
         i += 1
         if i == last:
             raise _Malformed("unbalanced parentheses")
-        kind = tokens[i].kind
+        kind = tokens[i][0]
         if kind is _PAREN_OPEN:
             depth += 1
         elif kind is _PAREN_CLOSE:
             depth -= 1
-    argument = _normalize(source[opening.end : tokens[i].start])
+    argument = _normalize(source[argument_start : tokens[i][3]])
     if "." not in name and name in DESIGNATORS:
         return Primitive(name, argument), i + 1
     if "." not in name and name in KEYWORDS:
@@ -186,38 +184,41 @@ def parse_pointcut_expression(
     i = 0
     try:
         while True:
-            tok = tokens[i]
+            kind, text, _, _, _ = tokens[i]
             while True:
-                if tok.kind is _PAREN_OPEN:
+                if kind is _PAREN_OPEN:
                     stack.append((_GROUP, None))
                     groups += 1
-                elif tok.kind is _OPERATOR and tok.text == "!":
+                elif text == "!":
                     stack.append((_NOT, None))
                 else:
                     break
                 i += 1
-                tok = tokens[i]
+                kind, text, _, _, _ = tokens[i]
             expr, i = _read_atom(tokens, i, source, diags, file, line)
-            tok = tokens[i]
-            while groups and tok.kind is _PAREN_CLOSE:
+            kind, text, _, start, _ = tokens[i]
+            while groups and kind is _PAREN_CLOSE:
                 expr = _reduce(stack, expr, _OR)
                 stack.pop()
                 groups -= 1
                 i += 1
-                tok = tokens[i]
-            if tok.kind is not _OPERATOR or tok.text not in ("&&", "||"):
+                kind, text, _, start, _ = tokens[i]
+            if text == "&&":
+                level = _AND
+            elif text == "||":
+                level = _OR
+            else:
                 break
-            level = _AND if tok.text == "&&" else _OR
             stack.append((level, _reduce(stack, expr, level)))
             i += 1
         if groups:
             raise _Malformed("expected ')'")
         if i != len(tokens) - 1:
-            raise _Malformed(f"unexpected trailing text at offset {tok.start - tokens[0].start}")
+            raise _Malformed(f"unexpected trailing text at offset {start - tokens[0][3]}")
         return _reduce(stack, expr, _OR)
     except _Malformed as exc:
         diags.append(warning(file, line, f"malformed pointcut expression: {exc}"))
-        return Primitive("", _normalize(source[tokens[0].start : tokens[-1].start]), known=False)
+        return Primitive("", _normalize(source[tokens[0][3] : tokens[-1][3]]), known=False)
 
 
 def render_expression(expr: PointcutExpr) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import EmptyCorpus, RootNotFound
@@ -44,27 +45,46 @@ class VersionRef:
 _EXTENSIONS = {".java": FileKind.JAVA, ".aj": FileKind.ASPECTJ}
 
 
+def _kind_of_name(name: str) -> FileKind:
+    """Classify a file name by its suffix, as ``Path.suffix`` reads it, case-insensitively."""
+    dot = name.rfind(".")
+    if dot <= 0:  # no suffix, or a dot file such as '.java'
+        return FileKind.IGNORED
+    return _EXTENSIONS.get(name[dot:].lower(), FileKind.IGNORED)
+
+
 def classify_file(path: Path | str) -> FileKind:
     """Classify a path purely by extension, case-insensitively."""
-    suffix = Path(path).suffix.lower()
-    return _EXTENSIONS.get(suffix, FileKind.IGNORED)
+    return _kind_of_name(Path(path).name)
 
 
 def _collect_files(root: Path, version_id: str) -> list[SourceFileRef]:
-    found: list[SourceFileRef] = []
-    for dirpath, dirnames, filenames in os.walk(root, followlinks=False):
-        # Hidden directories (VCS metadata etc.) are pruned in place.
-        dirnames[:] = [d for d in dirnames if not d.startswith(".")]
-        for name in filenames:
-            path = Path(dirpath) / name
-            if path.is_symlink():
-                continue
-            kind = classify_file(path)
-            if kind is FileKind.IGNORED:
-                continue
-            found.append(SourceFileRef(path=path, kind=kind, version_id=version_id))
-    found.sort(key=lambda ref: str(ref.path))
-    return found
+    """Every source file under ``root``, sorted by its full path string.
+
+    Symlinks, to files or directories, are skipped; hidden directories
+    (VCS metadata etc.) are pruned, but hidden files are kept. A directory
+    that cannot be read is skipped silently, as ``os.walk`` skips it.
+    """
+    found: list[tuple[str, FileKind]] = []
+    todo = [str(root)]
+    while todo:
+        try:
+            with os.scandir(todo.pop()) as entries:
+                for entry in entries:
+                    if entry.is_symlink():
+                        continue
+                    name = entry.name
+                    if entry.is_dir():
+                        if not name.startswith("."):
+                            todo.append(entry.path)
+                        continue
+                    kind = _kind_of_name(name)
+                    if kind is not FileKind.IGNORED:
+                        found.append((entry.path, kind))
+        except OSError:
+            pass
+    found.sort(key=itemgetter(0))
+    return [SourceFileRef(path=Path(path), kind=kind, version_id=version_id) for path, kind in found]
 
 
 def scan_corpus(root: Path | str, mode: ScanMode) -> list[VersionRef]:

@@ -8,24 +8,13 @@ Nothing under ``src/`` imports this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from aometrics.diagnostics import Diagnostic, error
-from aometrics.lexer import KEYWORDS, TokenKind
+from aometrics.lexer import KEYWORDS, Token, TokenKind
 
 _TWO_CHAR_OPERATORS = {
     "&&", "||", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=", "%=",
     "&=", "|=", "^=", "<<", ">>", "++", "--", "->", "::",
 }
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: TokenKind
-    text: str
-    line: int
-    start: int = 0
-    end: int = 0
 
 
 def _is_ident_start(ch: str) -> bool:
@@ -45,7 +34,7 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
     n = len(text)
 
     def emit(kind: TokenKind, start: int, end: int, at_line: int) -> None:
-        tokens.append(Token(kind, text[start:end], at_line, start, end))
+        tokens.append((kind, text[start:end], at_line, start, end))
 
     while i < n:
         ch = text[i]
@@ -154,5 +143,5 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
         emit(TokenKind.PUNCT, i, i + 1, line)
         i += 1
 
-    tokens.append(Token(TokenKind.END, "", line, n, n))
+    tokens.append((TokenKind.END, "", line, n, n))
     return tokens, diagnostics

@@ -66,27 +66,28 @@ def _elide_bodies(tokens):
     i = 0
     while i < len(tokens):
         tok = tokens[i]
+        kind, text, _, _, _ = tok
         kept.append(tok)
         i += 1
-        if tok.kind is TokenKind.KEYWORD and tok.text in _TYPE_WORDS:
+        if kind is TokenKind.KEYWORD and text in _TYPE_WORDS:
             awaiting_type_body = True
-        elif tok.kind is TokenKind.PAREN_OPEN:
+        elif kind is TokenKind.PAREN_OPEN:
             depth += 1
-        elif tok.kind is TokenKind.PAREN_CLOSE:
+        elif kind is TokenKind.PAREN_CLOSE:
             depth = max(0, depth - 1)
-        elif depth == 0 and tok.kind is TokenKind.SEMICOLON:
+        elif depth == 0 and kind is TokenKind.SEMICOLON:
             awaiting_type_body = False
-        elif depth == 0 and tok.kind is TokenKind.BRACE_OPEN:
+        elif depth == 0 and kind is TokenKind.BRACE_OPEN:
             if awaiting_type_body:
                 awaiting_type_body = False
                 continue
             nesting = 1
-            while tokens[i].kind is not TokenKind.END:
+            while tokens[i][0] is not TokenKind.END:
                 inner = tokens[i]
                 i += 1
-                if inner.kind is TokenKind.BRACE_OPEN:
+                if inner[0] is TokenKind.BRACE_OPEN:
                     nesting += 1
-                elif inner.kind is TokenKind.BRACE_CLOSE:
+                elif inner[0] is TokenKind.BRACE_CLOSE:
                     nesting -= 1
                     if nesting == 0:
                         kept.append(inner)
@@ -96,7 +97,7 @@ def _elide_bodies(tokens):
 
 def _observed(tokens, diagnostics):
     return (
-        [(t.kind, t.text, t.line, t.start, t.end) for t in tokens],
+        [(kind, text, line, start, end) for kind, text, line, start, end in tokens],
         [str(d) for d in diagnostics],
     )
 

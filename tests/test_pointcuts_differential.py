@@ -83,7 +83,7 @@ def test_token_parser_matches_text_oracle(text):
         tokens, text, diagnostics=diagnostics, file="A.aj", line=3
     )
     oracle = reference_pointcuts.parse_pointcut_expression(
-        text[tokens[0].start :], diagnostics=oracle_diagnostics, file="A.aj", line=3
+        text[tokens[0][3] :], diagnostics=oracle_diagnostics, file="A.aj", line=3
     )
     assert expr == oracle
     assert [str(d) for d in diagnostics] == [str(d) for d in oracle_diagnostics]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -97,3 +98,89 @@ def test_mini_uas_has_five_versions():
     assert "notes.txt" not in names
     assert "Decoy.java" not in names
     assert len(j10.files) == 9
+
+
+def _scan_both_modes(tmp_path: Path, build) -> tuple[list[str], list[str]]:
+    """Build one tree as a single version and as the only child of a versions root.
+
+    Returns the paths each mode found, relative to the version directory.
+    """
+    single = tmp_path / "single"
+    single.mkdir()
+    build(single)
+    (version,) = scan_corpus(single, ScanMode.SINGLE_VERSION)
+    single_paths = [f.path.relative_to(version.root).as_posix() for f in version.files]
+    child = tmp_path / "root" / "v1"
+    child.mkdir(parents=True)
+    build(child)
+    (version,) = scan_corpus(tmp_path / "root", ScanMode.VERSIONS_ROOT)
+    root_paths = [f.path.relative_to(version.root).as_posix() for f in version.files]
+    return single_paths, root_paths
+
+
+def test_symlinks_are_skipped_in_both_modes(tmp_path: Path):
+    outside = tmp_path / "outside"
+    (outside / "pkg").mkdir(parents=True)
+    (outside / "Real.java").write_text("class Real {}")
+    (outside / "pkg" / "Inner.java").write_text("class Inner {}")
+
+    def build(root: Path) -> None:
+        (root / "A.java").write_text("class A {}")
+        (root / "Linked.java").symlink_to(outside / "Real.java")
+        (root / "linkdir").symlink_to(outside / "pkg", target_is_directory=True)
+        (root / "Broken.java").symlink_to(root / "missing.java")
+
+    assert _scan_both_modes(tmp_path, build) == (["A.java"], ["A.java"])
+
+
+def test_hidden_directories_pruned_at_depth_but_hidden_files_kept(tmp_path: Path):
+    def build(root: Path) -> None:
+        deep = root / "a" / "b"
+        (deep / ".cache").mkdir(parents=True)
+        (deep / ".cache" / "Gone.java").write_text("class Gone {}")
+        (deep / "C.java").write_text("class C {}")
+        (root / ".B.java").write_text("class B {}")
+
+    expected = [".B.java", "a/b/C.java"]
+    assert _scan_both_modes(tmp_path, build) == (expected, expected)
+
+
+def test_extensions_match_case_insensitively(tmp_path: Path):
+    def build(root: Path) -> None:
+        (root / "Upper.JAVA").write_text("class Upper {}")
+        (root / "Mixed.Aj").write_text("aspect Mixed {}")
+        (root / "Other.jav").write_text("class Other {}")
+        (root / ".java").write_text("class Bare {}")
+
+    single, root_mode = _scan_both_modes(tmp_path, build)
+    assert single == root_mode == ["Mixed.Aj", "Upper.JAVA"]
+    (version,) = scan_corpus(tmp_path / "single", ScanMode.SINGLE_VERSION)
+    assert [f.kind for f in version.files] == [FileKind.ASPECTJ, FileKind.JAVA]
+
+
+def test_files_sort_by_full_path_string(tmp_path: Path):
+    for name in ("a", "a.b", "a-b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "X.java").write_text("class X {}")
+    (version,) = scan_corpus(tmp_path, ScanMode.SINGLE_VERSION)
+    assert [f.path.relative_to(tmp_path).as_posix() for f in version.files] == [
+        "a-b/X.java",
+        "a.b/X.java",
+        "a/X.java",
+    ]
+
+
+def test_unreadable_directory_is_skipped_silently(tmp_path: Path, monkeypatch):
+    (tmp_path / "A.java").write_text("class A {}")
+    (tmp_path / "locked").mkdir()
+    (tmp_path / "locked" / "B.java").write_text("class B {}")
+    real_scandir = os.scandir
+
+    def scandir(path):
+        if os.fspath(path).endswith("locked"):
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", scandir)
+    (version,) = scan_corpus(tmp_path, ScanMode.SINGLE_VERSION)
+    assert [f.path.name for f in version.files] == ["A.java"]
