@@ -15,11 +15,10 @@ NAC  class attributes divided by class count (nested classes included,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
-from .diagnostics import Diagnostic, warning
+from .diagnostics import Diagnostic, FrozenRecord, Record, warning
 from .errors import StrictModeParseFailure
 from .parser import (
     AdviceDecl,
@@ -47,39 +46,65 @@ from .weights import (
 )
 
 
-@dataclass
-class AspectMetrics:
-    aspect_name: str
-    wpa: Weight
-    waa: Weight
-    wjp: Weight
-    wmca: int
+class AspectMetrics(Record):
+    __slots__ = ("aspect_name", "wpa", "waa", "wjp", "wmca")
+
+    def __init__(self, aspect_name: str, wpa: Weight, waa: Weight, wjp: Weight, wmca: int):
+        self.aspect_name = aspect_name
+        self.wpa = wpa
+        self.waa = waa
+        self.wjp = wjp
+        self.wmca = wmca
 
 
-@dataclass
-class ClassMetrics:
-    class_name: str
-    wmca: int
-    attribute_count: int
-    wjp_contribution: Weight
+class ClassMetrics(Record):
+    __slots__ = ("class_name", "wmca", "attribute_count", "wjp_contribution")
+
+    def __init__(self, class_name: str, wmca: int, attribute_count: int, wjp_contribution: Weight):
+        self.class_name = class_name
+        self.wmca = wmca
+        self.attribute_count = attribute_count
+        self.wjp_contribution = wjp_contribution
 
 
-@dataclass
-class VersionMetrics:
-    version_id: str
-    wpa: Weight
-    waa: Weight
-    wjp: Weight
-    wmca: int
-    class_attribute_count: int  # NAC numerator: attributes declared in classes
-    class_count: int  # NAC denominator: classes, nested included
-    aspect_count: int
-    method_count: int
-    attribute_count: int
-    per_aspect: list[AspectMetrics] = field(default_factory=list)
-    per_class: list[ClassMetrics] = field(default_factory=list)
-    aspect_free: bool = True
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+class VersionMetrics(Record):
+    __slots__ = (
+        "version_id", "wpa", "waa", "wjp", "wmca", "class_attribute_count", "class_count",
+        "aspect_count", "method_count", "attribute_count", "per_aspect", "per_class",
+        "aspect_free", "diagnostics",
+    )
+
+    def __init__(
+        self,
+        version_id: str,
+        wpa: Weight,
+        waa: Weight,
+        wjp: Weight,
+        wmca: int,
+        class_attribute_count: int,  # NAC numerator: attributes declared in classes
+        class_count: int,  # NAC denominator: classes, nested included
+        aspect_count: int,
+        method_count: int,
+        attribute_count: int,
+        per_aspect: list[AspectMetrics],
+        per_class: list[ClassMetrics],
+        aspect_free: bool,
+        diagnostics: list[Diagnostic],
+    ):
+        self.version_id = version_id
+        self.wpa = wpa
+        self.waa = waa
+        self.wjp = wjp
+        self.wmca = wmca
+        self.class_attribute_count = class_attribute_count
+        self.class_count = class_count
+        self.aspect_count = aspect_count
+        self.method_count = method_count
+        self.attribute_count = attribute_count
+        self.per_aspect = per_aspect
+        self.per_class = per_class
+        self.aspect_free = aspect_free
+        self.diagnostics = diagnostics
 
     @property
     def nac(self) -> Fraction | None:
@@ -137,8 +162,7 @@ class _PointcutIndex:
         return resolve
 
 
-@dataclass(frozen=True)
-class PointcutFacts:
+class PointcutFacts(FrozenRecord):
     """What WPA, WJP and the log read from one pointcut or advice.
 
     Advice bound to a bare named pointcut gets an empty record: it selects
@@ -146,9 +170,17 @@ class PointcutFacts:
     which the parser does not record).
     """
 
-    designators: tuple[str, ...]  # each known primitive's, left to right
-    levels: tuple[SpecificityLevel, ...]  # each well-formed signature's
-    categories: frozenset[JoinPointCategory]  # resolved through references
+    __slots__ = ("designators", "levels", "categories")
+
+    def __init__(
+        self,
+        designators: tuple[str, ...],  # each known primitive's, left to right
+        levels: tuple[SpecificityLevel, ...],  # each well-formed signature's
+        categories: frozenset[JoinPointCategory],  # resolved through references
+    ):
+        object.__setattr__(self, "designators", designators)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "categories", categories)
 
     def pointcut_weight(self, table: WeightTable) -> Weight:
         """CW of a pointcut: designator weights plus signature weights."""

@@ -17,11 +17,10 @@ the run (strict mode).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
-from .diagnostics import Diagnostic, Severity, error, warning
+from .diagnostics import Diagnostic, Record, Severity, error, warning
 from .lexer import TYPE_KEYWORDS, Token, TokenKind, tokenize
 from .pointcuts import SIGNATURE_MODIFIERS, PointcutExpr, parse_pointcut_expression
 
@@ -39,11 +38,8 @@ _PAREN_CLOSE = TokenKind.PAREN_CLOSE
 _SEMICOLON = TokenKind.SEMICOLON
 _END = TokenKind.END
 
-# A member's 'throws' clause and the 'around' lookahead stop at
-# _MEMBER_STOPS. An advice's 'throws' clause stops at ':' or at
-# _ADVICE_THROWS_STOPS, so it runs past a '}'.
+# A 'throws' clause and the 'around' lookahead stop at _MEMBER_STOPS.
 _MEMBER_STOPS = (_BRACE_OPEN, _SEMICOLON, _BRACE_CLOSE, _END)
-_ADVICE_THROWS_STOPS = (_BRACE_OPEN, _SEMICOLON, _END)
 
 
 class AdviceKind(Enum):
@@ -54,67 +50,89 @@ class AdviceKind(Enum):
     AROUND = "around"
 
 
-@dataclass
-class MethodDecl:
-    name: str
-    signature_text: str
-    is_constructor: bool = False
-    is_intertype: bool = False
-    line: int = 0
+class MethodDecl(Record):
+    __slots__ = ("name", "signature_text", "is_constructor", "is_intertype", "line")
+
+    def __init__(
+        self, name: str, signature_text: str, is_constructor: bool, is_intertype: bool, line: int
+    ):
+        self.name = name
+        self.signature_text = signature_text
+        self.is_constructor = is_constructor
+        self.is_intertype = is_intertype
+        self.line = line
 
 
-@dataclass
-class AttributeDecl:
-    name: str
-    declared_type: str
-    line: int = 0
+class AttributeDecl(Record):
+    __slots__ = ("name", "declared_type", "line")
+
+    def __init__(self, name: str, declared_type: str, line: int):
+        self.name = name
+        self.declared_type = declared_type
+        self.line = line
 
 
-@dataclass
-class PointcutDecl:
-    name: str | None
-    expression: PointcutExpr
-    source_line: int
+class PointcutDecl(Record):
+    __slots__ = ("name", "expression", "source_line")
+
+    def __init__(self, name: str | None, expression: PointcutExpr, source_line: int):
+        self.name = name
+        self.expression = expression
+        self.source_line = source_line
 
 
-@dataclass
-class AdviceDecl:
-    kind: AdviceKind
-    expression: PointcutExpr
-    source_line: int
+class AdviceDecl(Record):
+    __slots__ = ("kind", "expression", "source_line")
+
+    def __init__(self, kind: AdviceKind, expression: PointcutExpr, source_line: int):
+        self.kind = kind
+        self.expression = expression
+        self.source_line = source_line
 
 
-@dataclass
-class ClassDecl:
-    name: str
-    kind: str = "class"  # class | interface | enum
-    methods: list[MethodDecl] = field(default_factory=list)
-    attributes: list[AttributeDecl] = field(default_factory=list)
-    pointcuts: list[PointcutDecl] = field(default_factory=list)
-    nested: list["ClassDecl"] = field(default_factory=list)
-    line: int = 0
+class ClassDecl(Record):
+    __slots__ = ("name", "kind", "methods", "attributes", "pointcuts", "nested", "line")
+
+    def __init__(self, name: str, kind: str, line: int):
+        self.name = name
+        self.kind = kind  # class | interface | enum
+        self.methods: list[MethodDecl] = []
+        self.attributes: list[AttributeDecl] = []
+        self.pointcuts: list[PointcutDecl] = []
+        self.nested: list[ClassDecl] = []
+        self.line = line
 
 
-@dataclass
-class AspectDecl:
-    name: str
-    pointcuts: list[PointcutDecl] = field(default_factory=list)
-    advices: list[AdviceDecl] = field(default_factory=list)
-    methods: list[MethodDecl] = field(default_factory=list)
-    attributes: list[AttributeDecl] = field(default_factory=list)
-    nested: list[ClassDecl] = field(default_factory=list)
-    line: int = 0
+class AspectDecl(Record):
+    __slots__ = ("name", "pointcuts", "advices", "methods", "attributes", "nested", "line")
+
+    def __init__(self, name: str, line: int):
+        self.name = name
+        self.pointcuts: list[PointcutDecl] = []
+        self.advices: list[AdviceDecl] = []
+        self.methods: list[MethodDecl] = []
+        self.attributes: list[AttributeDecl] = []
+        self.nested: list[ClassDecl] = []
+        self.line = line
 
 
 UnitDecl = Union[ClassDecl, AspectDecl]
 
 
-@dataclass
-class SourceUnit:
-    file: object
-    classes: list[ClassDecl] = field(default_factory=list)
-    aspects: list[AspectDecl] = field(default_factory=list)
-    parse_diagnostics: list[Diagnostic] = field(default_factory=list)
+class SourceUnit(Record):
+    __slots__ = ("file", "classes", "aspects", "parse_diagnostics")
+
+    def __init__(
+        self,
+        file: object,
+        classes: list[ClassDecl] | None = None,
+        aspects: list[AspectDecl] | None = None,
+        parse_diagnostics: list[Diagnostic] | None = None,
+    ):
+        self.file = file
+        self.classes = [] if classes is None else classes
+        self.aspects = [] if aspects is None else aspects
+        self.parse_diagnostics = [] if parse_diagnostics is None else parse_diagnostics
 
     @property
     def has_errors(self) -> bool:
@@ -488,7 +506,7 @@ class _DeclParser:
                 pos += 1
             pos = self.paren_end(pos)
         if tokens[pos][1] == "throws":
-            while tokens[pos][1] != ":" and tokens[pos][0] not in _ADVICE_THROWS_STOPS:
+            while tokens[pos][1] != ":" and tokens[pos][0] not in _MEMBER_STOPS:
                 pos += 1
         if tokens[pos][1] != ":":
             self.err(line, f"malformed {word} advice (missing ':')")
@@ -616,12 +634,18 @@ class _DeclParser:
     def finish_field(self, container: UnitDecl, head: list[Token]) -> None:
         tokens = self.tokens
         pos = self.pos
+        # C-style array declarators, as javac reads them: ``int c[][], d;``
+        # declares ``int[][] c`` and ``int d``.
+        dims = 0
+        while len(head) > 2 and head[-1][1] == "]" and head[-2][1] == "[":
+            head = head[:-2]
+            dims += 1
         if not head or head[-1][0] is not _IDENTIFIER:
             self.warn(tokens[pos][2], "unrecognized member declaration")
             self.skip_to_semicolon()
             return
         declared_type = _normalize_tokens(head[:-1])
-        names: list[tuple[str, int]] = [(head[-1][1], head[-1][2])]
+        names: list[tuple[str, int, int]] = [(head[-1][1], head[-1][2], dims)]
         while True:
             kind, text, line, _, _ = tokens[pos]
             if kind is _SEMICOLON:
@@ -633,8 +657,12 @@ class _DeclParser:
             if text == ",":
                 nxt = tokens[pos + 1]
                 if nxt[0] is _IDENTIFIER:
-                    names.append((nxt[1], nxt[2]))
                     pos += 2
+                    dims = 0
+                    while tokens[pos][1] == "[" and tokens[pos + 1][1] == "]":
+                        pos += 2
+                        dims += 1
+                    names.append((nxt[1], nxt[2], dims))
                     continue
                 self.pos = pos + 1
                 self.warn(line, "missing declarator after ','")
@@ -649,12 +677,12 @@ class _DeclParser:
             if kind is _BRACE_CLOSE or kind is _END:
                 self.warn(line, "unterminated field declaration")
                 break
-            # Array brackets and other trailing tokens on the declarator.
+            # Other trailing tokens on the declarator.
             pos += 1
         self.pos = pos
-        for name, line in names:
+        for name, line, dims in names:
             container.attributes.append(
-                AttributeDecl(name=name, declared_type=declared_type, line=line)
+                AttributeDecl(name=name, declared_type=declared_type + "[]" * dims, line=line)
             )
 
     def _skip_initializer(self, pos: int) -> int:

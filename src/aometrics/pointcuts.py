@@ -10,10 +10,9 @@ nested pointcuts inside e.g. ``cflow(...)`` are deliberately not expanded.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Union
 
-from .diagnostics import Diagnostic, warning
+from .diagnostics import Diagnostic, FrozenRecord, warning
 from .lexer import KEYWORDS, Token, TokenKind
 
 DESIGNATORS = frozenset(
@@ -34,50 +33,68 @@ SIGNATURE_MODIFIERS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Primitive:
-    designator: str
-    argument_text: str
-    known: bool = True
+class Primitive(FrozenRecord):
+    __slots__ = ("designator", "argument_text", "known")
+
+    def __init__(self, designator: str, argument_text: str, known: bool = True):
+        object.__setattr__(self, "designator", designator)
+        object.__setattr__(self, "argument_text", argument_text)
+        object.__setattr__(self, "known", known)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "PointcutExpr"
-    right: "PointcutExpr"
+class And(FrozenRecord):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: PointcutExpr, right: PointcutExpr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "PointcutExpr"
-    right: "PointcutExpr"
+class Or(FrozenRecord):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: PointcutExpr, right: PointcutExpr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Not:
-    child: "PointcutExpr"
+class Not(FrozenRecord):
+    __slots__ = ("child",)
+
+    def __init__(self, child: PointcutExpr):
+        object.__setattr__(self, "child", child)
 
 
-@dataclass(frozen=True)
-class NamedRef:
-    name: str
+class NamedRef(FrozenRecord):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
 PointcutExpr = Union[Primitive, And, Or, Not, NamedRef]
 
 
-@dataclass(frozen=True)
-class SignaturePattern:
+class SignaturePattern(FrozenRecord):
     """Return/type/name/parameter patterns of a kinded designator.
 
     Absent components (e.g. params for get/set, everything but the type for
     handler) are empty strings.
     """
 
-    return_pattern: str = ""
-    declaring_type_pattern: str = ""
-    name_pattern: str = ""
-    params_pattern: str = ""
+    __slots__ = ("return_pattern", "declaring_type_pattern", "name_pattern", "params_pattern")
+
+    def __init__(
+        self,
+        return_pattern: str = "",
+        declaring_type_pattern: str = "",
+        name_pattern: str = "",
+        params_pattern: str = "",
+    ):
+        object.__setattr__(self, "return_pattern", return_pattern)
+        object.__setattr__(self, "declaring_type_pattern", declaring_type_pattern)
+        object.__setattr__(self, "name_pattern", name_pattern)
+        object.__setattr__(self, "params_pattern", params_pattern)
 
 
 class _Malformed(Exception):

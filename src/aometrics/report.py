@@ -8,9 +8,9 @@ as decimal strings so no consumer is exposed to floating point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .diagnostics import Record
 from .errors import TooFewVersions
 from .metrics import PointcutFacts, VersionMetrics, classify_joinpoint_categories, render_ratio
 from .parser import SourceUnit, file_label, walk_classes
@@ -169,18 +169,27 @@ def write_csv(reports: list[VersionMetrics]) -> str:
 # -- comparison -----------------------------------------------------------
 
 
-@dataclass
-class DeltaEntry:
-    version_id: str
-    value: str
-    delta: str | None
+class DeltaEntry(Record):
+    __slots__ = ("version_id", "value", "delta")
+
+    def __init__(self, version_id: str, value: str, delta: str | None):
+        self.version_id = version_id
+        self.value = value
+        self.delta = delta
 
 
-@dataclass
-class ComparisonReport:
-    versions: list[VersionMetrics]
-    deltas: dict[str, list[DeltaEntry]]
-    trends: dict[str, str]
+class ComparisonReport(Record):
+    __slots__ = ("versions", "deltas", "trends")
+
+    def __init__(
+        self,
+        versions: list[VersionMetrics],
+        deltas: dict[str, list[DeltaEntry]],
+        trends: dict[str, str],
+    ):
+        self.versions = versions
+        self.deltas = deltas
+        self.trends = trends
 
 
 def _trend(deltas: list[int | Fraction | None]) -> str:

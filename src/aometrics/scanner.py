@@ -9,11 +9,11 @@ unchanged tree is byte-identical regardless of directory enumeration order.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
 
+from .diagnostics import FrozenRecord
 from .errors import EmptyCorpus, RootNotFound
 
 
@@ -28,18 +28,22 @@ class ScanMode(Enum):
     VERSIONS_ROOT = "versions-root"
 
 
-@dataclass(frozen=True)
-class SourceFileRef:
-    path: Path
-    kind: FileKind
-    version_id: str
+class SourceFileRef(FrozenRecord):
+    __slots__ = ("path", "kind", "version_id")
+
+    def __init__(self, path: Path, kind: FileKind, version_id: str):
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "version_id", version_id)
 
 
-@dataclass(frozen=True)
-class VersionRef:
-    id: str
-    root: Path
-    files: tuple[SourceFileRef, ...]
+class VersionRef(FrozenRecord):
+    __slots__ = ("id", "root", "files")
+
+    def __init__(self, id: str, root: Path, files: tuple[SourceFileRef, ...]):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "files", files)
 
 
 _EXTENSIONS = {".java": FileKind.JAVA, ".aj": FileKind.ASPECTJ}

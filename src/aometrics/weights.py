@@ -10,22 +10,24 @@ instead. One table always uses one denominator.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum, IntEnum
 from pathlib import Path
 
+from .diagnostics import FrozenRecord
 from .errors import ConfigNotFound, MalformedConfig, NegativeWeight, UnknownWeightKey
 from .parser import AdviceKind
 from .pointcuts import SignaturePattern
 
 
-@dataclass(frozen=True, order=True)
-class Weight:
+class Weight(FrozenRecord):
     """A non-negative weight: ``units / scale`` with scale 10 or 100."""
 
-    units: int
-    scale: int = 10
+    __slots__ = ("units", "scale")
+
+    def __init__(self, units: int, scale: int):
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "scale", scale)
 
     def __add__(self, other: "Weight") -> "Weight":
         if self.scale != other.scale:
@@ -103,13 +105,25 @@ _SIGNATURE_TENTHS = {
 }
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    designator_weights: dict
-    advice_weights: dict
-    joinpoint_type_weights: dict
-    signature_level_weights: dict
-    scale: int = 10
+class WeightTable(FrozenRecord):
+    __slots__ = (
+        "designator_weights", "advice_weights", "joinpoint_type_weights",
+        "signature_level_weights", "scale",
+    )
+
+    def __init__(
+        self,
+        designator_weights: dict,
+        advice_weights: dict,
+        joinpoint_type_weights: dict,
+        signature_level_weights: dict,
+        scale: int,
+    ):
+        object.__setattr__(self, "designator_weights", designator_weights)
+        object.__setattr__(self, "advice_weights", advice_weights)
+        object.__setattr__(self, "joinpoint_type_weights", joinpoint_type_weights)
+        object.__setattr__(self, "signature_level_weights", signature_level_weights)
+        object.__setattr__(self, "scale", scale)
 
     def zero(self) -> Weight:
         return Weight(0, self.scale)

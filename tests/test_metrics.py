@@ -19,6 +19,7 @@ from aometrics import (
 )
 from aometrics.cli import main
 from aometrics.diagnostics import Diagnostic, Severity
+from aometrics.report import write_log
 from helpers import MINI_UAS, TEST_FIXTURES, measure_dir, parse_version_dir
 
 W = default_weights()
@@ -446,6 +447,21 @@ def test_c_style_array_returns_are_measured():
     m = measure_dir(TEST_FIXTURES / "array_return" / "V")
     assert m.diagnostics == []
     assert [(c.class_name, c.wmca, c.attribute_count) for c in m.per_class] == [("Grid", 3, 1)]
+
+
+def test_c_style_array_fields_are_measured():
+    version, units = parse_version_dir(TEST_FIXTURES / "array_field" / "V")
+    m = measure_version(version, units, W)
+    assert m.diagnostics == []
+    assert [(c.class_name, c.wmca, c.attribute_count) for c in m.per_class] == [("Matrix", 1, 5)]
+    assert m.nac_rendered() == "5.000"
+    assert [line for line in write_log(units, m).splitlines() if "ATTRIBUTE" in line] == [
+        "  ATTRIBUTE int[] c",
+        "  ATTRIBUTE int[][] d",
+        "  ATTRIBUTE int e",
+        "  ATTRIBUTE int[] f",
+        "  ATTRIBUTE String[][] rows",
+    ]
 
 
 _DEPTH = 3000  # well past Python's default recursion limit of 1000

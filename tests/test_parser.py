@@ -286,6 +286,19 @@ def test_c_style_array_return():
     assert [m.signature_text for m in i.methods] == ["String[] h(int n)[][]"]
 
 
+def test_advice_throws_clause_stops_at_a_closing_brace():
+    unit = parse_source(
+        "aspect A { before() throws E }\nclass B { int y; }\n"
+        "aspect C { before() throws E, F: call(* *(..)) {} }",
+        "A.aj",
+    )
+    assert [str(d) for d in unit.parse_diagnostics] == [
+        "A.aj:1: error: malformed before advice (missing ':')"
+    ]
+    assert _members(unit) == [["B", "y"], ["A"], ["C"]]
+    assert [len(a.advices) for a in unit.aspects] == [0, 1]
+
+
 def _members(unit):
     return [
         [d.name, *(a.name for a in d.attributes), *(m.name for m in d.methods)]

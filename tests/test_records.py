@@ -1,0 +1,105 @@
+from __future__ import annotations
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from aometrics import (
+    And,
+    NamedRef,
+    Not,
+    Or,
+    Primitive,
+    SignaturePattern,
+    VersionRef,
+    Weight,
+    parse_source,
+)
+from aometrics.diagnostics import Diagnostic, Severity
+from aometrics.parser import ClassDecl, SourceUnit
+from helpers import MINI_UAS, measure_dir, parse_version_dir
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+X = Primitive("within", "A")
+Y = Primitive("call", "* *(..)")
+
+FROZEN = [
+    (Weight(3, 10), "units"),
+    (Diagnostic("A.java", 1, Severity.WARNING, "w"), "message"),
+    (X, "designator"),
+    (SignaturePattern("void", "a.B", "f", ".."), "name_pattern"),
+    (VersionRef("V", Path("V"), ()), "files"),
+]
+
+
+@pytest.mark.parametrize("record, name", FROZEN, ids=[type(r).__name__ for r, _ in FROZEN])
+def test_frozen_records_refuse_assignment_and_deletion(record, name):
+    before = getattr(record, name)
+    with pytest.raises(AttributeError):
+        setattr(record, name, before)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    assert getattr(record, name) == before
+
+
+def test_equality_is_per_class():
+    assert And(X, Y) == And(X, Y)
+    assert And(X, Y) != Or(X, Y)
+    assert Primitive("within", "A") != Primitive("within", "A", known=False)
+    assert Weight(1, 10) != Weight(10, 100)
+    assert NamedRef("p") != "p"
+    assert X != ("within", "A", True)
+
+
+def test_equal_frozen_records_hash_equal_and_mutable_ones_are_unhashable():
+    assert hash(And(X, Y)) == hash(And(Primitive("within", "A"), Primitive("call", "* *(..)")))
+    assert hash(Weight(2, 10)) == hash(Weight(1, 10) + Weight(1, 10))
+    assert len({Weight(1, 10), Weight(1, 10), Weight(2, 10)}) == 2
+    for record in (ClassDecl(name="A", kind="class", line=1), SourceUnit("A.java")):
+        with pytest.raises(TypeError):
+            hash(record)
+
+
+def test_mutable_records_take_fresh_lists_per_instance():
+    a = ClassDecl(name="A", kind="class", line=1)
+    b = ClassDecl(name="B", kind="class", line=2)
+    a.methods.append("m")
+    assert b.methods == []
+    assert SourceUnit("A.java").classes is not SourceUnit("B.java").classes
+
+
+def test_parsed_units_and_metrics_survive_deepcopy_and_pickle():
+    version, units = parse_version_dir(MINI_UAS / "AJ1.4")
+    metrics = measure_dir(MINI_UAS / "AJ1.4")
+    assert any(u.aspects for u in units) and metrics.per_aspect
+    for value in (version, units, metrics):
+        for clone in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert clone == value
+
+
+def test_repr_names_the_class_and_its_fields():
+    assert repr(Weight(3, 10)) == "Weight(units=3, scale=10)"
+    assert repr(Not(X)) == (
+        "Not(child=Primitive(designator='within', argument_text='A', known=True))"
+    )
+    (attribute,) = parse_source("class A { int x; }", "A.java").classes[0].attributes
+    assert repr(attribute) == "AttributeDecl(name='x', declared_type='int', line=1)"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Both modules cost start-up that every run pays; see README, "Records".
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = (
+        "import sys, aometrics.cli, aometrics.weights; aometrics.weights.default_weights(); "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
