@@ -205,6 +205,9 @@ def _ordered_versions(versions: list[VersionRef], order: list[str] | None) -> li
     missing = [vid for vid in order if vid not in by_id]
     if missing:
         raise TooFewVersions(f"unknown version id(s) in --order: {', '.join(missing)}")
+    repeated = sorted({vid for vid in order if order.count(vid) > 1}, key=order.index)
+    if repeated:
+        raise TooFewVersions(f"repeated version id(s) in --order: {', '.join(repeated)}")
     return [by_id[vid] for vid in order]
 
 

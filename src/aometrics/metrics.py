@@ -129,39 +129,6 @@ def render_ratio(value: Fraction, signed: bool = False) -> str:
     return f"+{dec}" if signed and value > 0 else str(dec)
 
 
-class _PointcutIndex:
-    """Named-pointcut lookup over one source unit's (name, container) pairs."""
-
-    def __init__(self, containers: list[tuple[str, object]]):
-        self._by_container: dict[int, dict[str, PointcutDecl]] = {}
-        self._qualified: dict[str, PointcutDecl] = {}
-        self._simple: dict[str, PointcutDecl | None] = {}
-        for owner_name, owner in containers:
-            local: dict[str, PointcutDecl] = {}
-            for decl in owner.pointcuts:
-                if decl.name is None:
-                    continue
-                local[decl.name] = decl
-                self._qualified[f"{owner_name}.{decl.name}"] = decl
-                if decl.name in self._simple:
-                    self._simple[decl.name] = None  # ambiguous across containers
-                else:
-                    self._simple[decl.name] = decl
-            self._by_container[id(owner)] = local
-
-    def resolver_for(self, container: object):
-        local = self._by_container.get(id(container), {})
-
-        def resolve(name: str) -> PointcutDecl | None:
-            if name in local:
-                return local[name]
-            if "." in name:
-                return self._qualified.get(name)
-            return self._simple.get(name)
-
-        return resolve
-
-
 class PointcutFacts(FrozenRecord):
     """What WPA, WJP and the log read from one pointcut or advice.
 
@@ -223,8 +190,10 @@ def classify_joinpoint_categories(
     is reported at the line of the declaration that holds the fault. A
     named reference resolves in the scope of the declaration making it.
     A declaration's categories are the union over every declaration it
-    reaches; an iterative Tarjan pass over the reference graph gives every
-    member of a cycle the cycle's union.
+    reaches. A worklist pushes each grown set back along the reversed
+    references. A set only grows, so each declaration is pushed at most
+    once more than there are categories: the work is linear in the
+    references, and cycles need no special case.
     """
     containers: list[tuple[str, object]] = [(a.name, a) for a in unit.aspects]
     containers.extend(walk_classes(unit))
@@ -232,30 +201,41 @@ def classify_joinpoint_categories(
         return {}
     diags = diagnostics if diagnostics is not None else []
     label = file_label(unit.file)
-    index = _PointcutIndex(containers)
+    qualified: dict[str, PointcutDecl] = {}
+    simple: dict[str, PointcutDecl | None] = {}  # None: declared more than once
+    for owner_name, owner in containers:
+        for decl in owner.pointcuts:
+            if decl.name is not None:
+                qualified[f"{owner_name}.{decl.name}"] = decl
+                simple[decl.name] = None if decl.name in simple else decl
 
     own: dict[int, tuple[tuple[str, ...], tuple[SpecificityLevel, ...]]] = {}
-    local: dict[int, set[JoinPointCategory]] = {}
-    edges: dict[int, list[int]] = {}
+    reached: dict[int, set[JoinPointCategory]] = {}
+    referrers: dict[int, list[int]] = {}  # target -> each declaration naming it
     for _, owner in containers:
-        resolve = index.resolver_for(owner)
+        local = {decl.name: decl for decl in owner.pointcuts if decl.name is not None}
         for decl in (*owner.pointcuts, *getattr(owner, "advices", ())):
             key = id(decl)
             cats: set[JoinPointCategory] = set()
-            refs: list[int] = []
             designators: list[str] = []
             levels: list[SpecificityLevel] = []
             line = decl.source_line
             bound = isinstance(decl, AdviceDecl) and isinstance(decl.expression, NamedRef)
             for leaf in () if bound else walk_primitives(decl.expression):
                 if isinstance(leaf, NamedRef):
-                    target = resolve(leaf.name)
+                    name = leaf.name
+                    if name in local:
+                        target = local[name]
+                    elif "." in name:
+                        target = qualified.get(name)
+                    else:
+                        target = simple.get(name)
                     if target is None:
                         diags.append(
-                            warning(label, line, f"unresolved pointcut reference '{leaf.name}'")
+                            warning(label, line, f"unresolved pointcut reference '{name}'")
                         )
                     else:
-                        refs.append(id(target))
+                        referrers.setdefault(id(target), []).append(key)
                     continue
                 if not leaf.known:
                     continue
@@ -279,72 +259,21 @@ def classify_joinpoint_categories(
                     cats.add(_CATEGORY_BY_DESIGNATOR[d])
             if is_combined(decl.expression):
                 cats.add(JoinPointCategory.BOOLEAN_OR_COMBINED)
-            local[key] = cats
-            edges[key] = refs
+            reached[key] = cats
             own[key] = (tuple(designators), tuple(levels))
 
-    reached = _reached_union(local, edges)
+    work = list(referrers)
+    while work:
+        target = work.pop()
+        cats = reached[target]
+        for referrer in referrers.get(target, ()):
+            if not cats <= reached[referrer]:
+                reached[referrer] |= cats
+                work.append(referrer)
     return {
-        key: PointcutFacts(designators, levels, reached[key])
+        key: PointcutFacts(designators, levels, frozenset(reached[key]))
         for key, (designators, levels) in own.items()
     }
-
-
-def _reached_union(
-    local: dict[int, set[JoinPointCategory]], edges: dict[int, list[int]]
-) -> dict[int, frozenset[JoinPointCategory]]:
-    """Union of ``local`` over every node each node reaches (itself included).
-
-    Iterative Tarjan: strongly connected components complete in reverse
-    topological order, so a component's successors outside it are done
-    when it is popped. Each node and each edge is visited once.
-    """
-    order: dict[int, int] = {}
-    low: dict[int, int] = {}
-    stack: list[int] = []
-    on_stack: set[int] = set()
-    work: list[tuple[int, object]] = []  # (node, iterator over its edges)
-    done: dict[int, frozenset[JoinPointCategory]] = {}
-
-    def enter(node: int) -> None:
-        order[node] = low[node] = len(order)
-        stack.append(node)
-        on_stack.add(node)
-        work.append((node, iter(edges[node])))
-
-    for root in local:
-        if root not in order:
-            enter(root)
-        while work:
-            node, successors = work[-1]
-            for succ in successors:
-                if succ not in order:
-                    enter(succ)
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], order[succ])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] != order[node]:
-                    continue
-                at = len(stack) - 1
-                while stack[at] != node:  # the component is the stack above node
-                    at -= 1
-                members = stack[at:]
-                del stack[at:]
-                on_stack.difference_update(members)
-                cats: set[JoinPointCategory] = set()
-                for member in members:
-                    cats.update(local[member])
-                    for succ in edges[member]:
-                        cats.update(done.get(succ, ()))
-                union = frozenset(cats)
-                for member in members:
-                    done[member] = union
-    return done
 
 
 def waa_aspect(a: AspectDecl, w: WeightTable) -> Weight:

@@ -404,3 +404,91 @@ def test_fault_in_referenced_pointcut_is_reported_once(tmp_path: Path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         f"{version / 'A.aj'}:2: warning: malformed execution signature: missing parameter list"
     ]
+
+
+def test_compare_rejects_a_repeated_order_id(tmp_path: Path, capsys):
+    code = main(
+        [
+            "compare",
+            "--versions-root",
+            str(MINI_UAS),
+            "--order",
+            "J1.0",
+            "AJ1.1",
+            "J1.0",
+            "AJ1.1",
+            "J1.0",
+            "--out",
+            str(tmp_path / "out"),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: repeated version id(s) in --order: J1.0, AJ1.1\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def _one_version(root: Path) -> Path:
+    version = root / "V"
+    version.mkdir(parents=True)
+    (version / "A.java").write_text("class A { int x; }\n", encoding="utf-8")
+    return version
+
+
+def test_out_naming_an_existing_file_is_exit_1(tmp_path: Path, capsys):
+    version = _one_version(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    code = main(["measure", str(version), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot write {out / 'V.log'}: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_compare_with_versions_root_and_explicit_roots_is_usage_error(tmp_path: Path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "compare",
+                str(MINI_UAS / "J1.0"),
+                str(MINI_UAS / "AJ1.1"),
+                "--versions-root",
+                str(MINI_UAS),
+                "--out",
+                str(tmp_path),
+            ]
+        )
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "give either --versions-root or explicit version roots, not both" in err
+    assert "Traceback" not in err
+
+
+def test_versions_root_with_a_single_version_is_exit_1(tmp_path: Path, capsys):
+    _one_version(tmp_path / "versions")
+    code = main(["compare", "--versions-root", str(tmp_path / "versions"), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: need at least 2 versions, found 1\n"
+
+
+@pytest.mark.parametrize(
+    ("payload", "message"),
+    [
+        ([1, 2], "top level must be an object"),
+        ({"advice": [0.3]}, "advice: expected an object of name -> weight"),
+    ],
+)
+def test_weight_file_of_the_wrong_shape_is_exit_1(tmp_path: Path, capsys, payload, message):
+    config = tmp_path / "weights.json"
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    version = _one_version(tmp_path)
+    code = main(["measure", str(version), "--weights", str(config), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()

@@ -298,6 +298,184 @@ def test_categories_are_the_union_over_every_reached_declaration():
             assert facts[id(decl)].categories == expected, (decls, i)
 
 
+def test_name_declared_in_two_containers_resolves_only_locally():
+    unit = parse_source(
+        "aspect A {\n"
+        "    pointcut p(): handler(E);\n"
+        "    pointcut a(): p();\n"
+        "}\n"
+        "aspect B {\n"
+        "    pointcut p(): get(int x.Y.f);\n"
+        "    pointcut b(): p();\n"
+        "}\n"
+        "class C {\n"
+        "    pointcut c(): p() || within(x.Y);\n"
+        "}\n",
+        "S.aj",
+    )
+    diags = []
+    facts = classify_joinpoint_categories(unit, diags)
+    (_, a), (_, b) = (aspect.pointcuts for aspect in unit.aspects)
+    (c,) = unit.classes[0].pointcuts
+    assert facts[id(a)].categories == {JoinPointCategory.EXCEPTION_HANDLING}
+    assert facts[id(b)].categories == {JoinPointCategory.ATTRIBUTE}
+    assert facts[id(c)].categories == {
+        JoinPointCategory.PARTICULAR_CLASS,
+        JoinPointCategory.BOOLEAN_OR_COMBINED,
+    }
+    assert diags == [Diagnostic("S.aj", 10, Severity.WARNING, "unresolved pointcut reference 'p'")]
+
+
+# Resolution oracle. Each container is (qualified name, keyword, enclosing
+# container); every pointcut and advice sits on a line of its own.
+_CONTAINERS = (
+    ("A", "aspect", None),
+    ("A.K", "class", "A"),
+    ("B", "aspect", None),
+    ("C", "class", None),
+    ("C.N", "class", "C"),
+    ("C.N.M", "class", "C.N"),
+    ("D", "class", None),
+    ("D.N", "class", "D"),
+)
+_NAMES = ("p", "q", "r")
+_LEAF_CATEGORIES = {
+    "handler(E)": {JoinPointCategory.EXCEPTION_HANDLING},
+    "within(x.Y)": {JoinPointCategory.PARTICULAR_CLASS},
+    "within(x..*)": {JoinPointCategory.PARTICULAR_PACKAGE},
+    "get(int x.Y.f)": {JoinPointCategory.ATTRIBUTE},
+    "call(void x.Y.f())": {JoinPointCategory.PARTICULAR_METHOD},
+    "execution(* *(..))": {JoinPointCategory.METHOD_EXECUTION},
+    "adviceexecution()": {JoinPointCategory.WITHIN_ADVICE},
+    "args(a)": set(),
+}
+_leaf = st.one_of(
+    st.sampled_from(sorted(_LEAF_CATEGORIES)),
+    st.sampled_from([*_NAMES, "zz"]).map(lambda name: f"{name}()"),
+    st.builds(
+        lambda owner, name: f"{owner}.{name}()",
+        st.sampled_from([q for q, _, _ in _CONTAINERS] + ["N", "Z"]),
+        st.sampled_from(_NAMES),
+    ),
+)
+_expression = st.lists(_leaf, min_size=1, max_size=3)
+_model = st.fixed_dictionaries(
+    {
+        qualified: st.tuples(
+            st.lists(
+                st.tuples(st.sampled_from(_NAMES), _expression),
+                max_size=3,
+                unique_by=lambda pointcut: pointcut[0],
+            ),
+            st.lists(_expression, max_size=2) if keyword == "aspect" else st.just([]),
+        )
+        for qualified, keyword, _ in _CONTAINERS
+    }
+)
+
+
+def _render(model) -> tuple[str, dict]:
+    """Source of ``model`` and the line of each (container, kind, index)."""
+    lines: list[str] = []
+    at: dict = {}
+
+    def emit(qualified: str, keyword: str) -> None:
+        lines.append(f"{keyword} {qualified.rsplit('.', 1)[-1]} {{")
+        pointcuts, advices = model[qualified]
+        for i, (name, leaves) in enumerate(pointcuts):
+            lines.append(f"pointcut {name}(): {' || '.join(leaves)};")
+            at[qualified, "pointcut", i] = len(lines)
+        for i, leaves in enumerate(advices):
+            lines.append(f"before(): {' || '.join(leaves)} {{}}")
+            at[qualified, "advice", i] = len(lines)
+        for inner, inner_keyword, outer in _CONTAINERS:
+            if outer == qualified:
+                emit(inner, inner_keyword)
+        lines.append("}")
+
+    for qualified, keyword, outer in _CONTAINERS:
+        if outer is None:
+            emit(qualified, keyword)
+    return "\n".join(lines) + "\n", at
+
+
+def _expected_resolution(model, at):
+    """README's three rules, then a breadth-first union over every reached pointcut."""
+    declared = {q: {name: leaves for name, leaves in model[q][0]} for q in model}
+    owners_of: dict[str, list[str]] = {}
+    for q, names in declared.items():
+        for name in names:
+            owners_of.setdefault(name, []).append(q)
+
+    def resolve(q: str, ref: str):
+        if ref in declared[q]:
+            return q, ref
+        if "." in ref:
+            owner, _, name = ref.rpartition(".")
+            return (owner, name) if name in declared.get(owner, {}) else None
+        owners = owners_of.get(ref, [])
+        return (owners[0], ref) if len(owners) == 1 else None
+
+    def own(leaves):
+        cats = set().union(*(_LEAF_CATEGORIES.get(leaf, set()) for leaf in leaves))
+        if len(leaves) > 1:
+            cats.add(JoinPointCategory.BOOLEAN_OR_COMBINED)
+        return cats
+
+    def refs(leaves):
+        return [leaf[:-2] for leaf in leaves if leaf not in _LEAF_CATEGORIES]
+
+    categories, unresolved = {}, []
+    for (q, kind, i), line in at.items():
+        leaves = model[q][0][i][1] if kind == "pointcut" else model[q][1][i]
+        if kind == "advice" and len(leaves) == 1 and leaves[0] not in _LEAF_CATEGORIES:
+            categories[q, kind, i] = set()  # bound to a bare named pointcut
+            continue
+        unresolved.extend(
+            (line, f"unresolved pointcut reference '{ref}'")
+            for ref in refs(leaves)
+            if resolve(q, ref) is None
+        )
+        cats = own(leaves)
+        queue, seen = [(q, leaves)], set()
+        while queue:
+            owner, owner_leaves = queue.pop(0)
+            for ref in refs(owner_leaves):
+                target = resolve(owner, ref)
+                if target is not None and target not in seen:
+                    seen.add(target)
+                    target_leaves = declared[target[0]][target[1]]
+                    cats |= own(target_leaves)
+                    queue.append((target[0], target_leaves))
+        categories[q, kind, i] = cats
+    return categories, sorted(unresolved)
+
+
+def _container(unit, qualified: str):
+    top, *inner = qualified.split(".")
+    decl = next(d for d in (*unit.aspects, *unit.classes) if d.name == top)
+    for name in inner:
+        decl = next(c for c in decl.nested if c.name == name)
+    return decl
+
+
+@settings(max_examples=300, deadline=None)
+@given(_model)
+def test_resolution_and_union_match_an_independent_oracle(model):
+    source, at = _render(model)
+    unit = parse_source(source, "S.aj")
+    assert unit.parse_diagnostics == []
+    diags = []
+    facts = classify_joinpoint_categories(unit, diags)
+    expected, unresolved = _expected_resolution(model, at)
+    for (q, kind, i), cats in expected.items():
+        container = _container(unit, q)
+        decl = (container.pointcuts if kind == "pointcut" else container.advices)[i]
+        assert decl.source_line == at[q, kind, i]
+        assert facts[id(decl)].categories == cats, (source, q, kind, i)
+    assert sorted((d.line, d.message) for d in diags) == unresolved, source
+
+
 def test_fault_in_referenced_pointcut_is_reported_once_at_its_line():
     m = measure_source(
         """aspect A {

@@ -340,3 +340,51 @@ def test_brace_block_past_a_stray_paren_in_a_pointcut_is_passed_whole():
     ]
     assert _members(unit) == [["A", "y", "g"]]
     assert [pc.name for pc in unit.aspects[0].pointcuts] == ["p"]
+
+
+def _diagnostics(unit):
+    return [str(d) for d in unit.parse_diagnostics]
+
+
+def test_pointcut_without_a_name_is_kept_nameless():
+    unit = parse_source("aspect A { pointcut (): within(A); int y; }", "A.aj")
+    assert _diagnostics(unit) == ["A.aj:1: error: missing pointcut name"]
+    assert [pc.name for pc in unit.aspects[0].pointcuts] == [None]
+    assert _members(unit) == [["A", "y"]]
+
+
+def test_pointcut_without_a_colon_is_skipped_to_its_semicolon():
+    unit = parse_source("aspect A { pointcut p() within(A); int y; }", "A.aj")
+    assert _diagnostics(unit) == ["A.aj:1: error: malformed pointcut declaration 'p'"]
+    assert unit.aspects[0].pointcuts == []
+    assert _members(unit) == [["A", "y"]]
+
+
+def test_unclosed_advice_body_runs_to_the_end_of_the_file():
+    unit = parse_source(
+        "aspect A { int y; before(): within(A) { int x;\n int z; void g() {}\n", "A.aj"
+    )
+    assert _diagnostics(unit) == [
+        "A.aj:1: error: unclosed advice body",
+        "A.aj:3: error: unexpected end of file inside 'A'",
+    ]
+    assert [ad.kind for ad in unit.aspects[0].advices] == [AdviceKind.BEFORE]
+    assert _members(unit) == [["A", "y"]]
+
+
+def test_missing_declarator_after_a_comma_keeps_both_fields():
+    unit = parse_source("class A { int a, ; int b; }", "A.java")
+    assert _diagnostics(unit) == ["A.java:1: warning: missing declarator after ','"]
+    assert _members(unit) == [["A", "a", "b"]]
+
+
+def test_field_ended_by_a_closing_brace_is_kept():
+    unit = parse_source("class A { int a = 1 }\nclass B { int y; }", "A.java")
+    assert _diagnostics(unit) == ["A.java:1: warning: unterminated field declaration"]
+    assert _members(unit) == [["A", "a"], ["B", "y"]]
+
+
+def test_colon_after_a_method_header_drops_only_that_member():
+    unit = parse_source("class A { void f() : x; int b; }", "A.java")
+    assert _diagnostics(unit) == ["A.java:1: warning: unexpected ':' after member 'f'"]
+    assert _members(unit) == [["A", "b"]]
