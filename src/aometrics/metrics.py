@@ -31,10 +31,12 @@ from .parser import (
 )
 from .pointcuts import (
     KINDED_DESIGNATORS,
+    And,
     NamedRef,
+    Not,
+    Or,
+    Primitive,
     extract_signature_pattern,
-    is_combined,
-    walk_primitives,
 )
 from .scanner import VersionRef
 from .weights import (
@@ -151,34 +153,63 @@ class PointcutFacts(FrozenRecord):
 
     def pointcut_weight(self, table: WeightTable) -> Weight:
         """CW of a pointcut: designator weights plus signature weights."""
-        total = table.zero()
-        for designator in self.designators:
-            weight = table.designator(designator)
-            if weight is not None:
-                total = total + weight
-        for level in self.levels:
-            total = total + table.signature_level(level)
-        return total
+        return Weight(_pointcut_units(self, table), table.scale)
 
     def joinpoint_weight(self, table: WeightTable) -> Weight:
-        total = table.zero()
-        for category in self.categories:
-            total = total + table.joinpoint(category)
-        return total
+        return Weight(_joinpoint_units(self.categories, table), table.scale)
 
+
+def _pointcut_units(facts: PointcutFacts, table: WeightTable) -> int:
+    designator_weights = table.designator_weights
+    level_weights = table.signature_level_weights
+    units = 0
+    for designator in facts.designators:
+        weight = designator_weights.get(designator)
+        if weight is not None:
+            units += weight.units
+    for level in facts.levels:
+        units += level_weights[level].units
+    return units
+
+
+def _joinpoint_units(categories: frozenset[JoinPointCategory], table: WeightTable) -> int:
+    weights = table.joinpoint_type_weights
+    return sum([weights[category].units for category in categories])
+
+
+# Categories are collected as bit masks: bit i stands for the i-th member
+# of JoinPointCategory, so a union is an ``|`` on ints and hashes no enum.
+_BIT = {category: 1 << i for i, category in enumerate(JoinPointCategory)}
+_PARTICULAR_METHOD = _BIT[JoinPointCategory.PARTICULAR_METHOD]
+_PARTICULAR_CLASS = _BIT[JoinPointCategory.PARTICULAR_CLASS]
+_PARTICULAR_PACKAGE = _BIT[JoinPointCategory.PARTICULAR_PACKAGE]
+_COMBINED = _BIT[JoinPointCategory.BOOLEAN_OR_COMBINED]
+_FULLY_QUALIFIED = SpecificityLevel.FULLY_QUALIFIED
 
 # execution/call with a fully qualified signature and within are decided in
 # the builder; this/target/args/withincode/*initialization select nothing.
-_CATEGORY_BY_DESIGNATOR = {
-    "execution": JoinPointCategory.METHOD_EXECUTION,
-    "call": JoinPointCategory.METHOD_CALL,
-    "get": JoinPointCategory.ATTRIBUTE,
-    "set": JoinPointCategory.ATTRIBUTE,
-    "handler": JoinPointCategory.EXCEPTION_HANDLING,
-    "adviceexecution": JoinPointCategory.WITHIN_ADVICE,
-    "cflow": JoinPointCategory.CONTROL_FLOW,
-    "cflowbelow": JoinPointCategory.CONTROL_FLOW,
+_BIT_BY_DESIGNATOR = {
+    "execution": _BIT[JoinPointCategory.METHOD_EXECUTION],
+    "call": _BIT[JoinPointCategory.METHOD_CALL],
+    "get": _BIT[JoinPointCategory.ATTRIBUTE],
+    "set": _BIT[JoinPointCategory.ATTRIBUTE],
+    "handler": _BIT[JoinPointCategory.EXCEPTION_HANDLING],
+    "adviceexecution": _BIT[JoinPointCategory.WITHIN_ADVICE],
+    "cflow": _BIT[JoinPointCategory.CONTROL_FLOW],
+    "cflowbelow": _BIT[JoinPointCategory.CONTROL_FLOW],
 }
+
+# One shared frozenset per mask that has occurred, filled on first use. It
+# holds at most 2 ** len(JoinPointCategory) = 1,024 entries.
+_CATEGORY_SETS: dict[int, frozenset[JoinPointCategory]] = {}
+
+
+def _category_set(mask: int) -> frozenset[JoinPointCategory]:
+    categories = _CATEGORY_SETS.get(mask)
+    if categories is None:
+        categories = frozenset(category for category, bit in _BIT.items() if mask & bit)
+        _CATEGORY_SETS[mask] = categories
+    return categories
 
 
 def classify_joinpoint_categories(
@@ -210,20 +241,47 @@ def classify_joinpoint_categories(
                 simple[decl.name] = None if decl.name in simple else decl
 
     own: dict[int, tuple[tuple[str, ...], tuple[SpecificityLevel, ...]]] = {}
-    reached: dict[int, set[JoinPointCategory]] = {}
+    reached: dict[int, int] = {}  # declaration -> category mask
     referrers: dict[int, list[int]] = {}  # target -> each declaration naming it
     for _, owner in containers:
         local = {decl.name: decl for decl in owner.pointcuts if decl.name is not None}
         for decl in (*owner.pointcuts, *getattr(owner, "advices", ())):
             key = id(decl)
-            cats: set[JoinPointCategory] = set()
+            mask = 0
             designators: list[str] = []
             levels: list[SpecificityLevel] = []
             line = decl.source_line
-            bound = isinstance(decl, AdviceDecl) and isinstance(decl.expression, NamedRef)
-            for leaf in () if bound else walk_primitives(decl.expression):
-                if isinstance(leaf, NamedRef):
-                    name = leaf.name
+            expr = decl.expression
+            root = type(expr)
+            if root is And or root is Or or root is Not:
+                mask = _COMBINED
+            # Leaves left to right; advice bound to a bare name walks nothing.
+            stack = [] if root is NamedRef and type(decl) is AdviceDecl else [expr]
+            while stack:
+                node = stack.pop()
+                node_type = type(node)
+                if node_type is Primitive:
+                    if not node.known:
+                        continue
+                    d = node.designator
+                    designators.append(d)
+                    if d in KINDED_DESIGNATORS:
+                        pat = extract_signature_pattern(node, diagnostics=diags, file=label, line=line)
+                        if pat is not None:
+                            level = signature_specificity(pat)
+                            levels.append(level)
+                            if level is _FULLY_QUALIFIED and (d == "execution" or d == "call"):
+                                mask |= _PARTICULAR_METHOD
+                                continue
+                    elif d == "within":
+                        if node.argument_text.endswith("..*"):
+                            mask |= _PARTICULAR_PACKAGE
+                        else:
+                            mask |= _PARTICULAR_CLASS
+                        continue
+                    mask |= _BIT_BY_DESIGNATOR.get(d, 0)
+                elif node_type is NamedRef:
+                    name = node.name
                     if name in local:
                         target = local[name]
                     elif "." in name:
@@ -236,51 +294,32 @@ def classify_joinpoint_categories(
                         )
                     else:
                         referrers.setdefault(id(target), []).append(key)
-                    continue
-                if not leaf.known:
-                    continue
-                d = leaf.designator
-                designators.append(d)
-                level = None
-                if d in KINDED_DESIGNATORS:
-                    pat = extract_signature_pattern(leaf, diagnostics=diags, file=label, line=line)
-                    if pat is not None:
-                        level = signature_specificity(pat)
-                        levels.append(level)
-                if level is SpecificityLevel.FULLY_QUALIFIED and d in ("execution", "call"):
-                    cats.add(JoinPointCategory.PARTICULAR_METHOD)
-                elif d == "within":
-                    cats.add(
-                        JoinPointCategory.PARTICULAR_PACKAGE
-                        if leaf.argument_text.endswith("..*")
-                        else JoinPointCategory.PARTICULAR_CLASS
-                    )
-                elif d in _CATEGORY_BY_DESIGNATOR:
-                    cats.add(_CATEGORY_BY_DESIGNATOR[d])
-            if is_combined(decl.expression):
-                cats.add(JoinPointCategory.BOOLEAN_OR_COMBINED)
-            reached[key] = cats
+                elif node_type is Not:
+                    stack.append(node.child)
+                else:  # And / Or
+                    stack.append(node.right)
+                    stack.append(node.left)
+            reached[key] = mask
             own[key] = (tuple(designators), tuple(levels))
 
     work = list(referrers)
     while work:
         target = work.pop()
-        cats = reached[target]
+        mask = reached[target]
         for referrer in referrers.get(target, ()):
-            if not cats <= reached[referrer]:
-                reached[referrer] |= cats
+            grown = mask & ~reached[referrer]
+            if grown:
+                reached[referrer] |= grown
                 work.append(referrer)
     return {
-        key: PointcutFacts(designators, levels, frozenset(reached[key]))
+        key: PointcutFacts(designators, levels, _category_set(reached[key]))
         for key, (designators, levels) in own.items()
     }
 
 
 def waa_aspect(a: AspectDecl, w: WeightTable) -> Weight:
-    total = w.zero()
-    for advice in a.advices:
-        total = total + w.advice(advice.kind)
-    return total
+    weights = w.advice_weights
+    return Weight(sum([weights[advice.kind].units for advice in a.advices]), w.scale)
 
 
 def wmca_unit(u: ClassDecl | AspectDecl) -> int:
@@ -315,35 +354,44 @@ def measure_version(
 
     per_aspect: list[AspectMetrics] = []
     per_class: list[ClassMetrics] = []
-    wpa = w.zero()
-    waa = w.zero()
-    wjp = w.zero()
+    # Sums are kept in integer units; each total becomes one Weight.
+    scale = w.scale
+    wpa = waa = wjp = 0
     method_count = 0
     attribute_count = 0
 
     for unit in usable:
         facts = classify_joinpoint_categories(unit, diags)
         for aspect in unit.aspects:
-            a_wpa = sum((facts[id(pc)].pointcut_weight(w) for pc in aspect.pointcuts), w.zero())
+            a_wpa = 0
+            for pc in aspect.pointcuts:
+                a_wpa += _pointcut_units(facts[id(pc)], w)
             a_waa = waa_aspect(aspect, w)
-            a_wjp = sum(
-                (facts[id(d)].joinpoint_weight(w) for d in (*aspect.pointcuts, *aspect.advices)),
-                w.zero(),
-            )
+            a_wjp = 0
+            for decl in (*aspect.pointcuts, *aspect.advices):
+                a_wjp += _joinpoint_units(facts[id(decl)].categories, w)
             per_aspect.append(
-                AspectMetrics(aspect.name, a_wpa, a_waa, a_wjp, wmca_unit(aspect))
+                AspectMetrics(
+                    aspect.name,
+                    Weight(a_wpa, scale),
+                    a_waa,
+                    Weight(a_wjp, scale),
+                    wmca_unit(aspect),
+                )
             )
-            wpa = wpa + a_wpa
-            waa = waa + a_waa
-            wjp = wjp + a_wjp
+            wpa += a_wpa
+            waa += a_waa.units
+            wjp += a_wjp
             method_count += len(aspect.methods)
             attribute_count += len(aspect.attributes)
         for qname, cls in walk_classes(unit):
-            c_wjp = sum((facts[id(pc)].joinpoint_weight(w) for pc in cls.pointcuts), w.zero())
+            c_wjp = 0
+            for pc in cls.pointcuts:
+                c_wjp += _joinpoint_units(facts[id(pc)].categories, w)
             per_class.append(
-                ClassMetrics(qname, wmca_unit(cls), len(cls.attributes), c_wjp)
+                ClassMetrics(qname, wmca_unit(cls), len(cls.attributes), Weight(c_wjp, scale))
             )
-            wjp = wjp + c_wjp
+            wjp += c_wjp
             method_count += len(cls.methods)
             attribute_count += len(cls.attributes)
 
@@ -354,9 +402,9 @@ def measure_version(
 
     return VersionMetrics(
         version_id=version_id,
-        wpa=wpa,
-        waa=waa,
-        wjp=wjp,
+        wpa=Weight(wpa, scale),
+        waa=Weight(waa, scale),
+        wjp=Weight(wjp, scale),
         wmca=wmca,
         class_attribute_count=na,
         class_count=len(per_class),

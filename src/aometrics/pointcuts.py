@@ -106,8 +106,9 @@ _BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.DOTALL)
 
 
 def _normalize(text: str) -> str:
-    text = _BLOCK_COMMENT_RE.sub(" ", text)
-    text = _LINE_COMMENT_RE.sub(" ", text)
+    if "/" in text:  # both comment forms start with '/'
+        text = _BLOCK_COMMENT_RE.sub(" ", text)
+        text = _LINE_COMMENT_RE.sub(" ", text)
     return " ".join(text.split())
 
 
@@ -238,6 +239,9 @@ def parse_pointcut_expression(
         return Primitive("", _normalize(source[tokens[0][3] : tokens[-1][3]]), known=False)
 
 
+_PRECEDENCE = {Or: 1, And: 2, Not: 3, Primitive: 4, NamedRef: 4}
+
+
 def render_expression(expr: PointcutExpr) -> str:
     """Render an expression back to canonical text.
 
@@ -248,37 +252,34 @@ def render_expression(expr: PointcutExpr) -> str:
     recursion.
     """
 
-    def prec(node: PointcutExpr) -> int:
-        if isinstance(node, Or):
-            return 1
-        if isinstance(node, And):
-            return 2
-        if isinstance(node, Not):
-            return 3
-        return 4
-
+    root = type(expr)
+    if root is Primitive:
+        return f"{expr.designator}({expr.argument_text})"
+    if root is NamedRef:
+        return f"{expr.name}()"
     parts: list[str] = []
     # Items are (node, parent precedence, is right child) or literal text.
     stack: list = [(expr, 0, False)]
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
+        if type(item) is str:
             parts.append(item)
             continue
         node, parent_prec, is_right = item
-        own = prec(node)
+        node_type = type(node)
+        own = _PRECEDENCE[node_type]
         if own < parent_prec or (own == parent_prec and is_right):
             parts.append("(")
             stack.append(")")
-        if isinstance(node, Primitive):
+        if node_type is Primitive:
             parts.append(f"{node.designator}({node.argument_text})")
-        elif isinstance(node, NamedRef):
+        elif node_type is NamedRef:
             parts.append(f"{node.name}()")
-        elif isinstance(node, Not):
+        elif node_type is Not:
             parts.append("!")
             stack.append((node.child, own, False))
         else:
-            op = " && " if isinstance(node, And) else " || "
+            op = " && " if node_type is And else " || "
             stack.extend(((node.right, own, True), op, (node.left, own, False)))
     return "".join(parts)
 
@@ -289,19 +290,20 @@ def _split_member_name(token: str) -> tuple[str, str]:
     The split point is the last single '.' (never part of a '..' wildcard).
     A token without a dot has an empty (unqualified) type pattern.
     """
-    for i in range(len(token) - 1, -1, -1):
-        if token[i] != ".":
-            continue
-        before = token[i - 1] if i > 0 else ""
-        after = token[i + 1] if i + 1 < len(token) else ""
-        if before != "." and after != ".":
+    i = token.rfind(".")
+    while i >= 0:
+        if (i == 0 or token[i - 1] != ".") and token[i + 1 : i + 2] != ".":
             return token[:i], token[i + 1 :]
+        i = token.rfind(".", 0, i)
     return "", token
+
+
+_OR_SPACING_RE = re.compile(r"\s*\|\|\s*")
 
 
 def _join_return_pattern(parts: list[str]) -> str:
     joined = " ".join(parts)
-    return re.sub(r"\s*\|\|\s*", "||", joined)
+    return _OR_SPACING_RE.sub("||", joined) if "||" in joined else joined
 
 
 def extract_signature_pattern(
@@ -367,25 +369,3 @@ def extract_signature_pattern(
         name_pattern=name_pat,
         params_pattern=params,
     )
-
-
-def walk_primitives(expr: PointcutExpr):
-    """Yield every leaf (Primitive or NamedRef) of an expression, left to right.
-
-    An explicit stack replaces recursion, so a wide ``||`` chain is safe.
-    """
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Primitive, NamedRef)):
-            yield node
-        elif isinstance(node, Not):
-            stack.append(node.child)
-        else:  # And / Or
-            stack.append(node.right)
-            stack.append(node.left)
-
-
-def is_combined(expr: PointcutExpr) -> bool:
-    """True when the expression contains any boolean operator."""
-    return isinstance(expr, (And, Or, Not))

@@ -34,14 +34,17 @@ def write_log(units: list[SourceUnit], metrics: VersionMetrics) -> str:
     for unit in ordered:
         lines.append(f"FILE {file_label(unit.file)}")
 
+    # JOINPOINT lines per category set. Facts share one frozenset per
+    # distinct set, so each set is sorted and formatted once.
+    joinpoints: dict[frozenset, list[str]] = {}
     for unit in ordered:
         facts = classify_joinpoint_categories(unit)
         for name, cls in walk_classes(unit):
             lines.append(f"CLASS {name}")
-            _emit_members(lines, cls, facts, has_advice=False)
+            _emit_members(lines, cls, facts, joinpoints, has_advice=False)
         for aspect in unit.aspects:
             lines.append(f"ASPECT {aspect.name}")
-            _emit_members(lines, aspect, facts, has_advice=True)
+            _emit_members(lines, aspect, facts, joinpoints, has_advice=True)
 
     lines.append(f"METRIC WPA {metrics.wpa.render()}")
     lines.append(f"METRIC WAA {metrics.waa.render()}")
@@ -52,7 +55,11 @@ def write_log(units: list[SourceUnit], metrics: VersionMetrics) -> str:
 
 
 def _emit_members(
-    lines: list[str], decl, facts: dict[int, PointcutFacts], has_advice: bool
+    lines: list[str],
+    decl,
+    facts: dict[int, PointcutFacts],
+    joinpoints: dict[frozenset, list[str]],
+    has_advice: bool,
 ) -> None:
     for method in decl.methods:
         lines.append(f"  METHOD {method.signature_text}")
@@ -60,18 +67,26 @@ def _emit_members(
         lines.append(f"  ATTRIBUTE {attr.declared_type or '?'} {attr.name}")
     for pc in decl.pointcuts:
         lines.append(f"  POINTCUT {pc.name}: {render_expression(pc.expression)}")
-        _emit_joinpoints(lines, facts[id(pc)])
+        _emit_joinpoints(lines, facts[id(pc)], joinpoints)
     if has_advice:
         for advice in decl.advices:
             lines.append(
                 f"  ADVICE {advice.kind.value}: {render_expression(advice.expression)}"
             )
-            _emit_joinpoints(lines, facts[id(advice)])
+            _emit_joinpoints(lines, facts[id(advice)], joinpoints)
 
 
-def _emit_joinpoints(lines: list[str], facts: PointcutFacts) -> None:
-    for category in sorted(facts.categories, key=_CATEGORY_ORDER.get):
-        lines.append(f"    JOINPOINT {category.value}")
+def _emit_joinpoints(
+    lines: list[str], facts: PointcutFacts, joinpoints: dict[frozenset, list[str]]
+) -> None:
+    categories = facts.categories
+    block = joinpoints.get(categories)
+    if block is None:
+        block = joinpoints[categories] = [
+            f"    JOINPOINT {category.value}"
+            for category in sorted(categories, key=_CATEGORY_ORDER.get)
+        ]
+    lines.extend(block)
 
 
 # -- JSON ----------------------------------------------------------------

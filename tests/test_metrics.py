@@ -358,23 +358,31 @@ _leaf = st.one_of(
         st.sampled_from(_NAMES),
     ),
 )
-_expression = st.lists(_leaf, min_size=1, max_size=3)
-_model = st.fixed_dictionaries(
-    {
-        qualified: st.tuples(
-            st.lists(
-                st.tuples(st.sampled_from(_NAMES), _expression),
-                max_size=3,
-                unique_by=lambda pointcut: pointcut[0],
-            ),
-            st.lists(_expression, max_size=2) if keyword == "aspect" else st.just([]),
-        )
-        for qualified, keyword, _ in _CONTAINERS
-    }
-)
 
 
-def _render(model) -> tuple[str, dict]:
+def unit_models(leaf=_leaf):
+    """Models of one unit: per container, its (name, leaves) pointcuts and its advices' leaves.
+
+    Each leaf list is joined with ``||``; a name occurs at most once per
+    container.
+    """
+    expression = st.lists(leaf, min_size=1, max_size=3)
+    return st.fixed_dictionaries(
+        {
+            qualified: st.tuples(
+                st.lists(
+                    st.tuples(st.sampled_from(_NAMES), expression),
+                    max_size=3,
+                    unique_by=lambda pointcut: pointcut[0],
+                ),
+                st.lists(expression, max_size=2) if keyword == "aspect" else st.just([]),
+            )
+            for qualified, keyword, _ in _CONTAINERS
+        }
+    )
+
+
+def render_model(model) -> tuple[str, dict]:
     """Source of ``model`` and the line of each (container, kind, index)."""
     lines: list[str] = []
     at: dict = {}
@@ -460,9 +468,9 @@ def _container(unit, qualified: str):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_model)
+@given(unit_models())
 def test_resolution_and_union_match_an_independent_oracle(model):
-    source, at = _render(model)
+    source, at = render_model(model)
     unit = parse_source(source, "S.aj")
     assert unit.parse_diagnostics == []
     diags = []

@@ -88,6 +88,11 @@ def test_literals_and_comments_are_read_as_the_lexer_reads_them():
     assert expr == And(Primitive("within", "A"), Primitive("call", "a b"))
     assert not diags
 
+
+def test_a_slash_that_opens_no_comment_is_kept():
+    assert _parse("args( x /y/ z )") == Primitive("args", "x /y/ z")
+    assert _parse("args(a/ /*c*/ b // d\n e)") == Primitive("args", "a/ b e")
+
 def test_render_round_trip_structure():
     source = "!cflow(p()) || handler(java.io.IOException) && within(A)"
     expr = _parse(source)
