@@ -233,18 +233,32 @@ def classify_joinpoint_categories(
     diags = diagnostics if diagnostics is not None else []
     label = file_label(unit.file)
     qualified: dict[str, PointcutDecl] = {}
-    simple: dict[str, PointcutDecl | None] = {}  # None: declared more than once
+    simple: dict[str, PointcutDecl | None] = {}  # None: declared by two containers
+    local_names: list[dict[str, PointcutDecl]] = []  # per container, its last declarations
     for owner_name, owner in containers:
+        local: dict[str, PointcutDecl] = {}
         for decl in owner.pointcuts:
-            if decl.name is not None:
-                qualified[f"{owner_name}.{decl.name}"] = decl
-                simple[decl.name] = None if decl.name in simple else decl
+            name = decl.name
+            if name is not None:
+                if name in local:
+                    diags.append(
+                        warning(
+                            label,
+                            decl.source_line,
+                            f"duplicate pointcut '{name}' in '{owner_name}';"
+                            " references resolve to the last one",
+                        )
+                    )
+                local[name] = decl
+        for name, decl in local.items():
+            qualified[f"{owner_name}.{name}"] = decl
+            simple[name] = None if name in simple else decl
+        local_names.append(local)
 
     own: dict[int, tuple[tuple[str, ...], tuple[SpecificityLevel, ...]]] = {}
     reached: dict[int, int] = {}  # declaration -> category mask
     referrers: dict[int, list[int]] = {}  # target -> each declaration naming it
-    for _, owner in containers:
-        local = {decl.name: decl for decl in owner.pointcuts if decl.name is not None}
+    for (_, owner), local in zip(containers, local_names):
         for decl in (*owner.pointcuts, *getattr(owner, "advices", ())):
             key = id(decl)
             mask = 0

@@ -326,6 +326,29 @@ def test_name_declared_in_two_containers_resolves_only_locally():
     assert diags == [Diagnostic("S.aj", 10, Severity.WARNING, "unresolved pointcut reference 'p'")]
 
 
+def test_name_repeated_in_one_container_resolves_to_its_last_declaration():
+    unit = parse_source(
+        "aspect A {\n"
+        "    pointcut p(): handler(E);\n"
+        "    pointcut p(): within(X);\n"
+        "    pointcut a(): p();\n"
+        "}\n"
+        "class C { pointcut c(): p(); }\n",
+        "S.aj",
+    )
+    diags = []
+    facts = classify_joinpoint_categories(unit, diags)
+    (_, _, a), (c,) = unit.aspects[0].pointcuts, unit.classes[0].pointcuts
+    assert facts[id(a)].categories == {JoinPointCategory.PARTICULAR_CLASS}
+    assert facts[id(c)].categories == {JoinPointCategory.PARTICULAR_CLASS}
+    assert diags == [
+        Diagnostic(
+            "S.aj", 3, Severity.WARNING,
+            "duplicate pointcut 'p' in 'A'; references resolve to the last one",
+        )
+    ]
+
+
 # Resolution oracle. Each container is (qualified name, keyword, enclosing
 # container); every pointcut and advice sits on a line of its own.
 _CONTAINERS = (
@@ -360,11 +383,11 @@ _leaf = st.one_of(
 )
 
 
-def unit_models(leaf=_leaf):
+def unit_models(leaf=_leaf, repeat_names: bool = False):
     """Models of one unit: per container, its (name, leaves) pointcuts and its advices' leaves.
 
-    Each leaf list is joined with ``||``; a name occurs at most once per
-    container.
+    Each leaf list is joined with ``||``. A name occurs at most once per
+    container unless ``repeat_names`` is set.
     """
     expression = st.lists(leaf, min_size=1, max_size=3)
     return st.fixed_dictionaries(
@@ -373,7 +396,7 @@ def unit_models(leaf=_leaf):
                 st.lists(
                     st.tuples(st.sampled_from(_NAMES), expression),
                     max_size=3,
-                    unique_by=lambda pointcut: pointcut[0],
+                    unique_by=None if repeat_names else (lambda pointcut: pointcut[0]),
                 ),
                 st.lists(expression, max_size=2) if keyword == "aspect" else st.just([]),
             )
@@ -408,7 +431,11 @@ def render_model(model) -> tuple[str, dict]:
 
 
 def _expected_resolution(model, at):
-    """README's three rules, then a breadth-first union over every reached pointcut."""
+    """README's three rules, then a breadth-first union over every reached pointcut.
+
+    A name repeated in one container names its last declaration there, and
+    the container still counts once for rule 3.
+    """
     declared = {q: {name: leaves for name, leaves in model[q][0]} for q in model}
     owners_of: dict[str, list[str]] = {}
     for q, names in declared.items():
@@ -433,13 +460,22 @@ def _expected_resolution(model, at):
     def refs(leaves):
         return [leaf[:-2] for leaf in leaves if leaf not in _LEAF_CATEGORIES]
 
-    categories, unresolved = {}, []
+    categories, warnings = {}, []
+    for q, (pointcuts, _) in model.items():
+        for i, (name, _) in enumerate(pointcuts):
+            if any(earlier == name for earlier, _ in pointcuts[:i]):
+                warnings.append(
+                    (
+                        at[q, "pointcut", i],
+                        f"duplicate pointcut '{name}' in '{q}'; references resolve to the last one",
+                    )
+                )
     for (q, kind, i), line in at.items():
         leaves = model[q][0][i][1] if kind == "pointcut" else model[q][1][i]
         if kind == "advice" and len(leaves) == 1 and leaves[0] not in _LEAF_CATEGORIES:
             categories[q, kind, i] = set()  # bound to a bare named pointcut
             continue
-        unresolved.extend(
+        warnings.extend(
             (line, f"unresolved pointcut reference '{ref}'")
             for ref in refs(leaves)
             if resolve(q, ref) is None
@@ -456,7 +492,7 @@ def _expected_resolution(model, at):
                     cats |= own(target_leaves)
                     queue.append((target[0], target_leaves))
         categories[q, kind, i] = cats
-    return categories, sorted(unresolved)
+    return categories, sorted(warnings)
 
 
 def _container(unit, qualified: str):
@@ -468,20 +504,20 @@ def _container(unit, qualified: str):
 
 
 @settings(max_examples=300, deadline=None)
-@given(unit_models())
+@given(unit_models(repeat_names=True))
 def test_resolution_and_union_match_an_independent_oracle(model):
     source, at = render_model(model)
     unit = parse_source(source, "S.aj")
     assert unit.parse_diagnostics == []
     diags = []
     facts = classify_joinpoint_categories(unit, diags)
-    expected, unresolved = _expected_resolution(model, at)
+    expected, warnings = _expected_resolution(model, at)
     for (q, kind, i), cats in expected.items():
         container = _container(unit, q)
         decl = (container.pointcuts if kind == "pointcut" else container.advices)[i]
         assert decl.source_line == at[q, kind, i]
         assert facts[id(decl)].categories == cats, (source, q, kind, i)
-    assert sorted((d.line, d.message) for d in diags) == unresolved, source
+    assert sorted((d.line, d.message) for d in diags) == warnings, source
 
 
 def test_fault_in_referenced_pointcut_is_reported_once_at_its_line():
