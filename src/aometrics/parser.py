@@ -234,6 +234,17 @@ class _DeclParser:
                 if depth == 0:
                     return pos
 
+    def annotation_end(self, pos: int) -> int:
+        """Position past the annotation ``@Name`` or ``@Name(...)`` whose '@' is at ``pos``."""
+        tokens = self.tokens
+        pos += 1
+        while tokens[pos][0] is _IDENTIFIER:
+            pos += 1
+            if tokens[pos][1] != ".":
+                break
+            pos += 1
+        return self.paren_end(pos)
+
     def expression_end(self, pos: int) -> int:
         """Position of the first ';', '{' or END at paren depth 0 from ``pos``.
 
@@ -278,25 +289,37 @@ class _DeclParser:
                     self.pos = pos
                     return True
 
-    def skip_to_semicolon(self) -> None:
-        """Move past the next ';' at brace depth 0, or to the '}' that closes the block."""
+    def skip_declaration(self) -> None:
+        """Move past the rest of a declaration, or to the '}' that closes the block.
+
+        A declaration ends at a ';' outside braces, or after a brace block
+        outside parentheses, such as the body of a malformed method.
+        """
         tokens = self.tokens
         pos = self.pos
         depth = 0
+        parens = 0  # braces inside parentheses, as in '@A({1})', end nothing
         while True:
             kind = tokens[pos][0]
             if kind is _END:
                 break
+            pos += 1
             if kind is _BRACE_OPEN:
                 depth += 1
             elif kind is _BRACE_CLOSE:
                 if depth == 0:
+                    pos -= 1
                     break
                 depth -= 1
+                if depth == 0 and parens == 0:
+                    break
+            elif kind is _PAREN_OPEN:
+                parens += 1
+            elif kind is _PAREN_CLOSE:
+                if parens:
+                    parens -= 1
             elif kind is _SEMICOLON and depth == 0:
-                pos += 1
                 break
-            pos += 1
         self.pos = pos
 
     def skip_annotation(self) -> None:
@@ -309,12 +332,7 @@ class _DeclParser:
                 pos += 1
             self.skip_balanced_braces(pos)
             return
-        while tokens[pos][0] is _IDENTIFIER:
-            pos += 1
-            if tokens[pos][1] != ".":
-                break
-            pos += 1
-        self.pos = self.paren_end(pos)
+        self.pos = self.annotation_end(self.pos)
 
     def skip_modifiers(self) -> bool:
         """Move past modifiers and annotations; True if 'abstract' is among them."""
@@ -344,7 +362,7 @@ class _DeclParser:
                 self.pos += 1
                 continue
             if text == "package" or text == "import":
-                self.skip_to_semicolon()
+                self.skip_declaration()
                 continue
             if text == "@":
                 self.skip_annotation()
@@ -443,7 +461,7 @@ class _DeclParser:
                     self.parse_advice(container, pos)
                     continue
                 if text == "declare":
-                    self.skip_to_semicolon()
+                    self.skip_declaration()
                     continue
             elif kind is _BRACE_OPEN:
                 # Instance or static initializer block.
@@ -474,7 +492,7 @@ class _DeclParser:
         if text != ":":
             self.err(line, f"malformed pointcut declaration '{name}'")
             self.pos = pos
-            self.skip_to_semicolon()
+            self.skip_declaration()
             return
         start = pos + 1
         stop = self.expression_end(start)
@@ -511,7 +529,7 @@ class _DeclParser:
         if tokens[pos][1] != ":":
             self.err(line, f"malformed {word} advice (missing ':')")
             self.pos = pos
-            self.skip_to_semicolon()
+            self.skip_declaration()
             return
         start = pos + 1
         stop = self.expression_end(start)
@@ -545,6 +563,11 @@ class _DeclParser:
         tokens = self.tokens
         start = pos = self.pos
         angle_depth = 0
+        # A field's head without its type annotations: ``int a @X []`` and
+        # ``int @X [] a`` declare ``int[] a``. ``kept`` is where the head
+        # resumes after the last annotation.
+        field_head: list[Token] = []
+        kept = start
         while True:
             kind, text, line, _, _ = tokens[pos]
             if kind is _OPERATOR:
@@ -570,6 +593,10 @@ class _DeclParser:
             elif kind is _SEMICOLON or text == ",":
                 if angle_depth == 0:
                     break
+            elif text == "@":
+                field_head.extend(tokens[kept:pos])
+                pos = kept = self.annotation_end(pos)
+                continue
             elif kind is _BRACE_OPEN:
                 self.warn(line, "unexpected '{' in member declaration")
                 self.skip_balanced_braces(pos)
@@ -581,7 +608,8 @@ class _DeclParser:
                 return
             pos += 1
         self.pos = pos
-        self.finish_field(container, tokens[start:pos])
+        field_head.extend(tokens[kept:pos])
+        self.finish_field(container, field_head)
 
     def finish_method(self, container: UnitDecl, head: list[Token]) -> None:
         """Finish the method or constructor whose parameter list opens at the cursor."""
@@ -591,7 +619,7 @@ class _DeclParser:
         if not name_tokens:
             self.err(tokens[pos][2], "method declaration without a name")
             self.pos = self.paren_end(pos)
-            self.skip_to_semicolon()
+            self.skip_declaration()
             return
         name = "".join(tok[1] for tok in name_tokens)
         simple = name.rsplit(".", 1)[-1]
@@ -619,7 +647,7 @@ class _DeclParser:
             else:
                 self.err(line, f"malformed declaration of '{name}'")
             self.pos = pos
-            self.skip_to_semicolon()
+            self.skip_declaration()
             return
         container.methods.append(
             MethodDecl(
@@ -642,7 +670,7 @@ class _DeclParser:
             dims += 1
         if not head or head[-1][0] is not _IDENTIFIER:
             self.warn(tokens[pos][2], "unrecognized member declaration")
-            self.skip_to_semicolon()
+            self.skip_declaration()
             return
         declared_type = _normalize_tokens(head[:-1])
         names: list[tuple[str, int, int]] = [(head[-1][1], head[-1][2], dims)]
@@ -659,14 +687,19 @@ class _DeclParser:
                 if nxt[0] is _IDENTIFIER:
                     pos += 2
                     dims = 0
-                    while tokens[pos][1] == "[" and tokens[pos + 1][1] == "]":
-                        pos += 2
-                        dims += 1
+                    while True:
+                        if tokens[pos][1] == "@":
+                            pos = self.annotation_end(pos)
+                        elif tokens[pos][1] == "[" and tokens[pos + 1][1] == "]":
+                            pos += 2
+                            dims += 1
+                        else:
+                            break
                     names.append((nxt[1], nxt[2], dims))
                     continue
                 self.pos = pos + 1
                 self.warn(line, "missing declarator after ','")
-                self.skip_to_semicolon()
+                self.skip_declaration()
                 pos = self.pos
                 break
             if kind is _BRACE_OPEN:

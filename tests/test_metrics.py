@@ -686,6 +686,22 @@ def test_c_style_array_fields_are_measured():
     ]
 
 
+def test_type_annotations_inside_field_types_are_skipped():
+    # javac 17 accepts the fixture; X is a TYPE_USE annotation.
+    version, units = parse_version_dir(TEST_FIXTURES / "type_annotation" / "V")
+    m = measure_version(version, units, W)
+    assert m.diagnostics == []
+    assert [(c.class_name, c.wmca, c.attribute_count) for c in m.per_class] == [("Dims", 1, 6)]
+    assert [line for line in write_log(units, m).splitlines() if "ATTRIBUTE" in line] == [
+        "  ATTRIBUTE int[] a",
+        "  ATTRIBUTE int[] b",
+        "  ATTRIBUTE int[][] c",
+        "  ATTRIBUTE int d",
+        "  ATTRIBUTE int[] f",
+        "  ATTRIBUTE java.lang.String e",
+    ]
+
+
 _DEPTH = 3000  # well past Python's default recursion limit of 1000
 _DEEP_AND_SHALLOW = [
     ("(" * _DEPTH + "within(A)" + ")" * _DEPTH, "within(A)"),

@@ -388,3 +388,30 @@ def test_colon_after_a_method_header_drops_only_that_member():
     unit = parse_source("class A { void f() : x; int b; }", "A.java")
     assert _diagnostics(unit) == ["A.java:1: warning: unexpected ':' after member 'f'"]
     assert _members(unit) == [["A", "b"]]
+
+
+def test_recovery_after_a_colon_stops_after_a_brace_block():
+    cases = [
+        ("class C { void f() : x { } int b; }", "warning: unexpected ':' after member 'f'"),
+        (
+            "class C { before(): call(* *(..)) {} int b; }",
+            "warning: unexpected ':' after member 'before'",
+        ),
+    ]
+    for source, message in cases:
+        unit = parse_source(source, "C.java")
+        assert _diagnostics(unit) == [f"C.java:1: {message}"], source
+        assert _members(unit) == [["C", "b"]], source
+
+
+def test_pointcut_without_a_colon_is_skipped_past_its_brace_block():
+    unit = parse_source("aspect A { pointcut p() within(A) { } int y; }", "A.aj")
+    assert _diagnostics(unit) == ["A.aj:1: error: malformed pointcut declaration 'p'"]
+    assert unit.aspects[0].pointcuts == []
+    assert _members(unit) == [["A", "y"]]
+
+
+def test_braces_inside_parentheses_do_not_end_a_skipped_declaration():
+    unit = parse_source("aspect A { declare @method: * *(..) : @Foo({1, 2}); int y; }", "A.aj")
+    assert _diagnostics(unit) == []
+    assert _members(unit) == [["A", "y"]]
