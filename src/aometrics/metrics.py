@@ -156,7 +156,7 @@ class PointcutFacts(FrozenRecord):
         return Weight(_pointcut_units(self, table), table.scale)
 
     def joinpoint_weight(self, table: WeightTable) -> Weight:
-        return Weight(_joinpoint_units(self.categories, table), table.scale)
+        return Weight(_joinpoint_units(self, table), table.scale)
 
 
 def _pointcut_units(facts: PointcutFacts, table: WeightTable) -> int:
@@ -172,9 +172,9 @@ def _pointcut_units(facts: PointcutFacts, table: WeightTable) -> int:
     return units
 
 
-def _joinpoint_units(categories: frozenset[JoinPointCategory], table: WeightTable) -> int:
+def _joinpoint_units(facts: PointcutFacts, table: WeightTable) -> int:
     weights = table.joinpoint_type_weights
-    return sum([weights[category].units for category in categories])
+    return sum([weights[category].units for category in facts.categories])
 
 
 # Categories are collected as bit masks: bit i stands for the i-th member
@@ -383,7 +383,7 @@ def measure_version(
             a_waa = waa_aspect(aspect, w)
             a_wjp = 0
             for decl in (*aspect.pointcuts, *aspect.advices):
-                a_wjp += _joinpoint_units(facts[id(decl)].categories, w)
+                a_wjp += _joinpoint_units(facts[id(decl)], w)
             per_aspect.append(
                 AspectMetrics(
                     aspect.name,
@@ -401,7 +401,7 @@ def measure_version(
         for qname, cls in walk_classes(unit):
             c_wjp = 0
             for pc in cls.pointcuts:
-                c_wjp += _joinpoint_units(facts[id(pc)].categories, w)
+                c_wjp += _joinpoint_units(facts[id(pc)], w)
             per_class.append(
                 ClassMetrics(qname, wmca_unit(cls), len(cls.attributes), Weight(c_wjp, scale))
             )

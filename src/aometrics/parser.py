@@ -301,15 +301,12 @@ class _DeclParser:
         parens = 0  # braces inside parentheses, as in '@A({1})', end nothing
         while True:
             kind = tokens[pos][0]
-            if kind is _END:
+            if kind is _END or (kind is _BRACE_CLOSE and depth == 0):
                 break
             pos += 1
             if kind is _BRACE_OPEN:
                 depth += 1
             elif kind is _BRACE_CLOSE:
-                if depth == 0:
-                    pos -= 1
-                    break
                 depth -= 1
                 if depth == 0 and parens == 0:
                     break
