@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .diagnostics import Diagnostic, warning
+from .diagnostics import relabeled, warning
 from .errors import AnalysisError, TooFewVersions, WriteFailure
 from .metrics import VersionMetrics, measure_version
 from .parser import SourceUnit, file_label, parse_source
@@ -114,7 +114,8 @@ def _parse_version(
     lives for the whole run. A parse depends on the path only through its
     diagnostics' labels, so a repeated content gets a new unit for its own
     path that shares the parsed declarations (which nothing mutates) and
-    carries the diagnostics relabeled.
+    their cache, and carries the diagnostics relabeled. So the pointcuts of
+    a content are classified once per run, too.
     """
     units = []
     for ref in version.files:
@@ -134,10 +135,8 @@ def _parse_version(
                 file=ref,
                 classes=first.classes,
                 aspects=first.aspects,
-                parse_diagnostics=[
-                    Diagnostic(label, d.line, d.severity, d.message)
-                    for d in first.parse_diagnostics
-                ],
+                parse_diagnostics=relabeled(first.parse_diagnostics, label),
+                cache=first.cache,
             )
         units.append(unit)
     return units

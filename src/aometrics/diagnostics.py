@@ -77,3 +77,10 @@ def warning(file: str, line: int, message: str) -> Diagnostic:
 
 def error(file: str, line: int, message: str) -> Diagnostic:
     return Diagnostic(file, line, Severity.ERROR, message)
+
+
+def relabeled(
+    diagnostics: list[Diagnostic] | tuple[Diagnostic, ...], file: str
+) -> list[Diagnostic]:
+    """``diagnostics`` as reported for ``file``, in the same order."""
+    return [Diagnostic(file, d.line, d.severity, d.message) for d in diagnostics]

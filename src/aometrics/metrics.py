@@ -18,7 +18,7 @@ from __future__ import annotations
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
-from .diagnostics import Diagnostic, FrozenRecord, Record, warning
+from .diagnostics import Diagnostic, FrozenRecord, Record, relabeled, warning
 from .errors import StrictModeParseFailure
 from .parser import (
     AdviceDecl,
@@ -217,6 +217,27 @@ def classify_joinpoint_categories(
 ) -> dict[int, PointcutFacts]:
     """One facts record per pointcut and advice of a unit, keyed by ``id(decl)``.
 
+    The unit's declarations are classified on the first call only. Their
+    facts and diagnostics, the latter with no file label, are kept in
+    ``unit.cache``, which every unit sharing those declarations shares (see
+    ``cli._parse_version``). Each call appends the diagnostics, labeled
+    with the unit's own path, to ``diagnostics`` and returns the same dict,
+    which callers must not change.
+    """
+    cache = unit.cache
+    stored = cache.classification
+    if stored is None:
+        found: list[Diagnostic] = []
+        stored = cache.classification = (_classify(unit, found), tuple(found))
+    facts, found = stored
+    if found and diagnostics is not None:
+        diagnostics.extend(relabeled(found, file_label(unit.file)))
+    return facts
+
+
+def _classify(unit: SourceUnit, diags: list[Diagnostic]) -> dict[int, PointcutFacts]:
+    """Classify a unit's pointcuts and advice; diagnostics get an empty file label.
+
     Each declaration's own leaves are classified once, and each diagnostic
     is reported at the line of the declaration that holds the fault. A
     named reference resolves in the scope of the declaration making it.
@@ -230,8 +251,6 @@ def classify_joinpoint_categories(
     containers.extend(walk_classes(unit))
     if not any(owner.pointcuts or getattr(owner, "advices", None) for _, owner in containers):
         return {}
-    diags = diagnostics if diagnostics is not None else []
-    label = file_label(unit.file)
     qualified: dict[str, PointcutDecl] = {}
     simple: dict[str, PointcutDecl | None] = {}  # None: declared by two containers
     local_names: list[dict[str, PointcutDecl]] = []  # per container, its last declarations
@@ -243,7 +262,7 @@ def classify_joinpoint_categories(
                 if name in local:
                     diags.append(
                         warning(
-                            label,
+                            "",
                             decl.source_line,
                             f"duplicate pointcut '{name}' in '{owner_name}';"
                             " references resolve to the last one",
@@ -280,7 +299,7 @@ def classify_joinpoint_categories(
                     d = node.designator
                     designators.append(d)
                     if d in KINDED_DESIGNATORS:
-                        pat = extract_signature_pattern(node, diagnostics=diags, file=label, line=line)
+                        pat = extract_signature_pattern(node, diagnostics=diags, file="", line=line)
                         if pat is not None:
                             level = signature_specificity(pat)
                             levels.append(level)
@@ -304,7 +323,7 @@ def classify_joinpoint_categories(
                         target = simple.get(name)
                     if target is None:
                         diags.append(
-                            warning(label, line, f"unresolved pointcut reference '{name}'")
+                            warning("", line, f"unresolved pointcut reference '{name}'")
                         )
                     else:
                         referrers.setdefault(id(target), []).append(key)

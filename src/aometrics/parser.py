@@ -119,8 +119,32 @@ class AspectDecl(Record):
 UnitDecl = Union[ClassDecl, AspectDecl]
 
 
+class UnitCache:
+    """What is derived from a unit's declarations, shared by each unit holding them.
+
+    ``metrics.classify_joinpoint_categories`` keeps its result in
+    ``classification``. A cache is not part of a unit's value: any two
+    compare equal, and a copied or unpickled one starts empty, because what
+    it holds is keyed by the ``id`` of the declarations it came from.
+    """
+
+    __slots__ = ("classification",)
+
+    def __init__(self) -> None:
+        self.classification = None
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is UnitCache
+
+    def __reduce__(self) -> tuple:
+        return UnitCache, ()
+
+    def __repr__(self) -> str:
+        return "UnitCache()"
+
+
 class SourceUnit(Record):
-    __slots__ = ("file", "classes", "aspects", "parse_diagnostics")
+    __slots__ = ("file", "classes", "aspects", "parse_diagnostics", "cache")
 
     def __init__(
         self,
@@ -128,11 +152,13 @@ class SourceUnit(Record):
         classes: list[ClassDecl] | None = None,
         aspects: list[AspectDecl] | None = None,
         parse_diagnostics: list[Diagnostic] | None = None,
+        cache: UnitCache | None = None,
     ):
         self.file = file
         self.classes = [] if classes is None else classes
         self.aspects = [] if aspects is None else aspects
         self.parse_diagnostics = [] if parse_diagnostics is None else parse_diagnostics
+        self.cache = UnitCache() if cache is None else cache
 
     @property
     def has_errors(self) -> bool:
@@ -372,9 +398,31 @@ class _DeclParser:
                 unit.aspects.append(self.parse_type(is_aspect=True))
             elif kind is _END:
                 return
-            else:
+            elif not self.skip_module():
                 self.err(line, f"unexpected token at top level: {text!r}")
                 self.recover_to_type_keyword()
+
+    def skip_module(self) -> bool:
+        """Move past ``[open] module a.b { ... }`` at the cursor; False if none is there.
+
+        A module declaration, the content of ``module-info.java``, declares
+        no type. The lexer keeps only the outer braces of its body.
+        """
+        tokens = self.tokens
+        pos = self.pos
+        if tokens[pos][1] == "open":
+            pos += 1
+        if tokens[pos][1] != "module" or tokens[pos + 1][0] is not _IDENTIFIER:
+            return False
+        line = tokens[pos][2]
+        pos += 2
+        while tokens[pos][1] == "." and tokens[pos + 1][0] is _IDENTIFIER:
+            pos += 2
+        if tokens[pos][0] is not _BRACE_OPEN:
+            return False
+        if not self.skip_balanced_braces(pos):
+            self.err(line, "unclosed module declaration")
+        return True
 
     def recover_to_type_keyword(self) -> None:
         tokens = self.tokens
@@ -560,10 +608,11 @@ class _DeclParser:
         tokens = self.tokens
         start = pos = self.pos
         angle_depth = 0
-        # A field's head without its type annotations: ``int a @X []`` and
-        # ``int @X [] a`` declare ``int[] a``. ``kept`` is where the head
-        # resumes after the last annotation.
-        field_head: list[Token] = []
+        # The head without its type annotations: ``int a @X []`` and
+        # ``int @X [] a`` declare ``int[] a``, and ``java.util.@X List<T> f()``
+        # returns ``java.util.List<T>``. ``kept`` is where the head resumes
+        # after the last annotation.
+        head: list[Token] = []
         kept = start
         while True:
             kind, text, line, _, _ = tokens[pos]
@@ -585,13 +634,14 @@ class _DeclParser:
             elif kind is _PAREN_OPEN:
                 if angle_depth == 0:
                     self.pos = pos
-                    self.finish_method(container, tokens[start:pos])
+                    head.extend(tokens[kept:pos])
+                    self.finish_method(container, head)
                     return
             elif kind is _SEMICOLON or text == ",":
                 if angle_depth == 0:
                     break
             elif text == "@":
-                field_head.extend(tokens[kept:pos])
+                head.extend(tokens[kept:pos])
                 pos = kept = self.annotation_end(pos)
                 continue
             elif kind is _BRACE_OPEN:
@@ -605,8 +655,8 @@ class _DeclParser:
                 return
             pos += 1
         self.pos = pos
-        field_head.extend(tokens[kept:pos])
-        self.finish_field(container, field_head)
+        head.extend(tokens[kept:pos])
+        self.finish_field(container, head)
 
     def finish_method(self, container: UnitDecl, head: list[Token]) -> None:
         """Finish the method or constructor whose parameter list opens at the cursor."""

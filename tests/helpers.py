@@ -10,7 +10,19 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from aometrics import ScanMode, default_weights, measure_version, parse_source, scan_corpus
+from aometrics import (
+    And,
+    Not,
+    Or,
+    Primitive,
+    ScanMode,
+    default_weights,
+    measure_version,
+    parse_source,
+    scan_corpus,
+)
+from aometrics.parser import walk_classes
+from aometrics.pointcuts import KINDED_DESIGNATORS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MINI_UAS = REPO_ROOT / "fixtures" / "mini-uas"
@@ -29,6 +41,24 @@ def parse_version_dir(path: Path):
 def measure_dir(path: Path, table=None, strict: bool = False):
     version, units = parse_version_dir(path)
     return measure_version(version, units, table or default_weights(), strict=strict)
+
+
+def kinded_primitives(units) -> int:
+    """How many known kinded primitives the units' pointcuts and advice hold."""
+    count = 0
+    for unit in units:
+        owners = [*unit.aspects, *(cls for _, cls in walk_classes(unit))]
+        for owner in owners:
+            stack = [d.expression for d in (*owner.pointcuts, *getattr(owner, "advices", ()))]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, Primitive):
+                    count += node.known and node.designator in KINDED_DESIGNATORS
+                elif isinstance(node, Not):
+                    stack.append(node.child)
+                elif isinstance(node, (And, Or)):
+                    stack.extend((node.left, node.right))
+    return count
 
 
 # -- independent method-header counter -----------------------------------

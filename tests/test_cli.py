@@ -8,10 +8,20 @@ from pathlib import Path
 import pytest
 
 import aometrics.cli as cli
-from aometrics import ScanMode, default_weights, measure_version, parse_source, scan_corpus
+import aometrics.metrics
+from aometrics import (
+    ScanMode,
+    VersionRef,
+    default_weights,
+    load_weight_overrides,
+    measure_version,
+    parse_source,
+    scan_corpus,
+)
 from aometrics.cli import _decode_source, main
+from aometrics.pointcuts import extract_signature_pattern
 from aometrics.report import write_json, write_log
-from helpers import MINI_UAS, MINI_UAS_ORDER, TEST_FIXTURES
+from helpers import MINI_UAS, MINI_UAS_ORDER, TEST_FIXTURES, kinded_primitives, parse_version_dir
 
 
 def test_scan_lists_files(capsys):
@@ -338,6 +348,80 @@ def test_shared_declarations_survive_measuring_and_logging(tmp_path: Path):
         metrics = measure_version(version, units, default_weights())
         write_log([u for u in units if not u.has_errors], metrics)
     assert [(u.classes, u.aspects, u.parse_diagnostics) for u in first] == snapshot
+
+
+def test_compare_extracts_signatures_of_repeated_contents_once(tmp_path: Path, monkeypatch):
+    roots = [tmp_path / "V1", tmp_path / "V2"]
+    for root in roots:
+        shutil.copytree(MINI_UAS / "AJ1.4", root)
+    calls = []
+
+    def counting_extract(primitive, **kwargs):
+        calls.append(primitive)
+        return extract_signature_pattern(primitive, **kwargs)
+
+    monkeypatch.setattr(aometrics.metrics, "extract_signature_pattern", counting_extract)
+    assert main(["compare", *map(str, roots), "--out", str(tmp_path / "out")]) == 0
+    _, units = parse_version_dir(roots[0])
+    assert len(calls) == kinded_primitives(units) > 0
+
+
+_WARNING_ASPECT = """\
+aspect W {
+    pointcut p(): handler(E);
+    pointcut p(): within(X);
+    pointcut q(): call(* f);
+    before(): missing() && p() {}
+}
+"""
+
+
+def test_classification_warnings_of_a_repeated_content_name_each_file(
+    tmp_path: Path, capsys
+):
+    roots = [tmp_path / "V1", tmp_path / "V2"]
+    for root in roots:
+        for sub in ("a", "b"):
+            (root / sub).mkdir(parents=True)
+            (root / sub / "W.aj").write_text(_WARNING_ASPECT, encoding="utf-8")
+    assert main(["compare", *map(str, roots), "--out", str(tmp_path / "out")]) == 0
+    expected = []
+    for root in roots:
+        for sub in ("a", "b"):
+            path = root / sub / "W.aj"
+            expected += [
+                f"{path}:3: warning: duplicate pointcut 'p' in 'W'; references resolve"
+                " to the last one",
+                f"{path}:4: warning: malformed call signature: missing parameter list",
+                f"{path}:5: warning: unresolved pointcut reference 'missing'",
+            ]
+    assert capsys.readouterr().err.splitlines() == expected
+
+
+def test_shared_units_measure_under_each_table(tmp_path: Path):
+    roots = _shared_content_tree(tmp_path / "corpus")
+    (roots[0] / "Copy.aj").write_text(_TRACING_ASPECT, encoding="utf-8")
+    weights = tmp_path / "hundredths.json"
+    weights.write_text('{"designator": {"execution": 0.15}}', encoding="utf-8")
+    tables = [default_weights(), load_weight_overrides(weights)]
+    versions = [scan_corpus(root, ScanMode.SINGLE_VERSION)[0] for root in roots]
+    parsed = {}
+    shared = [cli._parse_version(version, parsed) for version in versions]
+    results = []
+    for version, units in zip(versions, shared):
+        # Each file alone: no unit shares declarations or a cache with another.
+        fresh = [
+            cli._parse_version(VersionRef(version.id, version.root, (ref,)), {})[0]
+            for ref in version.files
+        ]
+        for table in tables:
+            metrics = measure_version(version, units, table)
+            expected = measure_version(version, fresh, table)
+            assert write_json(metrics) == write_json(expected)
+            assert metrics.diagnostics == expected.diagnostics
+            results.append(metrics)
+    # V1 holds two copies of a pointcut whose only weight is execution.
+    assert [m.wpa.render() for m in results] == ["0.2", "0.30", "0.1", "0.15"]
 
 
 def test_wide_or_pointcut_measures_without_traceback(tmp_path: Path, capsys):

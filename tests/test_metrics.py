@@ -17,10 +17,12 @@ from aometrics import (
     waa_aspect,
     wmca_unit,
 )
+import aometrics.metrics
 from aometrics.cli import main
 from aometrics.diagnostics import Diagnostic, Severity
 from aometrics.report import write_log
-from helpers import MINI_UAS, TEST_FIXTURES, measure_dir, parse_version_dir
+from aometrics.pointcuts import extract_signature_pattern
+from helpers import MINI_UAS, TEST_FIXTURES, kinded_primitives, measure_dir, parse_version_dir
 
 W = default_weights()
 
@@ -700,6 +702,45 @@ def test_type_annotations_inside_field_types_are_skipped():
         "  ATTRIBUTE int[] f",
         "  ATTRIBUTE java.lang.String e",
     ]
+
+
+def test_measure_and_log_extract_each_signature_once(monkeypatch):
+    calls = []
+
+    def counting_extract(primitive, **kwargs):
+        calls.append(primitive)
+        return extract_signature_pattern(primitive, **kwargs)
+
+    monkeypatch.setattr(aometrics.metrics, "extract_signature_pattern", counting_extract)
+    version, units = parse_version_dir(MINI_UAS / "AJ1.4")
+    m = measure_version(version, units, W)
+    write_log(units, m)
+    assert len(calls) == kinded_primitives(units) > 0
+
+
+def test_type_annotations_inside_method_heads_are_skipped():
+    # javac 17 accepts the fixture; X is a TYPE_USE annotation.
+    version, units = parse_version_dir(TEST_FIXTURES / "method_annotation" / "V")
+    m = measure_version(version, units, W)
+    assert m.diagnostics == []
+    assert [(c.class_name, c.wmca, c.attribute_count) for c in m.per_class] == [("Heads", 4, 1)]
+    assert [line for line in write_log(units, m).splitlines() if "METHOD" in line] == [
+        "  METHOD java.util.List<String> names()",
+        "  METHOD int[] sizes()",
+        "  METHOD <T> java.util.Map<T, String> index(T key)",
+        "  METHOD String[][] grid()",
+    ]
+
+
+def test_module_info_is_a_declaration_free_unit():
+    # javac 17 compiles the fixture's module-info.java and Main.java together.
+    version, units = parse_version_dir(TEST_FIXTURES / "module_info" / "V")
+    assert sorted(ref.path.name for ref in version.files) == ["Main.java", "module-info.java"]
+    m = measure_version(version, units, W)
+    assert m.diagnostics == []
+    assert [(c.class_name, c.wmca, c.attribute_count) for c in m.per_class] == [("Main", 2, 1)]
+    log = write_log(units, m)
+    assert f"FILE {TEST_FIXTURES / 'module_info' / 'V' / 'module-info.java'}\n" in log
 
 
 _DEPTH = 3000  # well past Python's default recursion limit of 1000

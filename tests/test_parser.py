@@ -415,3 +415,39 @@ def test_braces_inside_parentheses_do_not_end_a_skipped_declaration():
     unit = parse_source("aspect A { declare @method: * *(..) : @Foo({1, 2}); int y; }", "A.aj")
     assert _diagnostics(unit) == []
     assert _members(unit) == [["A", "y"]]
+
+
+def test_type_annotations_in_a_method_head_are_left_out_of_its_signature():
+    unit = parse_source(
+        "class A { java.util.@X List<String> f() { return null; }\n"
+        " int @X [] g() { return null; }\n"
+        " <T> java.util.@X(1) Map<T, @Y String> h() { return null; } }",
+        "A.java",
+    )
+    assert _diagnostics(unit) == []
+    assert [(m.name, m.signature_text) for m in unit.classes[0].methods] == [
+        ("f", "java.util.List<String> f()"),
+        ("g", "int[] g()"),
+        ("h", "<T> java.util.Map<T, String> h()"),
+    ]
+
+
+def test_a_module_declaration_declares_nothing():
+    for source in (
+        "module a.b { requires java.base; exports a.b to c.d; }",
+        "import x.Y;\n@Deprecated\nopen module a { opens a; provides x.Y with a.Z; }\nclass B {}",
+    ):
+        unit = parse_source(source, "module-info.java")
+        assert _diagnostics(unit) == [], source
+        assert unit.aspects == [], source
+        assert [c.name for c in unit.classes] == (["B"] if "class B" in source else []), source
+
+
+def test_a_malformed_module_declaration_is_an_error():
+    unit = parse_source("open module a.b {", "module-info.java")
+    assert _diagnostics(unit) == ["module-info.java:1: error: unclosed module declaration"]
+    for source in ("module a.b; class A {}", "module class A {}", "module a. { }"):
+        unit = parse_source(source, "module-info.java")
+        assert _diagnostics(unit) == [
+            "module-info.java:1: error: unexpected token at top level: 'module'"
+        ], source

@@ -18,6 +18,7 @@ from aometrics import (
     SignaturePattern,
     VersionRef,
     Weight,
+    classify_joinpoint_categories,
     parse_source,
 )
 from aometrics.diagnostics import Diagnostic, Severity
@@ -81,6 +82,24 @@ def test_parsed_units_and_metrics_survive_deepcopy_and_pickle():
     for value in (version, units, metrics):
         for clone in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert clone == value
+
+
+def test_a_units_cache_is_not_part_of_its_value():
+    source = "aspect A { pointcut p(): call(* f); before(): p() {} }"
+    unit = parse_source(source, "A.aj")
+    facts = classify_joinpoint_categories(unit)
+    assert unit.cache.classification is not None
+    assert unit == parse_source(source, "A.aj")
+    for clone in (copy.deepcopy(unit), pickle.loads(pickle.dumps(unit))):
+        assert clone == unit
+        assert clone.cache.classification is None
+        diags = []
+        cloned = classify_joinpoint_categories(clone, diags)
+        assert list(cloned.values()) == list(facts.values())
+        assert set(cloned) == {id(clone.aspects[0].pointcuts[0]), id(clone.aspects[0].advices[0])}
+        assert [str(d) for d in diags] == [
+            "A.aj:1: warning: malformed call signature: missing parameter list"
+        ]
 
 
 def test_repr_names_the_class_and_its_fields():
