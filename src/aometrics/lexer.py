@@ -6,10 +6,27 @@ reach the declaration parser.
 
 A token is a plain tuple ``(kind, text, line, start, end)``, built inline
 in ``tokenize``'s loop with no constructor call. ``start`` and ``end``
-are offsets into the text, so callers can slice raw text back out, as
-the pointcut parser does for a designator's argument.
+are offsets into the text, and ``text[start:end]`` is always the token's
+text, so callers can slice raw text back out, as the pointcut parser does
+for a designator's argument.
 
-One compiled alternation does the whole scan. Each match is the blanks,
+A ':' at parenthesis depth 0 opens expression mode: it starts every
+pointcut, advice and ``declare`` expression (in Java only a ternary in a
+field initializer puts one there). The next ',', ';', '{' or '}', at any
+depth, closes it. In that mode each pattern designator, ``call``,
+``execution``, ``get``, ``set``, ``handler``, ``within``,
+``withincode``, ``this``, ``target``, ``args`` or an ``initialization``
+form not glued to a '.' or '@' before it, becomes one DESIGNATOR token
+together with its argument, such as ``call(void A.g())``: the pointcut
+parser reads that argument only as text. ``cflow``, ``cflowbelow``, ``if``
+and named references keep their tokens. The argument is read by a bounded
+match (see ``_GROUP``); an argument it cannot read, such as one holding a
+comment, a literal or a newline, falls back to plain tokens, so the
+declaration and pointcut parsers see the same program either way. A
+failed match costs linear time (see ``_GROUP``). ``split_designator``
+gives a DESIGNATOR token's plain tokens back.
+
+One compiled alternation per mode does the scan. Each match is the blanks,
 comments and closed literals before a token (the skipped prefix) followed
 by one named alternative; ``tokenize`` dispatches on ``m.lastgroup`` and
 recovers line numbers by counting newlines between matches. Newlines
@@ -61,6 +78,7 @@ class TokenKind(Enum):
     PAREN_CLOSE = "paren_close"
     SEMICOLON = "semicolon"
     OPERATOR = "operator"
+    DESIGNATOR = "designator"
     END = "end"
 
 
@@ -95,12 +113,35 @@ _EVENTS = (
     r"|'(?:\\[\s\S]|[^'\\\n])*\\?)"
 )
 
+# Every pattern-designator word: its argument is a pattern, which the
+# pointcut parser reads as text. ``cflow``, ``cflowbelow`` and ``if`` take
+# a pointcut or an expression and are not among them.
+_PATTERN_WORDS = (
+    r"call|execution|get|set|handler|withincode|within|this|target|args"
+    r"|(?:pre|static)?initialization"
+)
+# A designator's argument, read only when it is cheap to read: no newline,
+# comment, literal, ';' or brace; square brackets only as '[]' pairs; at
+# most three levels of parentheses, counting its own. Every run is
+# unrolled, so an attempt backtracks over each character once. An attempt
+# still open at a character holds a '(' open there for every later one,
+# so at most three attempts pass any character, and time stays linear.
+_RUN = r"[^()\[\]{};\"'/\n]*(?:\[\][^()\[\]{};\"'/\n]*)*"
+_GROUP = rf"\({_RUN}\)"
+for _ in range(2):
+    _GROUP = rf"\({_RUN}(?:{_GROUP}{_RUN})*\)"
+_DESIGNATOR = rf"(?P<DESIGNATOR>(?<![.@])(?:{_PATTERN_WORDS}){_GROUP})|"
+
+# ``{designator}`` is empty outside expression mode. ``MODE`` is the mark
+# that may switch the mode: ':' outside it, ',' inside it.
 _TOKENS = (
+    r"{designator}"
     r"(?P<NUMBER>{digit}(?:[\w$]|\.{digit})*)"
     r"|(?P<WORD>{word_start}[\w$]+)"
     r"|(?P<SINGLE>[{{}}();])"
     rf"|{_EVENTS}"
     r"|(?P<OPERATOR>&&|\|\||[=!<>+\-*/%&|^]=|<<|>>|\+\+|--|->|::|[&|!<>=+\-*/%^~?])"
+    r"|(?P<MODE>{mode})"
     r"|(?P<PUNCT>.)"
     r"|(?P<END>\Z)"
 )
@@ -123,11 +164,14 @@ _KEYWORD = TokenKind.KEYWORD
 _PUNCT = TokenKind.PUNCT
 _OPERATOR = TokenKind.OPERATOR
 _BRACE_CLOSE = TokenKind.BRACE_CLOSE
+_DESIGNATOR_KIND = TokenKind.DESIGNATOR
 
 
 @lru_cache(maxsize=32)
 def _scanner(odd_digits: str = "", odd_numerics: str = ""):
-    """Compile the scanner, widening its classes for a few odd characters.
+    """Compile the plain and the expression-mode scanner, as a pair.
+
+    Both widen their classes for a few odd characters.
 
     ``\\d`` is ``str.isdecimal`` but numbers start at ``str.isdigit``, so
     ``odd_digits`` (digits that are not decimal, e.g. superscript two)
@@ -137,8 +181,12 @@ def _scanner(odd_digits: str = "", odd_numerics: str = ""):
     """
     digit = rf"[\d{re.escape(odd_digits)}]" if odd_digits else r"\d"
     word_start = rf"(?![{re.escape(odd_numerics)}])" if odd_numerics else ""
-    tokens = _TOKENS.format(digit=digit, word_start=word_start)
-    return re.compile(f"{_SKIP}(?:{tokens})").finditer
+    plain = _TOKENS.format(designator="", digit=digit, word_start=word_start, mode=":")
+    expression = _TOKENS.format(designator=_DESIGNATOR, digit=digit, word_start=word_start, mode=",")
+    return (
+        re.compile(f"{_SKIP}(?:{plain})").finditer,
+        re.compile(f"{_SKIP}(?:{expression})").finditer,
+    )
 
 
 def _scanner_for(text: str):
@@ -182,6 +230,11 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
     type keyword announces the next ``{`` at depth 0 unless a ``;`` at
     depth 0 comes first. An unclosed body drops the rest of the text.
 
+    In expression mode (see the module docstring) a pattern designator is
+    one DESIGNATOR token. One whose text holds a type keyword, even inside
+    another word, announces a body as that keyword would: keeping a body's
+    tokens never changes what the parser reads.
+
     A byte-order mark at offset 0 is skipped; offsets still index ``text``.
     The returned list always ends with exactly one END token.
     """
@@ -189,15 +242,17 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
     diagnostics: list[Diagnostic] = []
     append = tokens.append
     count = text.count
-    scan = _scanner_for(text)
+    scanners = _scanner_for(text)
     line = 1
     last = 0  # newlines before ``last`` are already in ``line``
     pos = 1 if text.startswith("\ufeff") else 0
     depth = 0  # parentheses open, clamped at 0
     pending = False  # a type keyword awaits its body
+    expression = False  # after ':' at depth 0, up to ',', ';', '{' or '}'
 
     while True:
-        for m in scan(text, pos):
+        body = False
+        for m in scanners[expression](text, pos):
             group = m.lastgroup
             start, end = m.span(group)
             if start != last:
@@ -219,20 +274,37 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
                 elif word == ")":
                     if depth:
                         depth -= 1
-                elif depth == 0 and word != "}":
-                    if word == "{" and not pending:
-                        break  # a body
-                    pending = False
+                else:
+                    if depth == 0 and word != "}":
+                        if word == "{" and not pending:
+                            body = True
+                        pending = False
+                    if expression or body:
+                        expression = False
+                        break
+            elif group == "DESIGNATOR":
+                word = text[start:end]
+                append((_DESIGNATOR_KIND, word, line, start, end))
+                if "class" in word or "enum" in word or "interface" in word or "aspect" in word:
+                    pending = True
             elif group == "OPERATOR":
                 append((_OPERATOR, text[start:end], line, start, end))
             elif group == "PUNCT" or group == "NUMBER":
                 append((_PUNCT, text[start:end], line, start, end))
+            elif group == "MODE":
+                append((_PUNCT, text[start], line, start, end))
+                if expression or depth == 0:
+                    expression = not expression
+                    break
             elif group in _UNTERMINATED:
                 last = _report(group, text, start, end, file, line, diagnostics)
             # else LITERAL (closed, but spans a backslash-newline: not
             # counted) or END, the last match
         else:
             break
+        pos = end
+        if not body:
+            continue
 
         nesting = 1
         for m in _scan_body(text, end):
@@ -260,3 +332,14 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
     n = len(text)
     append((TokenKind.END, "", line, n, n))
     return tokens, diagnostics
+
+
+def split_designator(token: Token) -> list[Token]:
+    """The tokens that a DESIGNATOR token stands for, as plain mode emits them.
+
+    Its text holds no newline, comment, literal or brace, so lexing the
+    text alone gives the same tokens; their offsets are moved back into
+    the source.
+    """
+    _, text, line, start, _ = token
+    return [(kind, word, line, start + s, start + e) for kind, word, _, s, e in tokenize(text)[0][:-1]]

@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Union
 
 from .diagnostics import Diagnostic, Record, Severity, error, warning
-from .lexer import TYPE_KEYWORDS, Token, TokenKind, tokenize
+from .lexer import TYPE_KEYWORDS, Token, TokenKind, split_designator, tokenize
 from .pointcuts import SIGNATURE_MODIFIERS, PointcutExpr, parse_pointcut_expression
 
 MODIFIER_WORDS = SIGNATURE_MODIFIERS | {"privileged", "default"}
@@ -36,6 +36,7 @@ _BRACE_CLOSE = TokenKind.BRACE_CLOSE
 _PAREN_OPEN = TokenKind.PAREN_OPEN
 _PAREN_CLOSE = TokenKind.PAREN_CLOSE
 _SEMICOLON = TokenKind.SEMICOLON
+_DESIGNATOR = TokenKind.DESIGNATOR
 _END = TokenKind.END
 
 # A 'throws' clause and the 'around' lookahead stop at _MEMBER_STOPS.
@@ -230,12 +231,36 @@ class _DeclParser:
         self.file = file
         self.label = file_label(file)
         self.diagnostics: list[Diagnostic] = []
+        self.designators_split = False
 
     def warn(self, line: int, message: str) -> None:
         self.diagnostics.append(warning(self.label, line, message))
 
     def err(self, line: int, message: str) -> None:
         self.diagnostics.append(error(self.label, line, message))
+
+    def split_designators(self, pos: int) -> None:
+        """Split every DESIGNATOR token from ``pos`` on into its plain tokens.
+
+        The lexer makes such a token after a ':' at depth 0, where a
+        pointcut expression, a ``declare`` or a ternary initializer starts;
+        the readers of those, and every skipping helper, pass it whole. The
+        readers of member heads, of declarators and of top-level recovery
+        read word by word, and meet a ':' only in malformed code. There
+        they call this, so they read what the plain tokens would give. The
+        tail is split once per file, so time stays linear.
+        """
+        if self.designators_split:
+            return
+        self.designators_split = True
+        tokens = self.tokens
+        tail: list[Token] = []
+        for tok in tokens[pos:]:
+            if tok[0] is _DESIGNATOR:
+                tail.extend(split_designator(tok))
+            else:
+                tail.append(tok)
+        tokens[pos:] = tail
 
     # -- look-ahead helpers ----------------------------------------------
 
@@ -436,6 +461,8 @@ class _DeclParser:
                 depth += 1
             elif kind is _BRACE_CLOSE and depth:
                 depth -= 1
+            elif text == ":":
+                self.split_designators(pos)
             pos += 1
         self.pos = pos
 
@@ -653,6 +680,8 @@ class _DeclParser:
                     self.err(line, "dangling member declaration")
                 self.pos = pos
                 return
+            elif text == ":":
+                self.split_designators(pos)
             pos += 1
         self.pos = pos
         head.extend(tokens[kept:pos])
@@ -757,6 +786,8 @@ class _DeclParser:
             if kind is _BRACE_CLOSE or kind is _END:
                 self.warn(line, "unterminated field declaration")
                 break
+            if text == ":":
+                self.split_designators(pos)
             # Other trailing tokens on the declarator.
             pos += 1
         self.pos = pos

@@ -115,6 +115,7 @@ def _normalize(text: str) -> str:
 _WORDS = (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
 _PAREN_OPEN = TokenKind.PAREN_OPEN
 _PAREN_CLOSE = TokenKind.PAREN_CLOSE
+_DESIGNATOR = TokenKind.DESIGNATOR
 
 # Binding levels of the pending entries on the parser's stack. An entry
 # is (level, left operand); '(' and '!' have no left operand.
@@ -139,9 +140,13 @@ def _read_atom(
 ) -> tuple[PointcutExpr, int]:
     """Read ``name(argument)`` at ``tokens[i]``; return it and the index past it.
 
-    The name may be dotted: words joined by '.' with no gap between them.
+    A DESIGNATOR token is the whole atom. Otherwise the name may be
+    dotted: words joined by '.' with no gap between them.
     """
-    kind, _, _, start, end = tokens[i]
+    kind, text, _, start, end = tokens[i]
+    if kind is _DESIGNATOR:
+        open_at = text.index("(")
+        return Primitive(text[:open_at], _normalize(text[open_at + 1 : -1])), i + 1
     if kind not in _WORDS:
         raise _Malformed("expected a designator or pointcut name")
     i += 1

@@ -10,6 +10,10 @@ def kinds_and_texts(tokens):
     return [(kind, text) for kind, text, _, _, _ in tokens if kind is not TokenKind.END]
 
 
+def _designators(tokens):
+    return [text for kind, text, _, _, _ in tokens if kind is TokenKind.DESIGNATOR]
+
+
 def test_line_comment_elided():
     tokens, diags = tokenize("// class Fake\nclass Real {}")
     words = [text for kind, text, _, _, _ in tokens if kind is TokenKind.KEYWORD]
@@ -64,14 +68,17 @@ def test_offsets_slice_source():
 
 def test_fixture_token_count_matches_hand_count():
     # Hand-tokenized once: 41 tokens before the end-of-stream marker, 6 of
-    # them inside the advice body, which ``tokenize`` elides.
+    # them inside the advice body, which ``tokenize`` elides. The pointcut's
+    # ``execution(* *.login(..))`` is one DESIGNATOR token in place of 11
+    # (execution ( * * . login ( . . ) )), so 41 - 6 - 10 = 25 remain.
     text = (TEST_FIXTURES / "one_aspect" / "V1" / "Logging.aj").read_text(encoding="utf-8")
     full, full_diags = reference_lexer.tokenize(text)
     assert not full_diags
     assert len(full) == 42  # 41 + END
     tokens, diags = tokenize(text)
     assert not diags
-    assert len(tokens) == 36  # 35 + END
+    assert len(tokens) == 26  # 25 + END
+    assert _designators(tokens) == ["execution(* *.login(..))"]
     assert tokens[-1][0] is TokenKind.END
     body = [text for _, text, line, _, _ in tokens if line in (6, 7, 8)]
     assert body == ["before", "(", ")", ":", "loginFlow", "(", ")", "{", "}"]
@@ -117,3 +124,63 @@ def test_unterminated_text_block_is_one_error_at_its_opening_line():
     assert [(d.line, d.message) for d in diags] == [(2, "unterminated text block")]
     assert [text for _, text, _, _, _ in tokens[:-1]] == ["class", "A", "{", "String", "s", "="]
     assert tokens[-1][2] == 6
+
+
+def test_pattern_designators_in_expression_mode_are_one_token_each():
+    src = (
+        "aspect A {\n  pointcut p(): call(void A.g()) && !within(a..*) || this(T)\n"
+        "    && cflow(execution(* *(int[], ..))) && args(a, b) && staticinitialization(B);\n"
+        "  before(): get(int *.x) { set(y); }\n}"
+    )
+    tokens, diags = tokenize(src)
+    assert not diags
+    assert _designators(tokens) == [
+        "call(void A.g())", "within(a..*)", "this(T)", "execution(* *(int[], ..))",
+        "args(a, b)", "staticinitialization(B)", "get(int *.x)",
+    ]
+    for kind, text, line, start, end in tokens[:-1]:
+        assert src[start:end] == text
+        assert line == src.count("\n", 0, start) + 1
+
+
+def test_words_glued_to_a_dot_or_at_sign_and_other_designators_keep_their_tokens():
+    tokens, _ = tokenize(
+        "pointcut p(): Base.call() && X.within() && @within(A) && cflow(p()) && if(x > 0);"
+    )
+    assert _designators(tokens) == []
+    tokens, _ = tokenize("pointcut p(): cflow(call(* f())) && if(x > 0);")
+    assert _designators(tokens) == ["call(* f())"]
+    assert [text for _, text, _, _, _ in tokens][-8:-1] == ["if", "(", "x", ">", "0", ")", ";"]
+
+
+def test_expression_mode_opens_at_a_colon_at_depth_0_and_closes_at_a_separator():
+    cases = {
+        "int y = c ? a : get(b); void set(int v) {}": ["get(b)"],
+        "f(c ? a : get(b)) set(x)": [],  # the ':' is inside parentheses
+        "x : a, call(b)": [],  # a ',' closes it
+        "x : (a; call(b))": [],  # so does a ';', '{' or '}' at any depth
+        "x : ({ call(b)": [],
+        'declare warning: call(* *(..)) : "m"; call(x)': ["call(* *(..))"],
+        "before(): call(a) { } call(b)": ["call(a)"],
+    }
+    for src, expected in cases.items():
+        tokens, _ = tokenize(src)
+        assert _designators(tokens) == expected, src
+
+
+def test_arguments_a_bounded_match_cannot_read_keep_their_tokens():
+    for argument in ("* f(/* c */ int)", '"x"', "* f(int,\n long)", "* f(g(h(x)))", "a[0]", "* f() // c\n"):
+        src = f"pointcut p(): call({argument}) && within(A);"
+        full, _ = reference_lexer.tokenize(src)
+        tokens, _ = tokenize(src)
+        assert _designators(tokens) == (["within(A)"] if "," not in argument else []), argument
+        call = [tok for tok in tokens if tok[3] < src.index(" && ")]
+        assert call == [tok for tok in full if tok[3] < src.index(" && ")], argument
+
+
+def test_a_designator_holding_a_type_keyword_keeps_the_next_body():
+    # The plain tokens of 'within(class)' announce a type body; the
+    # designator token does too, so the body's tokens stay.
+    tokens, _ = tokenize("aspect A { before(): within(class) { int x; } }")
+    assert _designators(tokens) == ["within(class)"]
+    assert [text for _, text, _, _, _ in tokens][-7:-1] == ["{", "int", "x", ";", "}", "}"]

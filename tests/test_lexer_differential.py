@@ -1,11 +1,12 @@
 """Differential properties: the regex lexer against the char-loop oracle.
 
 ``tokenize`` keeps no token inside a body: a brace block opened at
-parenthesis depth 0 that no type keyword announced. The first property
-applies that rule, written out again below over whole tokens, to the
-oracle's full token stream; the result must agree with ``tokenize`` on
-every token's kind, text, line and offsets, and the diagnostics must
-agree exactly. The second property is the parser's side of the rule: it
+parenthesis depth 0 that no type keyword announced. It also makes one
+DESIGNATOR token of each pattern designator read in expression mode. The
+first property applies both rules, written out again below over whole
+tokens, to the oracle's full token stream; the result must agree with
+``tokenize`` on every token's kind, text, line and offsets, and the
+diagnostics must agree exactly. The second property is the parser's side of the rule: it
 never reads inside such a block, so parsing the oracle's full tokens and
 parsing ``tokenize``'s gives the same declarations and diagnostics.
 
@@ -32,7 +33,9 @@ from helpers import MINI_UAS, REPO_ROOT, TEST_FIXTURES
 # predicates classify differently (superscript two is ``isdigit`` but not
 # ``\d``; one half is ``\w`` but not ``isalpha``), quotes, escapes and
 # comment delimiters. The declaration words and heads give the parser
-# members, initializers and pointcuts to work on.
+# members, initializers and pointcuts to work on; the designators, some
+# glued to a '.' or '@', nested too deep or holding a type keyword, give
+# expression mode its edges.
 _FRAGMENTS = [
     "class", "aspect", "pointcut", "A", "x", "_", "$", "é", "1", "0.5", ".",
     " ", "\t", "\n", "\r", "\x0b", "\x1c", "\xa0", "\u2028", "\ufeff",
@@ -43,6 +46,8 @@ _FRAGMENTS = [
     "before", "after", "around", "declare", "returning", "<", ">", ">>",
     "class A {", "void f() {", "int x = ", "int a, b", "pointcut p(): ",
     "before(): p() {", "call(* *(..))", "new B() {", "static {", "} ",
+    "?", "within(A)", "get(int[] x)", "set(", "this(class)", "args(a, b)",
+    "call(a(b(c(d))))", "X.", "declare warning: ",
 ]
 
 _texts = st.one_of(
@@ -51,24 +56,80 @@ _texts = st.one_of(
 ).filter(lambda t: '"""' not in t and not t.startswith("\ufeff"))
 
 _TYPE_WORDS = {"class", "interface", "enum", "aspect"}
+_PATTERN_WORDS = {
+    "call", "execution", "get", "set", "handler", "within", "withincode", "this",
+    "target", "args", "initialization", "preinitialization", "staticinitialization",
+}
 
 
-def _elide_bodies(tokens):
-    """Drop every token inside a body, keeping its outer braces.
+def _designator_end(tokens, i, source):
+    """Index past the pattern designator at ``tokens[i]``, or None if there is none.
+
+    The word is a pattern word, the character before it is not '.' or
+    '@', and '(' follows it with no gap. The source from the word through
+    the matching ')' holds no newline, quote, '/', ';' or brace, no square
+    bracket outside an adjacent '[]' pair, and at most three levels of
+    parentheses.
+    """
+    kind, word, _, start, end = tokens[i]
+    if kind not in (TokenKind.IDENTIFIER, TokenKind.KEYWORD) or word not in _PATTERN_WORDS:
+        return None
+    if source[start - 1 : start] in (".", "@") or tokens[i + 1][1:4:2] != ("(", end):
+        return None
+    depth = 0
+    for j in range(i + 1, len(tokens)):
+        kind = tokens[j][0]
+        if kind is TokenKind.PAREN_OPEN:
+            depth += 1
+            if depth > 3:
+                return None
+        elif kind is TokenKind.PAREN_CLOSE:
+            depth -= 1
+            if depth == 0:
+                text = source[start : tokens[j][4]]
+                if any(ch in text for ch in "\n\"'/;{}"):
+                    return None
+                if "[" in text.replace("[]", "") or "]" in text.replace("[]", ""):
+                    return None
+                return j + 1
+    return None
+
+
+def _apply_tokenize_rules(tokens, source):
+    """Drop every token inside a body, keeping its outer braces, and join designators.
 
     Track the parenthesis depth (clamped at 0) and whether a type keyword
     awaits its body; a ';' or '{' at depth 0 ends the wait, and a '{' at
     depth 0 with no wait opens a body.
+
+    A ':' at depth 0 opens expression mode, and the next ',', ';', '{' or
+    '}' at any depth closes it. In that mode, the tokens of each pattern
+    designator (see ``_designator_end``) become one DESIGNATOR token with
+    the word's line. It counts as a type keyword when its text holds one
+    anywhere, even inside another word.
     """
     kept = []
     depth = 0
     awaiting_type_body = False
+    expression = False
     i = 0
     while i < len(tokens):
         tok = tokens[i]
-        kind, text, _, _, _ = tok
+        kind, text, line, start, _ = tok
+        after = _designator_end(tokens, i, source) if expression else None
+        if after is not None:
+            end = tokens[after - 1][4]
+            kept.append((TokenKind.DESIGNATOR, source[start:end], line, start, end))
+            i = after
+            if any(word in source[start:end] for word in _TYPE_WORDS):
+                awaiting_type_body = True
+            continue
         kept.append(tok)
         i += 1
+        if expression and (text == "," or text in (";", "{", "}")):
+            expression = False
+        elif text == ":" and depth == 0:
+            expression = True
         if kind is TokenKind.KEYWORD and text in _TYPE_WORDS:
             awaiting_type_body = True
         elif kind is TokenKind.PAREN_OPEN:
@@ -116,7 +177,7 @@ def _observed(tokens, diagnostics):
 def test_regex_lexer_matches_char_loop_oracle(text):
     full, full_diagnostics = reference_lexer.tokenize(text, file="F.java")
     assert _observed(*tokenize(text, file="F.java")) == _observed(
-        _elide_bodies(full), full_diagnostics
+        _apply_tokenize_rules(full, text), full_diagnostics
     )
 
 
@@ -136,6 +197,20 @@ def _parsed_from_full_tokens(text: str, file: str):
 @example("aspect A { pointcut p(): a()) { ( } ; int y; }")  # body past a stray ')'
 @example("class A { int x = a[ { ( } ]; int y; }")  # body inside brackets
 @example("aspect A { before(): a() { ( } int y; }")
+# A designator token read where the parser reads word by word: each needs
+# its plain tokens back.
+@example("class A { x : call(* *(..)) ; }")
+@example("x : within(class) A { int y; }")
+@example("class A { int a b : call(x, y) ; }")
+@example("class A { int a = b, c : call(x, y) ; }")
+@example("class A { x : void f(call( y )) {} }")
+@example("aspect A { : pointcut call(y) : call(z); }")
+# Where expression mode must close early: a ',' or ';' inside parentheses,
+# a '}' at any depth.
+@example("aspect A { declare x : ( a ; call(b) ) ; int q; }")
+@example("class A { int a = b ? c : ( d ] , call(x) ) ; int e; }")
+@example("aspect A { declare x : ( } call(b) class B { int z; }")
+@example("aspect A { before(): within(class) { int x; } int y; }")
 def test_parser_never_reads_inside_a_body(text):
     assert _declarations(parse_source(text, "F.java")) == _parsed_from_full_tokens(
         text, "F.java"

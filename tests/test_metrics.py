@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -732,6 +733,17 @@ def test_type_annotations_inside_method_heads_are_skipped():
     ]
 
 
+def test_a_designator_after_a_ternary_leaves_the_next_member_alone():
+    # ``get(b)`` after the ternary's ':' is one token; ``set`` after the ';' is not.
+    unit = parse_source("class C { int y = c ? a : get(b);\n void set(int v) {} }", "C.java")
+    m = measure_version("v", [unit], W)
+    assert m.diagnostics == []
+    assert [line for line in write_log([unit], m).splitlines() if "METHOD" in line or "ATTRIBUTE" in line] == [
+        "  METHOD void set(int v)",
+        "  ATTRIBUTE int y",
+    ]
+
+
 def test_module_info_is_a_declaration_free_unit():
     # javac 17 compiles the fixture's module-info.java and Main.java together.
     version, units = parse_version_dir(TEST_FIXTURES / "module_info" / "V")
@@ -777,3 +789,23 @@ def test_deeply_nested_pointcuts_measure_through_the_cli(tmp_path, capsys):
         assert code == 0
         assert "Traceback" not in captured.err
         assert (tmp_path / "out" / f"V{i}.log").is_file()
+
+
+def test_unclosed_and_too_deep_designators_stay_linear(tmp_path, capsys):
+    # Each 'call(' starts a bounded match that fails: the first 20k never
+    # close, the next 20k nest four deep. Neither may rescan the text.
+    source = "aspect A {\n  pointcut p(): " + "call(" * 20_000 + "call((((x" * 20_000 + ";\n}\n"
+    started = time.perf_counter()
+    unit = parse_source(source, "A.aj")
+    assert [str(d) for d in unit.parse_diagnostics] == [
+        "A.aj:2: error: missing ';' after pointcut 'p'",
+        "A.aj:2: warning: malformed pointcut expression: unbalanced parentheses",
+        "A.aj:4: error: unexpected end of file inside 'A'",
+    ]
+    (tmp_path / "V").mkdir()
+    (tmp_path / "V" / "A.aj").write_text(source, encoding="utf-8")
+    code = main(["measure", str(tmp_path / "V"), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - started < 20
+    assert code == 0
+    assert "Traceback" not in captured.err

@@ -451,3 +451,10 @@ def test_a_malformed_module_declaration_is_an_error():
         assert _diagnostics(unit) == [
             "module-info.java:1: error: unexpected token at top level: 'module'"
         ], source
+
+
+def test_a_declare_statement_with_a_designator_is_skipped_whole():
+    unit = parse_source('aspect A { declare warning: call(* *(..)) : "m"; int z; }', "A.aj")
+    assert _diagnostics(unit) == []
+    assert unit.aspects[0].pointcuts == [] and unit.aspects[0].advices == []
+    assert _members(unit) == [["A", "z"]]

@@ -3,6 +3,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aometrics import parse_source
 from aometrics.diagnostics import Severity
 from aometrics.lexer import tokenize
 from aometrics.pointcuts import (
@@ -22,6 +23,12 @@ def _parse(text: str, **kwargs):
     """Tokenize ``text`` and parse all of it as one pointcut expression."""
     tokens, _ = tokenize(text)
     return parse_pointcut_expression(tokens, text, **kwargs)
+
+
+def _declared(text: str):
+    """Parse ``text`` as a pointcut's expression, where the lexer reads each designator whole."""
+    unit = parse_source(f"aspect A {{ pointcut p(): {text}; }}", "A.aj")
+    return unit.aspects[0].pointcuts[0].expression, [str(d) for d in unit.parse_diagnostics]
 
 
 def test_single_primitive():
@@ -220,3 +227,33 @@ def test_adding_wildcards_never_decreases_level(type_pat, name_pat, ret_pat, par
     assert level(type_pat, name_pat + "*", ret_pat, params) >= base
     assert level(type_pat, name_pat, "*", params) >= base
     assert level(type_pat, name_pat, ret_pat, "..") >= base
+
+
+_MALFORMED_NAME = "A.aj:1: warning: malformed pointcut expression: expected a designator or pointcut name"
+
+
+def test_designator_edges_read_as_their_plain_tokens_did():
+    cases = {
+        "Base.call() && X.within()": (And(NamedRef("Base.call"), NamedRef("X.within")), []),
+        "@within(A)": (Primitive("", "@within(A)", known=False), [_MALFORMED_NAME]),
+        "cflow(call(* f()))": (Primitive("cflow", "call(* f())"), []),
+        "if(x > 0)": (
+            Primitive("if", "x > 0", known=False),
+            ["A.aj:1: warning: unknown pointcut designator 'if'"],
+        ),
+        "call (* f())": (Primitive("call", "* f()"), []),
+        "call(\tvoid  A.g( ) )": (Primitive("call", "void A.g( )"), []),
+        "within(a.b) && get(int[] A.x)": (
+            And(Primitive("within", "a.b"), Primitive("get", "int[] A.x")),
+            [],
+        ),
+        # Arguments the lexer leaves to the fallback: a comment, a string, a
+        # newline, nesting four deep, a bracket that is not '[]'.
+        "call(* f(/* c */ int))": (Primitive("call", "* f( int)"), []),
+        'args("x")': (Primitive("args", '"x"'), []),
+        "call(* f(int,\n long))": (Primitive("call", "* f(int, long)"), []),
+        "call(* f(g(h(x))))": (Primitive("call", "* f(g(h(x)))"), []),
+        "get(int A.[x])": (Primitive("get", "int A.[x]"), []),
+    }
+    for text, expected in cases.items():
+        assert _declared(text) == expected, text

@@ -3,7 +3,10 @@
 ``parse_pointcut_expression`` parses the lexer's tokens of an expression;
 ``reference_pointcuts`` scans the expression's text a second time, one
 character at a time. For every text the lexer accepts without a
-diagnostic, both must give the same tree and the same diagnostics.
+diagnostic, both must give the same tree and the same diagnostics. Each
+text is parsed twice: alone, where the lexer emits plain tokens, and
+behind ``pointcut p(): ``, where its expression mode reads each pattern
+designator as one token.
 
 The two differ on purpose where the lexer knows better than the old
 scan, and the texts below avoid those inputs: a string or character
@@ -36,11 +39,14 @@ _FRAGMENTS = [
     "/* */", "/* c */", "// c\n",
     "within(A)", "call(* *.f(..))", "p()", "Other.q()", "a . b()", "a.b()", "a. b()",
     'args(")")', "within('(')", 'call(void f("/*", "*/"))', 'h("a\\"b(")', "if(x)",
+    "get(int[] x)", "set(", "args(a, b)", "this(T)", "Base.call()", "@within(A)",
+    "cflow(call(* f()))", "call (* f())", "call(* f(g(h(x))))", "[", "]", "[]",
 ]
 
 _SEPARATORS = st.sampled_from(["", " ", "\n", "/* */", "// c\n", "\t"])
 _LEAVES = st.sampled_from(
-    ["within(A)", "call(* *.f(..))", 'args(")")', "p()", "a.b()", "if(x)", "this(T)"]
+    ["within(A)", "call(* *.f(..))", 'args(")")', "p()", "a.b()", "if(x)", "this(T)",
+     "args(a, b)", "cflow(call(* f(int[])))", "X.within()", "execution(* f(a(b(c))))", "set( * x\t)"]
 )
 
 
@@ -75,15 +81,20 @@ _texts = st.one_of(
 @example("((a()) ; b()")
 @example("a() { b() }")
 @example("  \n")
+@example("Base.call() && X.within() && @within(A)")
+@example("cflow(call(* f())) && call (* f()) || args(a, b)")
 def test_token_parser_matches_text_oracle(text):
-    tokens, lex_diagnostics = tokenize(text, file="A.aj")
-    assume(not lex_diagnostics)
-    diagnostics, oracle_diagnostics = [], []
-    expr = parse_pointcut_expression(
-        tokens, text, diagnostics=diagnostics, file="A.aj", line=3
-    )
-    oracle = reference_pointcuts.parse_pointcut_expression(
-        text[tokens[0][3] :], diagnostics=oracle_diagnostics, file="A.aj", line=3
-    )
-    assert expr == oracle
-    assert [str(d) for d in diagnostics] == [str(d) for d in oracle_diagnostics]
+    for prefix in ("", "pointcut p(): "):
+        source = prefix + text
+        tokens, lex_diagnostics = tokenize(source, file="A.aj")
+        assume(not lex_diagnostics)
+        tokens = tokens[len(tokenize(prefix)[0]) - 1 :]  # the prefix's tokens, less END
+        diagnostics, oracle_diagnostics = [], []
+        expr = parse_pointcut_expression(
+            tokens, source, diagnostics=diagnostics, file="A.aj", line=3
+        )
+        oracle = reference_pointcuts.parse_pointcut_expression(
+            source[tokens[0][3] :], diagnostics=oracle_diagnostics, file="A.aj", line=3
+        )
+        assert expr == oracle, prefix
+        assert [str(d) for d in diagnostics] == [str(d) for d in oracle_diagnostics], prefix
