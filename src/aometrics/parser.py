@@ -705,7 +705,19 @@ class _DeclParser:
         # C-style array return: ``int f()[]`` is ``int[] f()``.
         while tokens[end][1] == "[" and tokens[end + 1][1] == "]":
             end += 2
-        signature = _normalize_tokens(type_tokens + name_tokens + tokens[pos:end])
+        # Parameter annotations are not part of the signature, as in the head.
+        params = tokens[pos:end]
+        if "@" in self.source[tokens[pos][3] : tokens[end - 1][4]]:
+            params = []
+            kept = at = pos
+            while at < end:
+                if tokens[at][1] == "@":
+                    params.extend(tokens[kept:at])
+                    at = kept = self.annotation_end(at)
+                else:
+                    at += 1
+            params.extend(tokens[kept:end])
+        signature = _normalize_tokens(type_tokens + name_tokens + params)
         line = name_tokens[0][2]
         pos = end
         if tokens[pos][1] == "throws":

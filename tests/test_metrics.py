@@ -733,6 +733,20 @@ def test_type_annotations_inside_method_heads_are_skipped():
     ]
 
 
+def test_parameter_annotations_are_left_out_of_the_logged_signature():
+    # javac 17 accepts the fixture; X applies to parameters and type uses.
+    version, units = parse_version_dir(TEST_FIXTURES / "param_annotation" / "V")
+    m = measure_version(version, units, W)
+    assert m.diagnostics == []
+    assert [(c.class_name, c.wmca, c.attribute_count) for c in m.per_class] == [("Params", 3, 0)]
+    assert [line for line in write_log(units, m).splitlines() if "METHOD" in line] == [
+        "  METHOD void f(int a)",
+        "  METHOD Params(final String s, int n)",
+        "  METHOD int g(List<String> names, long count)",
+        "  METHOD <T> void h(T t, int[] b)",
+    ]
+
+
 def test_a_designator_after_a_ternary_leaves_the_next_member_alone():
     # ``get(b)`` after the ternary's ':' is one token; ``set`` after the ';' is not.
     unit = parse_source("class C { int y = c ? a : get(b);\n void set(int v) {} }", "C.java")
