@@ -130,7 +130,7 @@ _RUN = r"[^()\[\]{};\"'/\n]*(?:\[\][^()\[\]{};\"'/\n]*)*"
 _GROUP = rf"\({_RUN}\)"
 for _ in range(2):
     _GROUP = rf"\({_RUN}(?:{_GROUP}{_RUN})*\)"
-_DESIGNATOR = rf"(?P<DESIGNATOR>(?<![.@])(?:{_PATTERN_WORDS}){_GROUP})|"
+_DESIGNATOR_PATTERN = rf"(?P<DESIGNATOR>(?<![.@])(?:{_PATTERN_WORDS}){_GROUP})|"
 
 # ``{designator}`` is empty outside expression mode. ``MODE`` is the mark
 # that may switch the mode: ':' outside it, ',' inside it.
@@ -164,7 +164,7 @@ _KEYWORD = TokenKind.KEYWORD
 _PUNCT = TokenKind.PUNCT
 _OPERATOR = TokenKind.OPERATOR
 _BRACE_CLOSE = TokenKind.BRACE_CLOSE
-_DESIGNATOR_KIND = TokenKind.DESIGNATOR
+_DESIGNATOR = TokenKind.DESIGNATOR
 
 
 @lru_cache(maxsize=32)
@@ -181,8 +181,10 @@ def _scanner(odd_digits: str = "", odd_numerics: str = ""):
     """
     digit = rf"[\d{re.escape(odd_digits)}]" if odd_digits else r"\d"
     word_start = rf"(?![{re.escape(odd_numerics)}])" if odd_numerics else ""
-    plain = _TOKENS.format(designator="", digit=digit, word_start=word_start, mode=":")
-    expression = _TOKENS.format(designator=_DESIGNATOR, digit=digit, word_start=word_start, mode=",")
+    plain = _TOKENS.format(designator="", mode=":", digit=digit, word_start=word_start)
+    expression = _TOKENS.format(
+        designator=_DESIGNATOR_PATTERN, mode=",", digit=digit, word_start=word_start
+    )
     return (
         re.compile(f"{_SKIP}(?:{plain})").finditer,
         re.compile(f"{_SKIP}(?:{expression})").finditer,
@@ -284,7 +286,7 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
                         break
             elif group == "DESIGNATOR":
                 word = text[start:end]
-                append((_DESIGNATOR_KIND, word, line, start, end))
+                append((_DESIGNATOR, word, line, start, end))
                 if "class" in word or "enum" in word or "interface" in word or "aspect" in word:
                     pending = True
             elif group == "OPERATOR":
@@ -342,4 +344,5 @@ def split_designator(token: Token) -> list[Token]:
     the source.
     """
     _, text, line, start, _ = token
-    return [(kind, word, line, start + s, start + e) for kind, word, _, s, e in tokenize(text)[0][:-1]]
+    tokens, _ = tokenize(text)
+    return [(kind, word, line, start + s, start + e) for kind, word, _, s, e in tokens[:-1]]
