@@ -20,18 +20,20 @@ form not glued to a '.' or '@' before it, becomes one DESIGNATOR token
 together with its argument, such as ``call(void A.g())``: the pointcut
 parser reads that argument only as text. ``cflow``, ``cflowbelow``, ``if``
 and named references keep their tokens. The argument is read by a bounded
-match (see ``_GROUP``); an argument it cannot read, such as one holding a
-comment, a literal or a newline, falls back to plain tokens, so the
-declaration and pointcut parsers see the same program either way. A
-failed match costs linear time (see ``_GROUP``). ``split_designator``
-gives a DESIGNATOR token's plain tokens back.
+match; an argument it cannot read, such as one holding a comment, a
+literal or a newline, falls back to plain tokens, so the declaration and
+pointcut parsers see the same program either way, and a failed match
+costs linear time (see ``_GROUP``). ``split_designator`` gives a
+DESIGNATOR token's plain tokens back.
 
-One compiled alternation per mode does the scan. Each match is the blanks,
+One compiled alternation does the whole scan. Each match is the blanks,
 comments and closed literals before a token (the skipped prefix) followed
 by one named alternative; ``tokenize`` dispatches on ``m.lastgroup`` and
 recovers line numbers by counting newlines between matches. Newlines
 escaped inside a literal are not counted, so a line cannot be recovered
 later from a plain table of newline offsets; each token carries its own.
+A designator's argument is matched by a second, small pattern right
+after its word, and the scan resumes behind it.
 
 The declaration parser never reads a statement, so the inside of a body
 (a brace block at parenthesis depth 0 that no type keyword announced) is
@@ -116,32 +118,33 @@ _EVENTS = (
 # Every pattern-designator word: its argument is a pattern, which the
 # pointcut parser reads as text. ``cflow``, ``cflowbelow`` and ``if`` take
 # a pointcut or an expression and are not among them.
-_PATTERN_WORDS = (
-    r"call|execution|get|set|handler|withincode|within|this|target|args"
-    r"|(?:pre|static)?initialization"
+_PATTERN_WORDS = frozenset(
+    {
+        "call", "execution", "get", "set", "handler", "within", "withincode",
+        "this", "target", "args", "initialization", "preinitialization",
+        "staticinitialization",
+    }
 )
-# A designator's argument, read only when it is cheap to read: no newline,
-# comment, literal, ';' or brace; square brackets only as '[]' pairs; at
-# most three levels of parentheses, counting its own. Every run is
-# unrolled, so an attempt backtracks over each character once. An attempt
-# still open at a character holds a '(' open there for every later one,
-# so at most three attempts pass any character, and time stays linear.
+# A designator's argument, matched right after its word and read only
+# when it is cheap to read: no newline, comment, literal, ';' or brace;
+# square brackets only as '[]' pairs; at most three levels of parentheses,
+# counting its own. Every run is unrolled, so an attempt backtracks over
+# each character once. An attempt still open at a character holds a '('
+# open there for every later one, so at most three attempts pass any
+# character, and time stays linear.
 _RUN = r"[^()\[\]{};\"'/\n]*(?:\[\][^()\[\]{};\"'/\n]*)*"
 _GROUP = rf"\({_RUN}\)"
 for _ in range(2):
     _GROUP = rf"\({_RUN}(?:{_GROUP}{_RUN})*\)"
-_DESIGNATOR_PATTERN = rf"(?P<DESIGNATOR>(?<![.@])(?:{_PATTERN_WORDS}){_GROUP})|"
 
-# ``{designator}`` is empty outside expression mode. ``MODE`` is the mark
-# that may switch the mode: ':' outside it, ',' inside it.
+# ``MODE`` marks switch expression mode: ':' may open it, ',' closes it.
 _TOKENS = (
-    r"{designator}"
     r"(?P<NUMBER>{digit}(?:[\w$]|\.{digit})*)"
     r"|(?P<WORD>{word_start}[\w$]+)"
     r"|(?P<SINGLE>[{{}}();])"
     rf"|{_EVENTS}"
     r"|(?P<OPERATOR>&&|\|\||[=!<>+\-*/%&|^]=|<<|>>|\+\+|--|->|::|[&|!<>=+\-*/%^~?])"
-    r"|(?P<MODE>{mode})"
+    r"|(?P<MODE>[:,])"
     r"|(?P<PUNCT>.)"
     r"|(?P<END>\Z)"
 )
@@ -169,9 +172,9 @@ _DESIGNATOR = TokenKind.DESIGNATOR
 
 @lru_cache(maxsize=32)
 def _scanner(odd_digits: str = "", odd_numerics: str = ""):
-    """Compile the plain and the expression-mode scanner, as a pair.
+    """Compile the scanner, widening its classes for a few odd characters.
 
-    Both widen their classes for a few odd characters.
+    Returns its ``finditer`` and the ``match`` of a designator's argument.
 
     ``\\d`` is ``str.isdecimal`` but numbers start at ``str.isdigit``, so
     ``odd_digits`` (digits that are not decimal, e.g. superscript two)
@@ -181,14 +184,8 @@ def _scanner(odd_digits: str = "", odd_numerics: str = ""):
     """
     digit = rf"[\d{re.escape(odd_digits)}]" if odd_digits else r"\d"
     word_start = rf"(?![{re.escape(odd_numerics)}])" if odd_numerics else ""
-    plain = _TOKENS.format(designator="", mode=":", digit=digit, word_start=word_start)
-    expression = _TOKENS.format(
-        designator=_DESIGNATOR_PATTERN, mode=",", digit=digit, word_start=word_start
-    )
-    return (
-        re.compile(f"{_SKIP}(?:{plain})").finditer,
-        re.compile(f"{_SKIP}(?:{expression})").finditer,
-    )
+    tokens = _TOKENS.format(digit=digit, word_start=word_start)
+    return re.compile(f"{_SKIP}(?:{tokens})").finditer, re.compile(_GROUP).match
 
 
 def _scanner_for(text: str):
@@ -244,7 +241,7 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
     diagnostics: list[Diagnostic] = []
     append = tokens.append
     count = text.count
-    scanners = _scanner_for(text)
+    scan, argument = _scanner_for(text)
     line = 1
     last = 0  # newlines before ``last`` are already in ``line``
     pos = 1 if text.startswith("\ufeff") else 0
@@ -254,7 +251,7 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
 
     while True:
         body = False
-        for m in scanners[expression](text, pos):
+        for m in scan(text, pos):
             group = m.lastgroup
             start, end = m.span(group)
             if start != last:
@@ -262,6 +259,15 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
             last = end
             if group == "WORD":
                 word = text[start:end]
+                if expression and word in _PATTERN_WORDS and text[start - 1] not in ".@":
+                    arg = argument(text, end)
+                    if arg:
+                        last = end = arg.end()
+                        word = text[start:end]
+                        append((_DESIGNATOR, word, line, start, end))
+                        if "class" in word or "enum" in word or "interface" in word or "aspect" in word:
+                            pending = True
+                        break  # the scan resumes after the argument
                 if word in KEYWORDS:
                     append((_KEYWORD, word, line, start, end))
                     if word in TYPE_KEYWORDS:
@@ -277,27 +283,20 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
                     if depth:
                         depth -= 1
                 else:
+                    expression = False
                     if depth == 0 and word != "}":
                         if word == "{" and not pending:
                             body = True
+                            break  # a body
                         pending = False
-                    if expression or body:
-                        expression = False
-                        break
-            elif group == "DESIGNATOR":
-                word = text[start:end]
-                append((_DESIGNATOR, word, line, start, end))
-                if "class" in word or "enum" in word or "interface" in word or "aspect" in word:
-                    pending = True
             elif group == "OPERATOR":
                 append((_OPERATOR, text[start:end], line, start, end))
             elif group == "PUNCT" or group == "NUMBER":
                 append((_PUNCT, text[start:end], line, start, end))
             elif group == "MODE":
-                append((_PUNCT, text[start], line, start, end))
-                if expression or depth == 0:
-                    expression = not expression
-                    break
+                word = text[start]
+                append((_PUNCT, word, line, start, end))
+                expression = word == ":" and (expression or depth == 0)
             elif group in _UNTERMINATED:
                 last = _report(group, text, start, end, file, line, diagnostics)
             # else LITERAL (closed, but spans a backslash-newline: not

@@ -807,8 +807,15 @@ def test_deeply_nested_pointcuts_measure_through_the_cli(tmp_path, capsys):
 
 def test_unclosed_and_too_deep_designators_stay_linear(tmp_path, capsys):
     # Each 'call(' starts a bounded match that fails: the first 20k never
-    # close, the next 20k nest four deep. Neither may rescan the text.
-    source = "aspect A {\n  pointcut p(): " + "call(" * 20_000 + "call((((x" * 20_000 + ";\n}\n"
+    # close, the next 20k nest four deep, and the last runs 60k characters
+    # into the ';'. None may rescan the text.
+    source = (
+        "aspect A {\n  pointcut p(): "
+        + "call(" * 20_000
+        + "call((((x" * 20_000
+        + "call(" + "a, " * 20_000
+        + ";\n}\n"
+    )
     started = time.perf_counter()
     unit = parse_source(source, "A.aj")
     assert [str(d) for d in unit.parse_diagnostics] == [
