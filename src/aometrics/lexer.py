@@ -265,7 +265,10 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
                         last = end = arg.end()
                         word = text[start:end]
                         append((_DESIGNATOR, word, line, start, end))
-                        if "class" in word or "enum" in word or "interface" in word or "aspect" in word:
+                        if (
+                            "class" in word or "enum" in word
+                            or "interface" in word or "aspect" in word
+                        ):
                             pending = True
                         break  # the scan resumes after the argument
                 if word in KEYWORDS:
@@ -336,7 +339,7 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
 
 
 def split_designator(token: Token) -> list[Token]:
-    """The tokens that a DESIGNATOR token stands for, as plain mode emits them.
+    """The tokens that a DESIGNATOR token stands for, as they are outside expression mode.
 
     Its text holds no newline, comment, literal or brace, so lexing the
     text alone gives the same tokens; their offsets are moved back into
