@@ -54,7 +54,6 @@ from .weights import (
     WeightTable,
     default_weights,
     load_weight_overrides,
-    signature_weight,
 )
 
 __version__ = "0.1.0"

@@ -118,7 +118,7 @@ _EVENTS = (
 # Every pattern-designator word: its argument is a pattern, which the
 # pointcut parser reads as text. ``cflow``, ``cflowbelow`` and ``if`` take
 # a pointcut or an expression and are not among them.
-_PATTERN_WORDS = frozenset(
+PATTERN_DESIGNATORS = frozenset(
     {
         "call", "execution", "get", "set", "handler", "within", "withincode",
         "this", "target", "args", "initialization", "preinitialization",
@@ -259,7 +259,7 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
             last = end
             if group == "WORD":
                 word = text[start:end]
-                if expression and word in _PATTERN_WORDS and text[start - 1] not in ".@":
+                if expression and word in PATTERN_DESIGNATORS and text[start - 1] not in ".@":
                     arg = argument(text, end)
                     if arg:
                         last = end = arg.end()

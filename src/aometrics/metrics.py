@@ -151,15 +151,9 @@ class PointcutFacts(FrozenRecord):
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "categories", categories)
 
-    def pointcut_weight(self, table: WeightTable) -> Weight:
-        """CW of a pointcut: designator weights plus signature weights."""
-        return Weight(_pointcut_units(self, table), table.scale)
-
-    def joinpoint_weight(self, table: WeightTable) -> Weight:
-        return Weight(_joinpoint_units(self, table), table.scale)
-
 
 def _pointcut_units(facts: PointcutFacts, table: WeightTable) -> int:
+    """CW of a pointcut in table units: designator plus signature weights."""
     designator_weights = table.designator_weights
     level_weights = table.signature_level_weights
     units = 0

@@ -183,7 +183,10 @@ def _normalize_tokens(tokens: list[Token]) -> str:
     prev = ""
     for tok in tokens:
         text = tok[1]
-        if parts and text not in _NO_SPACE_BEFORE and prev not in _NO_SPACE_AFTER:
+        # A blank follows the last '.' of a varargs '...', as javac prints it.
+        if parts and text not in _NO_SPACE_BEFORE and (
+            prev not in _NO_SPACE_AFTER or parts[-2:] == [".", "."]
+        ):
             parts.append(" ")
         parts.append(text)
         prev = text
@@ -291,10 +294,32 @@ class _DeclParser:
         pos += 1
         while tokens[pos][0] is _IDENTIFIER:
             pos += 1
-            if tokens[pos][1] != ".":
+            # A '.' with no name after it is not the annotation's: ``int @X ... r``.
+            if tokens[pos][1] != "." or tokens[pos + 1][0] is not _IDENTIFIER:
                 break
             pos += 1
         return self.paren_end(pos)
+
+    def without_annotations(self, start: int, end: int) -> list[Token]:
+        """``tokens[start:end]`` without the annotations among them.
+
+        A signature leaves annotations out: ``int @X [] a`` declares
+        ``int[] a``, ``java.util.@X List<T> f()`` returns ``java.util.List<T>``
+        and ``void f(@X int a)`` logs ``void f(int a)``.
+        """
+        tokens = self.tokens
+        if "@" not in self.source[tokens[start][3] : tokens[end - 1][4]]:
+            return tokens[start:end]
+        kept: list[Token] = []
+        resume = pos = start
+        while pos < end:
+            if tokens[pos][1] == "@":
+                kept.extend(tokens[resume:pos])
+                pos = resume = self.annotation_end(pos)
+            else:
+                pos += 1
+        kept.extend(tokens[resume:end])
+        return kept
 
     def expression_end(self, pos: int) -> int:
         """Position of the first ';', '{' or END at paren depth 0 from ``pos``.
@@ -389,8 +414,8 @@ class _DeclParser:
         while True:
             text = tokens[self.pos][1]
             if text == "@":
-                if tokens[self.pos + 1][1] == "interface":
-                    return is_abstract
+                # The modifiers before an annotation type are its own.
+                is_abstract = is_abstract and tokens[self.pos + 1][1] != "interface"
                 self.skip_annotation()
             elif text in MODIFIER_WORDS:
                 is_abstract = is_abstract or text == "abstract"
@@ -635,12 +660,6 @@ class _DeclParser:
         tokens = self.tokens
         start = pos = self.pos
         angle_depth = 0
-        # The head without its type annotations: ``int a @X []`` and
-        # ``int @X [] a`` declare ``int[] a``, and ``java.util.@X List<T> f()``
-        # returns ``java.util.List<T>``. ``kept`` is where the head resumes
-        # after the last annotation.
-        head: list[Token] = []
-        kept = start
         while True:
             kind, text, line, _, _ = tokens[pos]
             if kind is _OPERATOR:
@@ -661,15 +680,13 @@ class _DeclParser:
             elif kind is _PAREN_OPEN:
                 if angle_depth == 0:
                     self.pos = pos
-                    head.extend(tokens[kept:pos])
-                    self.finish_method(container, head)
+                    self.finish_method(container, self.without_annotations(start, pos))
                     return
             elif kind is _SEMICOLON or text == ",":
                 if angle_depth == 0:
                     break
             elif text == "@":
-                head.extend(tokens[kept:pos])
-                pos = kept = self.annotation_end(pos)
+                pos = self.annotation_end(pos)
                 continue
             elif kind is _BRACE_OPEN:
                 self.warn(line, "unexpected '{' in member declaration")
@@ -684,8 +701,7 @@ class _DeclParser:
                 self.split_designators(pos)
             pos += 1
         self.pos = pos
-        head.extend(tokens[kept:pos])
-        self.finish_field(container, head)
+        self.finish_field(container, self.without_annotations(start, pos))
 
     def finish_method(self, container: UnitDecl, head: list[Token]) -> None:
         """Finish the method or constructor whose parameter list opens at the cursor."""
@@ -705,18 +721,7 @@ class _DeclParser:
         # C-style array return: ``int f()[]`` is ``int[] f()``.
         while tokens[end][1] == "[" and tokens[end + 1][1] == "]":
             end += 2
-        # Parameter annotations are not part of the signature, as in the head.
-        params = tokens[pos:end]
-        if "@" in self.source[tokens[pos][3] : tokens[end - 1][4]]:
-            params = []
-            kept = at = pos
-            while at < end:
-                if tokens[at][1] == "@":
-                    params.extend(tokens[kept:at])
-                    at = kept = self.annotation_end(at)
-                else:
-                    at += 1
-            params.extend(tokens[kept:end])
+        params = self.without_annotations(pos, end)
         signature = _normalize_tokens(type_tokens + name_tokens + params)
         line = name_tokens[0][2]
         pos = end

@@ -13,15 +13,11 @@ import re
 from typing import Union
 
 from .diagnostics import Diagnostic, FrozenRecord, warning
-from .lexer import KEYWORDS, Token, TokenKind
+from .lexer import KEYWORDS, PATTERN_DESIGNATORS, Token, TokenKind
 
-DESIGNATORS = frozenset(
-    {
-        "execution", "call", "get", "set", "handler", "within", "withincode",
-        "cflow", "cflowbelow", "adviceexecution", "this", "target", "args",
-        "initialization", "preinitialization", "staticinitialization",
-    }
-)
+#: Every designator: the pattern designators, and those whose argument is a
+#: pointcut or empty.
+DESIGNATORS = PATTERN_DESIGNATORS | {"cflow", "cflowbelow", "adviceexecution"}
 
 #: Designators that carry a member signature inside their argument.
 KINDED_DESIGNATORS = frozenset({"execution", "call", "get", "set", "handler"})

@@ -39,9 +39,6 @@ class Weight(FrozenRecord):
         whole, frac = divmod(self.units, self.scale)
         return f"{whole}.{frac:0{decimals}d}"
 
-    def is_zero(self) -> bool:
-        return self.units == 0
-
     @classmethod
     def from_decimal(cls, value: Decimal, scale: int) -> "Weight":
         units = value * scale
@@ -73,38 +70,6 @@ class SpecificityLevel(IntEnum):
     WILDCARD_OR_UNQUALIFIED_CLASS = 5
 
 
-_DESIGNATOR_TENTHS = {"execution": 1, "call": 2, "get": 3, "set": 4, "handler": 5}
-
-_ADVICE_TENTHS = {
-    AdviceKind.BEFORE: 1,
-    AdviceKind.AFTER: 1,
-    AdviceKind.AFTER_RETURNING: 1,
-    AdviceKind.AFTER_THROWING: 1,
-    AdviceKind.AROUND: 2,
-}
-
-_JOINPOINT_TENTHS = {
-    JoinPointCategory.METHOD_EXECUTION: 1,
-    JoinPointCategory.METHOD_CALL: 2,
-    JoinPointCategory.EXCEPTION_HANDLING: 3,
-    JoinPointCategory.WITHIN_ADVICE: 4,
-    JoinPointCategory.ATTRIBUTE: 5,
-    JoinPointCategory.PARTICULAR_METHOD: 6,
-    JoinPointCategory.PARTICULAR_CLASS: 7,
-    JoinPointCategory.PARTICULAR_PACKAGE: 8,
-    JoinPointCategory.CONTROL_FLOW: 9,
-    JoinPointCategory.BOOLEAN_OR_COMBINED: 10,
-}
-
-_SIGNATURE_TENTHS = {
-    SpecificityLevel.FULLY_QUALIFIED: 1,
-    SpecificityLevel.WILDCARD_PARAMS: 2,
-    SpecificityLevel.WILDCARD_RETURN: 3,
-    SpecificityLevel.WILDCARD_NAME: 4,
-    SpecificityLevel.WILDCARD_OR_UNQUALIFIED_CLASS: 5,
-}
-
-
 class WeightTable(FrozenRecord):
     __slots__ = (
         "designator_weights", "advice_weights", "joinpoint_type_weights",
@@ -125,41 +90,44 @@ class WeightTable(FrozenRecord):
         object.__setattr__(self, "signature_level_weights", signature_level_weights)
         object.__setattr__(self, "scale", scale)
 
-    def zero(self) -> Weight:
-        return Weight(0, self.scale)
 
-    def designator(self, name: str) -> Weight | None:
-        return self.designator_weights.get(name)
+# One entry per override-file section, in WeightTable's field order: how an
+# entry name becomes the table's key, and the default tenths by entry name,
+# as README lists them.
+_SECTIONS = {
+    "designator": (str, {"execution": 1, "call": 2, "get": 3, "set": 4, "handler": 5}),
+    "advice": (AdviceKind, {
+        "before": 1, "after": 1, "after_returning": 1, "after_throwing": 1, "around": 2,
+    }),
+    "joinpoint_type": (JoinPointCategory, {
+        "method_execution": 1, "method_call": 2, "exception_handling": 3, "within_advice": 4,
+        "attribute": 5, "particular_method": 6, "particular_class": 7,
+        "particular_package": 8, "control_flow": 9, "boolean_or_combined": 10,
+    }),
+    "signature_level": (lambda name: SpecificityLevel[name.upper()], {
+        "fully_qualified": 1, "wildcard_params": 2, "wildcard_return": 3,
+        "wildcard_name": 4, "wildcard_or_unqualified_class": 5,
+    }),
+}
 
-    def advice(self, kind: AdviceKind) -> Weight:
-        return self.advice_weights[kind]
 
-    def joinpoint(self, category: JoinPointCategory) -> Weight:
-        return self.joinpoint_type_weights[category]
-
-    def signature_level(self, level: SpecificityLevel) -> Weight:
-        return self.signature_level_weights[level]
-
-
-def _build_table(scale: int) -> WeightTable:
+def _build_table(scale: int, overrides: dict[str, dict[str, Decimal]]) -> WeightTable:
+    """The defaults at ``scale``, with each overridden entry replaced."""
     factor = scale // 10
-    return WeightTable(
-        designator_weights={k: Weight(v * factor, scale) for k, v in _DESIGNATOR_TENTHS.items()},
-        advice_weights={k: Weight(v * factor, scale) for k, v in _ADVICE_TENTHS.items()},
-        joinpoint_type_weights={k: Weight(v * factor, scale) for k, v in _JOINPOINT_TENTHS.items()},
-        signature_level_weights={k: Weight(v * factor, scale) for k, v in _SIGNATURE_TENTHS.items()},
-        scale=scale,
-    )
+    sections = []
+    for section, (key_of, tenths) in _SECTIONS.items():
+        given = overrides.get(section, {})
+        sections.append({
+            key_of(name): Weight.from_decimal(given[name], scale) if name in given
+            else Weight(units * factor, scale)
+            for name, units in tenths.items()
+        })
+    return WeightTable(*sections, scale)
 
 
 def default_weights() -> WeightTable:
     """The built-in weight tables, in exact tenths."""
-    return _build_table(10)
-
-
-def signature_weight(pat: SignaturePattern, table: WeightTable) -> Weight:
-    """Weight of the highest specificity level the pattern triggers."""
-    return table.signature_level(signature_specificity(pat))
+    return _build_table(10, {})
 
 
 def signature_specificity(pat: SignaturePattern) -> SpecificityLevel:
@@ -172,13 +140,6 @@ def signature_specificity(pat: SignaturePattern) -> SpecificityLevel:
     if ".." in pat.params_pattern or "*" in pat.params_pattern:
         return SpecificityLevel.WILDCARD_PARAMS
     return SpecificityLevel.FULLY_QUALIFIED
-
-
-_ADVICE_BY_NAME = {kind.value: kind for kind in AdviceKind}
-_CATEGORY_BY_NAME = {cat.value: cat for cat in JoinPointCategory}
-_LEVEL_BY_NAME = {level.name.lower(): level for level in SpecificityLevel}
-
-_SECTIONS = ("designator", "advice", "joinpoint_type", "signature_level")
 
 
 def _coerce_decimal(section: str, key: str, value: object) -> Decimal:
@@ -220,15 +181,9 @@ def load_weight_overrides(config_path: Path | str) -> WeightTable:
             key: _coerce_decimal(section, key, value) for key, value in entries.items()
         }
 
-    known = {
-        "designator": set(_DESIGNATOR_TENTHS),
-        "advice": set(_ADVICE_BY_NAME),
-        "joinpoint_type": set(_CATEGORY_BY_NAME),
-        "signature_level": set(_LEVEL_BY_NAME),
-    }
     for section, entries in overrides.items():
         for key in entries:
-            if key not in known[section]:
+            if key not in _SECTIONS[section][1]:
                 raise UnknownWeightKey(f"unknown {section} name {key!r}")
 
     needs_hundredths = any(
@@ -237,22 +192,4 @@ def load_weight_overrides(config_path: Path | str) -> WeightTable:
         for dec in entries.values()
     )
     scale = 100 if needs_hundredths else 10
-    base = _build_table(scale)
-
-    def merged(weights: dict, section: str, by_name: dict | None = None) -> dict:
-        out = dict(weights)
-        for key, dec in overrides.get(section, {}).items():
-            out[by_name[key] if by_name else key] = Weight.from_decimal(dec, scale)
-        return out
-
-    return WeightTable(
-        designator_weights=merged(base.designator_weights, "designator"),
-        advice_weights=merged(base.advice_weights, "advice", _ADVICE_BY_NAME),
-        joinpoint_type_weights=merged(
-            base.joinpoint_type_weights, "joinpoint_type", _CATEGORY_BY_NAME
-        ),
-        signature_level_weights=merged(
-            base.signature_level_weights, "signature_level", _LEVEL_BY_NAME
-        ),
-        scale=scale,
-    )
+    return _build_table(scale, overrides)

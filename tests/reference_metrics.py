@@ -76,20 +76,20 @@ def is_combined(expr: PointcutExpr) -> bool:
 
 def pointcut_weight(facts: PointcutFacts, table: WeightTable) -> Weight:
     """CW of a pointcut: designator weights plus signature weights."""
-    total = table.zero()
+    total = Weight(0, table.scale)
     for designator in facts.designators:
-        weight = table.designator(designator)
+        weight = table.designator_weights.get(designator)
         if weight is not None:
             total = total + weight
     for level in facts.levels:
-        total = total + table.signature_level(level)
+        total = total + table.signature_level_weights[level]
     return total
 
 
 def joinpoint_weight(facts: PointcutFacts, table: WeightTable) -> Weight:
-    total = table.zero()
+    total = Weight(0, table.scale)
     for category in facts.categories:
-        total = total + table.joinpoint(category)
+        total = total + table.joinpoint_type_weights[category]
     return total
 
 
@@ -203,9 +203,9 @@ def classify_joinpoint_categories(
 
 
 def waa_aspect(a: AspectDecl, w: WeightTable) -> Weight:
-    total = w.zero()
+    total = Weight(0, w.scale)
     for advice in a.advices:
-        total = total + w.advice(advice.kind)
+        total = total + w.advice_weights[advice.kind]
     return total
 
 
@@ -236,20 +236,18 @@ def measure_version(
 
     per_aspect: list[AspectMetrics] = []
     per_class: list[ClassMetrics] = []
-    wpa = w.zero()
-    waa = w.zero()
-    wjp = w.zero()
+    wpa = waa = wjp = zero = Weight(0, w.scale)
     method_count = 0
     attribute_count = 0
 
     for unit in usable:
         facts = classify_joinpoint_categories(unit, diags)
         for aspect in unit.aspects:
-            a_wpa = sum((pointcut_weight(facts[id(pc)], w) for pc in aspect.pointcuts), w.zero())
+            a_wpa = sum((pointcut_weight(facts[id(pc)], w) for pc in aspect.pointcuts), zero)
             a_waa = waa_aspect(aspect, w)
             a_wjp = sum(
                 (joinpoint_weight(facts[id(d)], w) for d in (*aspect.pointcuts, *aspect.advices)),
-                w.zero(),
+                zero,
             )
             per_aspect.append(
                 AspectMetrics(aspect.name, a_wpa, a_waa, a_wjp, wmca_unit(aspect))
@@ -260,7 +258,7 @@ def measure_version(
             method_count += len(aspect.methods)
             attribute_count += len(aspect.attributes)
         for qname, cls in walk_classes(unit):
-            c_wjp = sum((joinpoint_weight(facts[id(pc)], w) for pc in cls.pointcuts), w.zero())
+            c_wjp = sum((joinpoint_weight(facts[id(pc)], w) for pc in cls.pointcuts), zero)
             per_class.append(
                 ClassMetrics(qname, wmca_unit(cls), len(cls.attributes), c_wjp)
             )

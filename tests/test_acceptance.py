@@ -93,7 +93,7 @@ def test_criterion_2_zero_law_java_only():
                 units.append(parse_source(f"public class C{i} {{ {body} }}", f"C{i}.java"))
             m = measure_version(f"case{case}", units, W)
             assert m.aspect_free
-            assert m.wpa.is_zero() and m.waa.is_zero() and m.wjp.is_zero()
+            assert m.wpa.units == 0 and m.waa.units == 0 and m.wjp.units == 0
             row = render_table([m]).splitlines()[1]
             assert row.split()[-3:] == ["NA", "NA", "NA"]
 

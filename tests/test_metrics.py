@@ -558,7 +558,7 @@ def test_measure_zero_aspect_version():
     units = [parse_source("class A { int x; void f() {} }", "A.java")]
     m = measure_version("v", units, W)
     assert m.aspect_free
-    assert m.wpa.is_zero() and m.waa.is_zero() and m.wjp.is_zero()
+    assert m.wpa.units == 0 and m.waa.units == 0 and m.wjp.units == 0
     assert m.wmca == 1
     assert m.nac == Fraction(1, 1)
 
@@ -648,7 +648,7 @@ def test_java_only_versions_have_zero_aspect_metrics(bodies):
         units.append(parse_source(f"class C{i} {{ {members}}}", f"C{i}.java"))
     m = measure_version("v", units, W)
     assert m.aspect_free
-    assert m.wpa.is_zero() and m.waa.is_zero() and m.wjp.is_zero()
+    assert m.wpa.units == 0 and m.waa.units == 0 and m.wjp.units == 0
     assert m.wmca == sum(n for n, _ in bodies)
     assert m.class_attribute_count == sum(a for _, a in bodies)
 
@@ -744,6 +744,37 @@ def test_parameter_annotations_are_left_out_of_the_logged_signature():
         "  METHOD Params(final String s, int n)",
         "  METHOD int g(List<String> names, long count)",
         "  METHOD <T> void h(T t, int[] b)",
+    ]
+
+
+def test_varargs_keep_their_blank_in_the_logged_signature():
+    # javac 17 accepts each method, X being a TYPE_USE annotation.
+    source = (
+        "class A { void f(int... rest) {} void g(String[]... a) {}"
+        " void k(final int @X ... r) {} void m(@X String @X ... s) {} }"
+    )
+    unit = parse_source(source, "A.java")
+    m = measure_version("v", [unit], W)
+    assert m.diagnostics == []
+    assert m.wmca == 4
+    assert [line for line in write_log([unit], m).splitlines() if "METHOD" in line] == [
+        "  METHOD void f(int... rest)",
+        "  METHOD void g(String[]... a)",
+        "  METHOD void k(final int... r)",
+        "  METHOD void m(String... s)",
+    ]
+
+
+def test_annotation_types_are_not_measured_with_or_without_modifiers():
+    # javac 17 compiles the fixture: top-level and nested annotation types,
+    # after modifiers, after an annotation and bare, each followed by a class
+    # or a member that counts.
+    version, units = parse_version_dir(TEST_FIXTURES / "annotation_type" / "V")
+    m = measure_version(version, units, W)
+    assert m.diagnostics == []
+    assert [(c.class_name, c.wmca, c.attribute_count) for c in m.per_class] == [
+        ("Holder", 1, 1),
+        ("Plain", 1, 1),
     ]
 
 

@@ -20,10 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_metrics
-from aometrics.metrics import classify_joinpoint_categories, measure_version
+from aometrics.metrics import (
+    _joinpoint_units,
+    _pointcut_units,
+    classify_joinpoint_categories,
+    measure_version,
+)
 from aometrics.parser import parse_source
 from aometrics.pointcuts import _split_member_name
-from aometrics.weights import default_weights, load_weight_overrides
+from aometrics.weights import Weight, default_weights, load_weight_overrides
 from test_metrics import _leaf, render_model, unit_models
 
 _EXTRA_LEAVES = [
@@ -76,12 +81,12 @@ def test_facts_diagnostics_and_metrics_match_the_reference(tables, models):
         assert diags == reference_diags
         for record in facts.values():
             for table in tables:
-                assert record.pointcut_weight(table) == reference_metrics.pointcut_weight(
-                    record, table
-                )
-                assert record.joinpoint_weight(table) == reference_metrics.joinpoint_weight(
-                    record, table
-                )
+                assert Weight(
+                    _pointcut_units(record, table), table.scale
+                ) == reference_metrics.pointcut_weight(record, table)
+                assert Weight(
+                    _joinpoint_units(record, table), table.scale
+                ) == reference_metrics.joinpoint_weight(record, table)
     for table in tables:
         assert measure_version("v", units, table) == reference_metrics.measure_version(
             "v", units, table

@@ -93,6 +93,15 @@ def test_annotations_skipped():
     assert [m.name for m in unit.classes[0].methods] == ["f"]
 
 
+def test_abstract_before_an_annotation_type_is_its_own():
+    # The annotation type is skipped whole; its modifiers do not reach ``p``.
+    unit = parse_source(
+        "aspect X { abstract @interface J {} pointcut p(): call(* f()); }", "X.aj"
+    )
+    assert unit.parse_diagnostics == []
+    assert [pc.name for pc in unit.aspects[0].pointcuts] == ["p"]
+
+
 def test_generics_in_members():
     unit = parse_source(
         "class A { java.util.Map<String, Integer> cache; <T> T pick(java.util.List<T> items) { return null; } }",

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from aometrics import parse_source
 from aometrics.diagnostics import Severity
-from aometrics.lexer import tokenize
+from aometrics.lexer import PATTERN_DESIGNATORS, tokenize
 from aometrics.pointcuts import (
+    DESIGNATORS,
     And,
     NamedRef,
     Not,
@@ -16,7 +17,7 @@ from aometrics.pointcuts import (
     parse_pointcut_expression,
     render_expression,
 )
-from aometrics.weights import SpecificityLevel, default_weights, signature_specificity, signature_weight
+from aometrics.weights import SpecificityLevel, default_weights, signature_specificity
 
 
 def _parse(text: str, **kwargs):
@@ -29,6 +30,17 @@ def _declared(text: str):
     """Parse ``text`` as a pointcut's expression, where the lexer reads each designator whole."""
     unit = parse_source(f"aspect A {{ pointcut p(): {text}; }}", "A.aj")
     return unit.aspects[0].pointcuts[0].expression, [str(d) for d in unit.parse_diagnostics]
+
+
+def test_designator_lists():
+    # The lexer joins a pattern designator with its argument; the pointcut
+    # parser knows those and three whose argument is a pointcut or empty.
+    assert PATTERN_DESIGNATORS == {
+        "call", "execution", "get", "set", "handler", "within", "withincode",
+        "this", "target", "args", "initialization", "preinitialization",
+        "staticinitialization",
+    }
+    assert DESIGNATORS == PATTERN_DESIGNATORS | {"cflow", "cflowbelow", "adviceexecution"}
 
 
 def test_single_primitive():
@@ -202,7 +214,7 @@ def test_signature_weight_levels():
     ]
     for arg, expected in cases:
         pat = extract_signature_pattern(Primitive("execution", arg))
-        assert signature_weight(pat, table).render() == expected, arg
+        assert table.signature_level_weights[signature_specificity(pat)].render() == expected, arg
 
 
 def test_unqualified_class_is_highest():

@@ -29,16 +29,16 @@ def test_default_designator_weights():
 
 def test_default_advice_weights():
     table = default_weights()
-    assert table.advice(AdviceKind.BEFORE).render() == "0.1"
-    assert table.advice(AdviceKind.AFTER).render() == "0.1"
-    assert table.advice(AdviceKind.AFTER_RETURNING).render() == "0.1"
-    assert table.advice(AdviceKind.AFTER_THROWING).render() == "0.1"
-    assert table.advice(AdviceKind.AROUND).render() == "0.2"
+    assert table.advice_weights[AdviceKind.BEFORE].render() == "0.1"
+    assert table.advice_weights[AdviceKind.AFTER].render() == "0.1"
+    assert table.advice_weights[AdviceKind.AFTER_RETURNING].render() == "0.1"
+    assert table.advice_weights[AdviceKind.AFTER_THROWING].render() == "0.1"
+    assert table.advice_weights[AdviceKind.AROUND].render() == "0.2"
 
 
 def test_default_joinpoint_weights():
     table = default_weights()
-    rendered = {c.value: table.joinpoint(c).render() for c in JoinPointCategory}
+    rendered = {c.value: table.joinpoint_type_weights[c].render() for c in JoinPointCategory}
     assert rendered == {
         "method_execution": "0.1",
         "method_call": "0.2",
@@ -55,10 +55,11 @@ def test_default_joinpoint_weights():
 
 def test_default_signature_levels_ascend():
     table = default_weights()
-    values = [table.signature_level(level).units for level in SpecificityLevel]
+    values = [table.signature_level_weights[level].units for level in SpecificityLevel]
     assert values == sorted(values)
-    assert table.signature_level(SpecificityLevel.FULLY_QUALIFIED).render() == "0.1"
-    assert table.signature_level(SpecificityLevel.WILDCARD_OR_UNQUALIFIED_CLASS).render() == "0.5"
+    assert table.signature_level_weights[SpecificityLevel.FULLY_QUALIFIED].render() == "0.1"
+    widest = table.signature_level_weights[SpecificityLevel.WILDCARD_OR_UNQUALIFIED_CLASS]
+    assert widest.render() == "0.5"
 
 
 def test_defaults_are_constant():
@@ -133,16 +134,81 @@ def test_loading_overrides_leaves_the_default_table_unchanged(tmp_path: Path):
     assert defaults == fresh
     assert default_weights() == fresh
     assert table.designator_weights["call"].render() == "0.3"
-    assert table.advice(AdviceKind.AROUND).render() == "0.5"
-    assert table.joinpoint(JoinPointCategory.ATTRIBUTE).render() == "0.9"
-    assert table.signature_level(SpecificityLevel.FULLY_QUALIFIED).render() == "0.2"
+    assert table.advice_weights[AdviceKind.AROUND].render() == "0.5"
+    assert table.joinpoint_type_weights[JoinPointCategory.ATTRIBUTE].render() == "0.9"
+    assert table.signature_level_weights[SpecificityLevel.FULLY_QUALIFIED].render() == "0.2"
+
+
+# Every entry name README lists, with the key and the default tenths it
+# stands for, section by section.
+_README_ENTRIES = [
+    ("designator", "designator_weights", name, name, tenths)
+    for name, tenths in [("execution", 1), ("call", 2), ("get", 3), ("set", 4), ("handler", 5)]
+] + [
+    ("advice", "advice_weights", name, kind, tenths)
+    for name, kind, tenths in [
+        ("before", AdviceKind.BEFORE, 1),
+        ("after", AdviceKind.AFTER, 1),
+        ("after_returning", AdviceKind.AFTER_RETURNING, 1),
+        ("after_throwing", AdviceKind.AFTER_THROWING, 1),
+        ("around", AdviceKind.AROUND, 2),
+    ]
+] + [
+    ("joinpoint_type", "joinpoint_type_weights", name, category, tenths)
+    for name, category, tenths in [
+        ("method_execution", JoinPointCategory.METHOD_EXECUTION, 1),
+        ("method_call", JoinPointCategory.METHOD_CALL, 2),
+        ("exception_handling", JoinPointCategory.EXCEPTION_HANDLING, 3),
+        ("within_advice", JoinPointCategory.WITHIN_ADVICE, 4),
+        ("attribute", JoinPointCategory.ATTRIBUTE, 5),
+        ("particular_method", JoinPointCategory.PARTICULAR_METHOD, 6),
+        ("particular_class", JoinPointCategory.PARTICULAR_CLASS, 7),
+        ("particular_package", JoinPointCategory.PARTICULAR_PACKAGE, 8),
+        ("control_flow", JoinPointCategory.CONTROL_FLOW, 9),
+        ("boolean_or_combined", JoinPointCategory.BOOLEAN_OR_COMBINED, 10),
+    ]
+] + [
+    ("signature_level", "signature_level_weights", name, level, tenths)
+    for name, level, tenths in [
+        ("fully_qualified", SpecificityLevel.FULLY_QUALIFIED, 1),
+        ("wildcard_params", SpecificityLevel.WILDCARD_PARAMS, 2),
+        ("wildcard_return", SpecificityLevel.WILDCARD_RETURN, 3),
+        ("wildcard_name", SpecificityLevel.WILDCARD_NAME, 4),
+        ("wildcard_or_unqualified_class", SpecificityLevel.WILDCARD_OR_UNQUALIFIED_CLASS, 5),
+    ]
+]
+
+
+def _readme_tables(scale: int) -> dict:
+    """README's defaults at ``scale``, by WeightTable field."""
+    tables: dict = {}
+    for _, field, _, key, tenths in _README_ENTRIES:
+        tables.setdefault(field, {})[key] = Weight(tenths * scale // 10, scale)
+    return tables
+
+
+def test_readme_entries_are_the_default_tables():
+    table = default_weights()
+    for field, weights in _readme_tables(10).items():
+        assert getattr(table, field) == weights
+
+
+@pytest.mark.parametrize(("section", "field", "name", "key"), [e[:4] for e in _README_ENTRIES])
+@pytest.mark.parametrize(("value", "scale"), [(0.7, 10), (0.07, 100)])
+def test_every_override_name_lands_on_its_key(tmp_path: Path, section, field, name, key, value, scale):
+    table = load_weight_overrides(write_config(tmp_path, {section: {name: value}}))
+    assert table.scale == scale
+    expected = _readme_tables(scale)
+    expected[field][key] = Weight(7, scale)
+    for other, weights in expected.items():
+        assert getattr(table, other) == weights
 
 
 def test_two_decimal_override_switches_scale(tmp_path: Path):
     path = write_config(tmp_path, {"advice": {"around": 0.25}})
     table = load_weight_overrides(path)
     assert table.scale == 100
-    assert table.advice(AdviceKind.AROUND).render() == "0.25"
+    assert table.advice_weights[AdviceKind.AROUND].render() == "0.25"
     # Defaults carried over exactly at the new denominator.
     assert table.designator_weights["execution"].render() == "0.10"
 
@@ -192,4 +258,4 @@ def test_missing_config():
 def test_zero_override_allowed(tmp_path: Path):
     path = write_config(tmp_path, {"joinpoint_type": {"control_flow": 0}})
     table = load_weight_overrides(path)
-    assert table.joinpoint(JoinPointCategory.CONTROL_FLOW).is_zero()
+    assert table.joinpoint_type_weights[JoinPointCategory.CONTROL_FLOW].units == 0
