@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .diagnostics import relabeled, warning
+from .diagnostics import error, relabeled, warning
 from .errors import AnalysisError, TooFewVersions, WriteFailure
 from .metrics import VersionMetrics, measure_version
 from .parser import SourceUnit, file_label, parse_source
@@ -119,8 +119,13 @@ def _parse_version(
     """
     units = []
     for ref in version.files:
-        data = ref.path.read_bytes()
         label = file_label(ref)
+        try:
+            data = ref.path.read_bytes()
+        except OSError as exc:
+            message = f"cannot read file: {exc.strerror or exc}"
+            units.append(SourceUnit(file=ref, parse_diagnostics=[error(label, 0, message)]))
+            continue
         first = parsed.get(data)
         if first is None:
             text, lossy = _decode_source(data)
@@ -150,7 +155,8 @@ def _report_diagnostics(metrics: VersionMetrics) -> None:
 def _write(path: Path, text: str) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        # A path name that is not valid UTF-8 is written back as its own bytes.
+        path.write_text(text, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise WriteFailure(f"cannot write {path}: {exc}") from None
 

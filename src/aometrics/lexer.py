@@ -23,8 +23,7 @@ and named references keep their tokens. The argument is read by a bounded
 match; an argument it cannot read, such as one holding a comment, a
 literal or a newline, falls back to plain tokens, so the declaration and
 pointcut parsers see the same program either way, and a failed match
-costs linear time (see ``_GROUP``). ``split_designator`` gives a
-DESIGNATOR token's plain tokens back.
+costs linear time (see ``_GROUP``).
 
 One compiled alternation does the whole scan. Each match is the blanks,
 comments and closed literals before a token (the skipped prefix) followed
@@ -35,10 +34,11 @@ later from a plain table of newline offsets; each token carries its own.
 A designator's argument is matched by a second, small pattern right
 after its word, and the scan resumes behind it.
 
-The declaration parser never reads a statement, so the inside of a body
-(a brace block at parenthesis depth 0 that no type keyword announced) is
-scanned by a second alternation that matches only braces, comments,
-literals and runs of other characters, and builds no token.
+The declaration parser never reads a statement and lexes each nested type
+body again itself, so only the outermost brace block at parenthesis depth
+0 keeps its tokens. The inside of every body within it is scanned by a
+second alternation that matches only braces, comments, literals and runs
+of other characters, and builds no token.
 """
 
 from __future__ import annotations
@@ -61,13 +61,6 @@ KEYWORDS = frozenset(
         "throw", "throws", "transient", "try", "void", "volatile", "while",
     }
 )
-
-# Keywords that announce a type body. The lexer keeps every token of such
-# a body; the parser recognises the same words. Which '{' opens a type body
-# is decided twice, by the ``pending`` rule in ``tokenize`` and by the
-# parser's header and member logic: a new type-introducing construct (a
-# ``record``, an enum constant with a body) must change both together.
-TYPE_KEYWORDS = frozenset({"class", "interface", "enum", "aspect"})
 
 
 class TokenKind(Enum):
@@ -221,18 +214,16 @@ def _report(
 def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Diagnostic]]:
     """Tokenize ``text``, eliding comments, string/char literals and bodies.
 
-    A brace block opened at parenthesis depth 0 that no type keyword
-    announced (a method, advice or initializer body, or an array or
-    anonymous-class initializer) keeps only its outer ``{`` and matching
-    ``}``; its inside is scanned for braces, comments and literals only,
-    so its diagnostics still come out, but no token is built for it. A
-    type keyword announces the next ``{`` at depth 0 unless a ``;`` at
-    depth 0 comes first. An unclosed body drops the rest of the text.
+    The outermost brace block at parenthesis depth 0 keeps its tokens: at
+    top level only a type or module body sits there. Every other brace
+    block at depth 0 (a method, advice or initializer body, a nested type
+    body, or an array or anonymous-class initializer) keeps only its outer
+    ``{`` and matching ``}``; its inside is scanned for braces, comments
+    and literals only, so its diagnostics still come out, but no token is
+    built for it. An unclosed body drops the rest of the text.
 
     In expression mode (see the module docstring) a pattern designator is
-    one DESIGNATOR token. One whose text holds a type keyword, even inside
-    another word, announces a body as that keyword would: keeping a body's
-    tokens never changes what the parser reads.
+    one DESIGNATOR token.
 
     A byte-order mark at offset 0 is skipped; offsets still index ``text``.
     The returned list always ends with exactly one END token.
@@ -246,7 +237,7 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
     last = 0  # newlines before ``last`` are already in ``line``
     pos = 1 if text.startswith("\ufeff") else 0
     depth = 0  # parentheses open, clamped at 0
-    pending = False  # a type keyword awaits its body
+    outer = False  # inside the outermost brace block at depth 0
     expression = False  # after ':' at depth 0, up to ',', ';', '{' or '}'
 
     while True:
@@ -265,18 +256,8 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
                         last = end = arg.end()
                         word = text[start:end]
                         append((_DESIGNATOR, word, line, start, end))
-                        if (
-                            "class" in word or "enum" in word
-                            or "interface" in word or "aspect" in word
-                        ):
-                            pending = True
                         break  # the scan resumes after the argument
-                if word in KEYWORDS:
-                    append((_KEYWORD, word, line, start, end))
-                    if word in TYPE_KEYWORDS:
-                        pending = True
-                else:
-                    append((_IDENTIFIER, word, line, start, end))
+                append((_KEYWORD if word in KEYWORDS else _IDENTIFIER, word, line, start, end))
             elif group == "SINGLE":
                 word = text[start]
                 append((_SINGLE[word], word, line, start, end))
@@ -287,11 +268,11 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
                         depth -= 1
                 else:
                     expression = False
-                    if depth == 0 and word != "}":
-                        if word == "{" and not pending:
+                    if depth == 0 and word != ";":
+                        if word == "{" and outer:
                             body = True
                             break  # a body
-                        pending = False
+                        outer = word == "{"
             elif group == "OPERATOR":
                 append((_OPERATOR, text[start:end], line, start, end))
             elif group == "PUNCT" or group == "NUMBER":
@@ -337,14 +318,3 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
     append((TokenKind.END, "", line, n, n))
     return tokens, diagnostics
 
-
-def split_designator(token: Token) -> list[Token]:
-    """The tokens that a DESIGNATOR token stands for, as they are outside expression mode.
-
-    Its text holds no newline, comment, literal or brace, so lexing the
-    text alone gives the same tokens; their offsets are moved back into
-    the source.
-    """
-    _, text, line, start, _ = token
-    tokens, _ = tokenize(text)
-    return [(kind, word, line, start + s, start + e) for kind, word, _, s, e in tokens[:-1]]

@@ -2,10 +2,11 @@
 
 The parser walks the token stream produced by :mod:`aometrics.lexer` and
 extracts signatures only: classes, aspects, methods, fields, named
-pointcuts, and advice. The lexer keeps only the outer braces of a method,
-advice or initializer body, and the parser passes every brace block it
-does not parse as a type body with ``skip_balanced_braces``, never token
-by token. So statement-level constructs never influence the result, and
+pointcuts, and advice. The lexer keeps only the outer braces of every
+body within the outermost brace block. The parser alone decides which is a
+type body, which it lexes again alone (``parse_type``); it passes every
+other brace block with ``skip_balanced_braces``, never token by token.
+So statement-level constructs never influence the result, and
 parsing the full token stream gives the same result as parsing the
 lexer's.
 
@@ -21,12 +22,13 @@ from enum import Enum
 from typing import Union
 
 from .diagnostics import Diagnostic, Record, Severity, error, warning
-from .lexer import TYPE_KEYWORDS, Token, TokenKind, split_designator, tokenize
+from .lexer import Token, TokenKind, tokenize
 from .pointcuts import SIGNATURE_MODIFIERS, PointcutExpr, parse_pointcut_expression
 
 MODIFIER_WORDS = SIGNATURE_MODIFIERS | {"privileged", "default"}
 
-_TYPE_KEYWORDS = TYPE_KEYWORDS - {"aspect"}
+_CLASS_KEYWORDS = frozenset({"class", "interface", "enum"})
+_TYPE_KEYWORDS = _CLASS_KEYWORDS | {"aspect"}
 
 _IDENTIFIER = TokenKind.IDENTIFIER
 _KEYWORD = TokenKind.KEYWORD
@@ -225,15 +227,15 @@ class _DeclParser:
     is tested by its text alone wherever the text is fixed.
     """
 
-    def __init__(self, tokens: list[Token], file: object, source: str):
-        # ``tokens`` ends with two END tokens. No cursor moves past the
-        # first, so ``tokens[pos + 1]`` can index without a bounds check.
-        self.tokens = tokens
+    def __init__(self, tokens: list[Token], file: object, source: str, diagnostics: list[Diagnostic]):
+        # A second END token is added. No cursor moves past the first, so
+        # ``tokens[pos + 1]`` can index without a bounds check.
+        self.tokens = [*tokens, tokens[-1]]
         self.pos = 0
         self.source = source
         self.file = file
         self.label = file_label(file)
-        self.diagnostics: list[Diagnostic] = []
+        self.diagnostics = diagnostics
         self.designators_split = False
 
     def warn(self, line: int, message: str) -> None:
@@ -241,6 +243,14 @@ class _DeclParser:
 
     def err(self, line: int, message: str) -> None:
         self.diagnostics.append(error(self.label, line, message))
+
+    def lex(self, start: int, end: int, line: int) -> list[Token]:
+        """The tokens of ``source[start:end]``, whose first line is ``line``, lexed alone.
+
+        Its diagnostics are dropped: the file's lex reported each at the same line.
+        """
+        tokens, _ = tokenize(self.source[start:end], file=self.label)
+        return [(kind, text, ln + line - 1, s + start, e + start) for kind, text, ln, s, e in tokens]
 
     def split_designators(self, pos: int) -> None:
         """Split every DESIGNATOR token from ``pos`` on into its plain tokens.
@@ -251,7 +261,7 @@ class _DeclParser:
         readers of member heads, of declarators and of top-level recovery
         read word by word, and meet a ':' only in malformed code. There
         they call this, so they read what the plain tokens would give. The
-        tail is split once per file, so time stays linear.
+        tail is split once per token list, so time stays linear.
         """
         if self.designators_split:
             return
@@ -260,7 +270,7 @@ class _DeclParser:
         tail: list[Token] = []
         for tok in tokens[pos:]:
             if tok[0] is _DESIGNATOR:
-                tail.extend(split_designator(tok))
+                tail.extend(self.lex(tok[3], tok[4], tok[2])[:-1])
             else:
                 tail.append(tok)
         tokens[pos:] = tail
@@ -346,8 +356,7 @@ class _DeclParser:
         """Move past the brace block whose '{' is at ``pos``; False if it is unclosed.
 
         This is the only way the parser passes a brace block it does not
-        parse as a type body: the lexer keeps no token inside a method,
-        advice or initializer body but the outer braces.
+        parse as a type body, or finds where a nested type body ends.
         """
         tokens = self.tokens
         depth = 0
@@ -442,7 +451,7 @@ class _DeclParser:
                 continue
             self.skip_modifiers()
             kind, text, line, _, _ = tokens[self.pos]
-            if text in _TYPE_KEYWORDS:
+            if text in _CLASS_KEYWORDS:
                 unit.classes.append(self.parse_type(is_aspect=False))
             elif text == "aspect":
                 unit.aspects.append(self.parse_type(is_aspect=True))
@@ -455,8 +464,7 @@ class _DeclParser:
     def skip_module(self) -> bool:
         """Move past ``[open] module a.b { ... }`` at the cursor; False if none is there.
 
-        A module declaration, the content of ``module-info.java``, declares
-        no type. The lexer keeps only the outer braces of its body.
+        A module declaration, the content of ``module-info.java``, declares no type.
         """
         tokens = self.tokens
         pos = self.pos
@@ -480,7 +488,7 @@ class _DeclParser:
         depth = 0
         while True:
             kind, text, _, _, _ = tokens[pos]
-            if kind is _END or (depth == 0 and text in TYPE_KEYWORDS):
+            if kind is _END or (depth == 0 and text in _TYPE_KEYWORDS):
                 break
             if kind is _BRACE_OPEN:
                 depth += 1
@@ -491,8 +499,13 @@ class _DeclParser:
             pos += 1
         self.pos = pos
 
-    def parse_type(self, is_aspect: bool) -> UnitDecl:
-        """Parse the class, interface, enum or aspect whose keyword is at the cursor."""
+    def parse_type(self, is_aspect: bool, nested: bool = False) -> UnitDecl:
+        """Parse the class, interface, enum or aspect whose keyword is at the cursor.
+
+        A top-level body is parsed in place. A nested one ends at its matching
+        '}', as the lexer ends a body, and a child parser reads it, lexed again
+        alone if the lexer kept only its braces (as it may at top level, too).
+        """
         tokens = self.tokens
         pos = self.pos
         _, word, line, _, _ = tokens[pos]
@@ -516,12 +529,24 @@ class _DeclParser:
             decl: UnitDecl = AspectDecl(name=name, line=line)
         else:
             decl = ClassDecl(name=name, kind=word, line=line)
-        if kind is _END:
-            self.pos = pos
-        else:
-            self.pos = pos + 1
-            if kind is _BRACE_OPEN:
-                self.parse_members(decl, is_aspect)
+        if kind is not _BRACE_OPEN:
+            self.pos = pos if kind is _END else pos + 1
+            return decl
+        parser = self
+        if nested or tokens[pos + 1][0] is _BRACE_CLOSE or tokens[pos + 1][0] is _END:
+            closed = self.skip_balanced_braces(pos)
+            close = self.pos - 1 if closed else self.pos
+            if close == pos + 1:
+                body = self.lex(tokens[pos][3], tokens[close][4], tokens[pos][2])
+            else:  # its tokens are here, as in a full token stream
+                body = tokens[pos : close + 1]
+                if closed:
+                    end = tokens[close][4]
+                    body.append((_END, "", tokens[close][2], end, end))
+            parser = _DeclParser(body, self.file, self.source, self.diagnostics)
+            pos = 0
+        parser.pos = pos + 1  # past its '{'
+        parser.parse_members(decl, is_aspect)
         return decl
 
     def parse_members(self, container: UnitDecl, is_aspect: bool) -> None:
@@ -547,8 +572,8 @@ class _DeclParser:
             kind, text, line, _, _ = tokens[pos]
 
             if kind is _KEYWORD:
-                if text in _TYPE_KEYWORDS:
-                    container.nested.append(self.parse_type(is_aspect=False))
+                if text in _CLASS_KEYWORDS:
+                    container.nested.append(self.parse_type(is_aspect=False, nested=True))
                     continue
                 if text == "pointcut":
                     self.parse_pointcut_member(container, is_abstract)
@@ -844,10 +869,8 @@ def parse_unit(
 
     ``tokens`` ends with one END token, as ``tokenize`` returns it.
     """
-    parser = _DeclParser([*tokens, tokens[-1]], file, source)
+    parser = _DeclParser(tokens, file, source, [*(lex_diagnostics or ())])
     unit = SourceUnit(file=file)
-    if lex_diagnostics:
-        parser.diagnostics.extend(lex_diagnostics)
     parser.parse_unit_body(unit)
 
     class_names = {c.name for c in unit.classes}

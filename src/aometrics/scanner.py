@@ -65,9 +65,9 @@ def classify_file(path: Path | str) -> FileKind:
 def _collect_files(root: Path, version_id: str) -> list[SourceFileRef]:
     """Every source file under ``root``, sorted by its full path string.
 
-    Symlinks, to files or directories, are skipped; hidden directories
-    (VCS metadata etc.) are pruned, but hidden files are kept. A directory
-    that cannot be read is skipped silently, as ``os.walk`` skips it.
+    Only regular files and directories are visited, never a symlink; hidden
+    directories (VCS metadata etc.) are pruned, but hidden files are kept. A
+    directory that cannot be read is skipped silently, as ``os.walk`` skips it.
     """
     found: list[tuple[str, FileKind]] = []
     todo = [str(root)]
@@ -75,16 +75,14 @@ def _collect_files(root: Path, version_id: str) -> list[SourceFileRef]:
         try:
             with os.scandir(todo.pop()) as entries:
                 for entry in entries:
-                    if entry.is_symlink():
-                        continue
                     name = entry.name
-                    if entry.is_dir():
+                    if entry.is_dir(follow_symlinks=False):
                         if not name.startswith("."):
                             todo.append(entry.path)
-                        continue
-                    kind = _kind_of_name(name)
-                    if kind is not FileKind.IGNORED:
-                        found.append((entry.path, kind))
+                    elif entry.is_file(follow_symlinks=False):
+                        kind = _kind_of_name(name)
+                        if kind is not FileKind.IGNORED:
+                            found.append((entry.path, kind))
         except OSError:
             pass
     found.sort(key=itemgetter(0))

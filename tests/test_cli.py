@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import shutil
+import socket
 from pathlib import Path
 
 import pytest
@@ -576,3 +578,79 @@ def test_weight_file_of_the_wrong_shape_is_exit_1(tmp_path: Path, capsys, payloa
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_measure_skips_a_socket_named_like_a_source_file(tmp_path: Path, capsys):
+    version = tmp_path / "V"
+    version.mkdir()
+    (version / "A.java").write_text("class A { int x; }")
+    if not hasattr(socket, "AF_UNIX"):
+        pytest.skip("no UNIX sockets on this platform")
+    sock = socket.socket(socket.AF_UNIX)
+    try:
+        sock.bind(str(version / "B.java"))
+    except OSError as exc:
+        sock.close()
+        pytest.skip(f"cannot bind a UNIX socket here: {exc}")
+    try:
+        code = main(["measure", str(version), "--out", str(tmp_path / "out")])
+    finally:
+        sock.close()
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert json.loads((tmp_path / "out" / "V.json").read_text(encoding="utf-8"))["class_count"] == 1
+
+
+def test_a_file_that_cannot_be_read_is_an_error_at_line_0(tmp_path: Path, capsys, monkeypatch):
+    version = tmp_path / "V"
+    version.mkdir()
+    (version / "A.java").write_text("class A { int x; }")
+    (version / "B.java").write_text("class B { int y; }")
+    read_bytes = Path.read_bytes
+
+    def failing_read_bytes(path: Path) -> bytes:
+        if path.name == "B.java":
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", failing_read_bytes)
+    code = main(["measure", str(version), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"{version / 'B.java'}:0: error: cannot read file: Permission denied",
+        f"{version / 'B.java'}:0: warning: file excluded from metrics (parse errors)",
+    ]
+    assert json.loads((tmp_path / "out" / "V.json").read_text(encoding="utf-8"))["class_count"] == 1
+    code = main(["measure", str(version), "--strict", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: parse errors in strict mode: {version / 'B.java'}"
+    )
+
+
+def _not_utf8(raw: bytes, make) -> str:
+    """The name of bytes ``raw`` after ``make(name)`` made it; skips where that cannot be done."""
+    name = os.fsdecode(raw)
+    if os.fsencode(name) != raw or name == raw.decode("latin-1"):
+        pytest.skip("the file system encoding decodes this name")
+    try:
+        make(name)
+    except (OSError, UnicodeError) as exc:
+        pytest.skip(f"cannot create a name that is not UTF-8: {exc}")
+    return name
+
+
+def test_the_log_keeps_a_file_name_that_is_not_utf8(tmp_path: Path):
+    version = tmp_path / "V"
+    version.mkdir()
+    _not_utf8(b"\xff.java", lambda name: (version / name).write_text("class A { int x; }"))
+    assert main(["measure", str(version), "--out", str(tmp_path / "out")]) == 0
+    assert b"/V/\xff.java" in (tmp_path / "out" / "V.log").read_bytes()
+
+
+def test_the_csv_keeps_a_version_name_that_is_not_utf8(tmp_path: Path):
+    root = tmp_path / "root"
+    (root / "v1").mkdir(parents=True)
+    for version in (root / "v1", root / _not_utf8(b"v\xfe1", lambda name: (root / name).mkdir())):
+        (version / "A.java").write_text("class A { int x; }")
+    assert main(["compare", "--versions-root", str(root), "--out", str(tmp_path / "out")]) == 0
+    assert b"\nv\xfe1,0,1.000," in (tmp_path / "out" / "comparison.csv").read_bytes()

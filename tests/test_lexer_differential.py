@@ -1,14 +1,15 @@
 """Differential properties: the regex lexer against the char-loop oracle.
 
-``tokenize`` keeps no token inside a body: a brace block opened at
-parenthesis depth 0 that no type keyword announced. It also makes one
-DESIGNATOR token of each pattern designator read in expression mode. The
-first property applies both rules, written out again below over whole
-tokens, to the oracle's full token stream; the result must agree with
-``tokenize`` on every token's kind, text, line and offsets, and the
-diagnostics must agree exactly. The second property is the parser's side of the rule: it
-never reads inside such a block, so parsing the oracle's full tokens and
-parsing ``tokenize``'s gives the same declarations and diagnostics.
+``tokenize`` keeps the tokens of the outermost brace block at parenthesis
+depth 0, and no token inside a body: any other brace block opened at
+depth 0. It also makes one DESIGNATOR token of each pattern designator
+read in expression mode. The first property applies both rules, written
+out again below over whole tokens, to the oracle's full token stream; the
+result must agree with ``tokenize`` on every token's kind, text, line and
+offsets, and the diagnostics must agree exactly. The second property is
+the parser's side of the rule: it never reads inside a body it does not
+lex again as a type body, so parsing the oracle's full tokens and parsing
+``tokenize``'s gives the same declarations and diagnostics.
 
 Texts exclude the two inputs the regex lexer changed on purpose: Java
 text blocks (``\"\"\"``) and a leading byte-order mark.
@@ -55,7 +56,6 @@ _texts = st.one_of(
     st.text(alphabet="".join(sorted(set("".join(_FRAGMENTS)))), max_size=60),
 ).filter(lambda t: '"""' not in t and not t.startswith("\ufeff"))
 
-_TYPE_WORDS = {"class", "interface", "enum", "aspect"}
 _PATTERN_WORDS = {
     "call", "execution", "get", "set", "handler", "within", "withincode", "this",
     "target", "args", "initialization", "preinitialization", "staticinitialization",
@@ -98,19 +98,18 @@ def _designator_end(tokens, i, source):
 def _apply_tokenize_rules(tokens, source):
     """Drop every token inside a body, keeping its outer braces, and join designators.
 
-    Track the parenthesis depth (clamped at 0) and whether a type keyword
-    awaits its body; a ';' or '{' at depth 0 ends the wait, and a '{' at
-    depth 0 with no wait opens a body.
+    Track the parenthesis depth (clamped at 0) and whether the outermost
+    brace block at depth 0 is open; a '}' at depth 0 closes it, and a '{'
+    at depth 0 while it is open opens a body.
 
     A ':' at depth 0 opens expression mode, and the next ',', ';', '{' or
     '}' at any depth closes it. In that mode, the tokens of each pattern
     designator (see ``_designator_end``) become one DESIGNATOR token with
-    the word's line. It counts as a type keyword when its text holds one
-    anywhere, even inside another word.
+    the word's line.
     """
     kept = []
     depth = 0
-    awaiting_type_body = False
+    outer = False
     expression = False
     i = 0
     while i < len(tokens):
@@ -121,8 +120,6 @@ def _apply_tokenize_rules(tokens, source):
             end = tokens[after - 1][4]
             kept.append((TokenKind.DESIGNATOR, source[start:end], line, start, end))
             i = after
-            if any(word in source[start:end] for word in _TYPE_WORDS):
-                awaiting_type_body = True
             continue
         kept.append(tok)
         i += 1
@@ -130,17 +127,15 @@ def _apply_tokenize_rules(tokens, source):
             expression = False
         elif text == ":" and depth == 0:
             expression = True
-        if kind is TokenKind.KEYWORD and text in _TYPE_WORDS:
-            awaiting_type_body = True
-        elif kind is TokenKind.PAREN_OPEN:
+        if kind is TokenKind.PAREN_OPEN:
             depth += 1
         elif kind is TokenKind.PAREN_CLOSE:
             depth = max(0, depth - 1)
-        elif depth == 0 and kind is TokenKind.SEMICOLON:
-            awaiting_type_body = False
+        elif depth == 0 and kind is TokenKind.BRACE_CLOSE:
+            outer = False
         elif depth == 0 and kind is TokenKind.BRACE_OPEN:
-            if awaiting_type_body:
-                awaiting_type_body = False
+            if not outer:
+                outer = True
                 continue
             nesting = 1
             while tokens[i][0] is not TokenKind.END:
@@ -211,6 +206,19 @@ def _parsed_from_full_tokens(text: str, file: str):
 @example("class A { int a = b ? c : ( d ] , call(x) ) ; int e; }")
 @example("aspect A { declare x : ( } call(b) class B { int z; }")
 @example("aspect A { before(): within(class) { int x; } int y; }")
+# Nested type bodies, each lexed again alone by the parser.
+@example("class A { class B { class C { int x; void m() {} } int y; } int z; }")
+@example("class A { void m() { class L { int q; } } int z; }")  # a local class
+@example("aspect A { class B\n{ int x;\n pointcut p(): call(* f(..)); }\nint z; }")  # a later line
+@example("class A { class B { int x; void m() {")  # unclosed
+@example("class A { class B { /* open\n int x; }")  # reported once
+@example('class A {\n class B { String s = "x\n; int y; } int z; }')
+@example("class A { class B { x : call(* *(..)) ; int y; } int z; }")
+@example("class A { interface I { int x; } enum E { R; } @interface N { int v(); } aspect S { int q; } int z; }")
+# A nested body ends at its matching '}', as the lexer ends it, whatever
+# its parentheses hold.
+@example("class A { class B { void m(}) {} } int z; }")
+@example("class A { class B { void m( } int z; }")
 def test_parser_never_reads_inside_a_body(text):
     assert _declarations(parse_source(text, "F.java")) == _parsed_from_full_tokens(
         text, "F.java"

@@ -861,3 +861,11 @@ def test_unclosed_and_too_deep_designators_stay_linear(tmp_path, capsys):
     assert time.perf_counter() - started < 20
     assert code == 0
     assert "Traceback" not in captured.err
+
+
+def test_classes_nested_400_deep_are_each_measured():
+    depth = 400
+    src = "".join(f"class C{i} {{ int f; void m() {{}} " for i in range(depth)) + "}" * depth
+    metrics = measure_source(src)
+    assert (metrics.class_count, metrics.wmca, metrics.nac_rendered()) == (depth, depth, "1.000")
+    assert metrics.diagnostics == []

@@ -184,3 +184,12 @@ def test_unreadable_directory_is_skipped_silently(tmp_path: Path, monkeypatch):
     monkeypatch.setattr(os, "scandir", scandir)
     (version,) = scan_corpus(tmp_path, ScanMode.SINGLE_VERSION)
     assert [f.path.name for f in version.files] == ["A.java"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_a_fifo_named_like_a_source_file_is_skipped(tmp_path: Path):
+    # Only scanned: reading a FIFO with no writer would block.
+    (tmp_path / "A.java").write_text("class A {}")
+    os.mkfifo(tmp_path / "F.java")
+    (version,) = scan_corpus(tmp_path, ScanMode.SINGLE_VERSION)
+    assert [f.path.name for f in version.files] == ["A.java"]
