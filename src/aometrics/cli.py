@@ -9,6 +9,7 @@ to standard output and diagnostics to standard error.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -121,7 +122,9 @@ def _parse_version(
     for ref in version.files:
         label = file_label(ref)
         try:
-            data = ref.path.read_bytes()
+            # Unbuffered: readall sizes its one buffer from fstat.
+            with open(label, "rb", buffering=0) as handle:
+                data = handle.readall()
         except OSError as exc:
             message = f"cannot read file: {exc.strerror or exc}"
             units.append(SourceUnit(file=ref, parse_diagnostics=[error(label, 0, message)]))
@@ -161,6 +164,15 @@ def _write(path: Path, text: str) -> None:
         raise WriteFailure(f"cannot write {path}: {exc}") from None
 
 
+def _echo(text: str) -> None:
+    """Write ``text`` to stdout; a name that is not valid UTF-8 keeps its own bytes."""
+    try:
+        sys.stdout.write(text)
+    except UnicodeEncodeError:  # a strict stream, e.g. under PYTHONIOENCODING=utf-8
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode(sys.stdout.encoding, "surrogateescape"))
+
+
 def _measure_one(
     version: VersionRef,
     table: WeightTable,
@@ -175,11 +187,11 @@ def _measure_one(
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     mode = ScanMode.VERSIONS_ROOT if args.versions_root else ScanMode.SINGLE_VERSION
-    versions = scan_corpus(args.root, mode)
-    for version in versions:
-        print(f"VERSION {version.id} ({len(version.files)} files)")
-        for ref in version.files:
-            print(f"  {ref.path} [{ref.kind.value}]")
+    lines = []
+    for version in scan_corpus(args.root, mode):
+        lines.append(f"VERSION {version.id} ({len(version.files)} files)\n")
+        lines.extend(f"  {ref.path} [{ref.kind.value}]\n" for ref in version.files)
+    _echo("".join(lines))
     return 0
 
 
@@ -199,7 +211,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         _write(out / f"{metrics.version_id}.csv", write_csv([metrics]))
     if "table" in formats:
         _write(out / f"{metrics.version_id}.txt", render_table([metrics]))
-    sys.stdout.write(render_table([metrics]))
+    _echo(render_table([metrics]))
     return 0
 
 
@@ -244,8 +256,7 @@ def _cmd_compare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         _write(out / "comparison.csv", write_csv(all_metrics))
     if "table" in formats:
         _write(out / "comparison.txt", render_table(all_metrics))
-    sys.stdout.write(render_table(all_metrics))
-    sys.stdout.write(render_trends(report))
+    _echo(render_table(all_metrics) + render_trends(report))
     return 0
 
 
@@ -260,12 +271,33 @@ def run(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the CLI with the cyclic garbage collector off, then restore its state.
+
+    A run builds no reference cycles (``tests/test_cli.py`` checks), so
+    collections would only walk the live tokens and units again and again.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return run(list(sys.argv[1:]) if argv is None else list(argv))
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def entry_point() -> None:
+    """The ``aometrics`` console script and ``python -m aometrics.cli``.
+
+    Freezing moves every live object out of the collector's reach, so the
+    collections at interpreter exit do not walk all that the imports built.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry_point()

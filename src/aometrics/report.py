@@ -7,8 +7,8 @@ as decimal strings so no consumer is exposed to floating point.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .diagnostics import Record
 from .errors import TooFewVersions
@@ -140,7 +140,38 @@ def write_json(report: "VersionMetrics | ComparisonReport") -> str:
         payload = _comparison_payload(report)
     else:
         payload = _version_payload(report)
-    return json.dumps(payload, indent=2) + "\n"
+    return _json(payload, "\n") + "\n"
+
+
+def _json(value, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` with ``indent`` the newline and current indentation.
+
+    ``json.dumps`` falls back to its pure-Python encoder whenever ``indent``
+    is set; this emitter quotes strings with the same C function. It takes
+    exact dicts with str keys, lists, strs, ints, bools and None; any other
+    type, a float or a tuple included, raises ``TypeError``.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + indent + "]"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return str(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # -- table / CSV ----------------------------------------------------------

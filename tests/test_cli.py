@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import copy
+import gc
+import importlib
 import json
 import os
 import shutil
 import socket
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,7 +27,14 @@ from aometrics import (
 from aometrics.cli import _decode_source, main
 from aometrics.pointcuts import extract_signature_pattern
 from aometrics.report import write_json, write_log
-from helpers import MINI_UAS, MINI_UAS_ORDER, TEST_FIXTURES, kinded_primitives, parse_version_dir
+from helpers import (
+    MINI_UAS,
+    MINI_UAS_ORDER,
+    REPO_ROOT,
+    TEST_FIXTURES,
+    kinded_primitives,
+    parse_version_dir,
+)
 
 
 def test_scan_lists_files(capsys):
@@ -605,14 +616,13 @@ def test_a_file_that_cannot_be_read_is_an_error_at_line_0(tmp_path: Path, capsys
     version.mkdir()
     (version / "A.java").write_text("class A { int x; }")
     (version / "B.java").write_text("class B { int y; }")
-    read_bytes = Path.read_bytes
 
-    def failing_read_bytes(path: Path) -> bytes:
-        if path.name == "B.java":
-            raise PermissionError(13, "Permission denied", str(path))
-        return read_bytes(path)
+    def failing_open(file, *args, **kwargs):
+        if Path(file).name == "B.java":
+            raise PermissionError(13, "Permission denied", str(file))
+        return open(file, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_bytes", failing_read_bytes)
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
     code = main(["measure", str(version), "--out", str(tmp_path / "out")])
     assert code == 0
     assert capsys.readouterr().err.splitlines() == [
@@ -654,3 +664,67 @@ def test_the_csv_keeps_a_version_name_that_is_not_utf8(tmp_path: Path):
         (version / "A.java").write_text("class A { int x; }")
     assert main(["compare", "--versions-root", str(root), "--out", str(tmp_path / "out")]) == 0
     assert b"\nv\xfe1,0,1.000," in (tmp_path / "out" / "comparison.csv").read_bytes()
+
+
+def test_stdout_keeps_a_version_name_that_is_not_utf8(tmp_path: Path):
+    # PYTHONIOENCODING=utf-8 makes stdout strict, as most UTF-8 locales do.
+    root = tmp_path / "root"
+    (root / "v1").mkdir(parents=True)
+    odd = root / _not_utf8(b"v\xfe1", lambda name: (root / name).mkdir())
+    for version in (root / "v1", odd):
+        (version / "A.java").write_text("class A { int x; }")
+    env = dict(os.environ, PYTHONIOENCODING="utf-8", PYTHONPATH=str(REPO_ROOT / "src"))
+    out = str(tmp_path / "out")
+    row = b"\nv\xfe1      0     1.000  NA   NA   NA\n"
+    for argv, expected in (
+        (["compare", "--versions-root", str(root), "--out", out], row),
+        (["measure", str(odd), "--out", out], row),
+        (["scan", str(root), "--versions-root"], b"VERSION v\xfe1 (1 files)\n"),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "aometrics.cli", *argv], env=env, capture_output=True
+        )
+        assert (done.returncode, done.stderr) == (0, b""), argv
+        assert expected in done.stdout, argv
+
+
+def _cycles_after(argv: list[str]) -> int:
+    """Objects in reference cycles that one in-process run left behind."""
+    gc.collect()
+    assert main(argv) == 0
+    return gc.collect()
+
+
+def test_a_run_builds_no_reference_cycles(tmp_path: Path, monkeypatch, capsys):
+    # main() turns the cyclic collector off for the run, which is safe only
+    # while nothing a run builds per file, unit or version sits in a cycle.
+    # The cycles left are argparse's and the same for every input.
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
+    corpus = importlib.import_module("corpus").generate("history-compare", 1, MINI_UAS)
+    corpus.write(tmp_path / "history")
+    one = tmp_path / "one" / "V"
+    one.mkdir(parents=True)
+    (one / "A.java").write_text("class A { int x; void f() {} }")
+    runs = {
+        "one file": ["measure", str(one), "--out", str(tmp_path / "out1")],
+        "32 versions": corpus.cli_args(tmp_path / "history", tmp_path / "out2"),
+    }
+    _cycles_after(runs["one file"])  # warm up: first-use caches and lazy imports
+    counts = {name: _cycles_after(argv) for name, argv in runs.items()}
+    assert counts["32 versions"] == counts["one file"], counts
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_gives_back_the_collector_state_it_found(tmp_path: Path, enabled: bool, capsys):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["measure", str(MINI_UAS / "AJ1.1"), "--out", str(tmp_path)]) == 0
+        assert gc.isenabled() is enabled
+        assert main(["measure", str(tmp_path / "missing")]) == 1
+        assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            main(["no-such-command"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -3,10 +3,12 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aometrics import TooFewVersions, compare_versions, default_weights, measure_version, parse_source
 from aometrics.metrics import VersionMetrics
-from aometrics.report import render_table, render_trends, write_csv, write_json, write_log
+from aometrics.report import _json, render_table, render_trends, write_csv, write_json, write_log
 from helpers import GOLDEN, MINI_UAS, TEST_FIXTURES, measure_dir, parse_version_dir
 
 W = default_weights()
@@ -77,6 +79,35 @@ def test_json_round_trip():
     m = measure_dir(MINI_UAS / "AJ1.3")
     text = write_json(m)
     assert json.dumps(json.loads(text), indent=2) + "\n" == text
+
+
+_JSON_TEXT = st.text(
+    st.characters(exclude_categories=())  # lone surrogates included
+    | st.sampled_from('"\\\x7f\x00\x1f\n\ud800\udcfe\U0001f600\u00e9'),
+    max_size=8,
+)
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**64, 2**64 + 1, -(2**64) - 1, 10**40])
+    | _JSON_TEXT,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_JSON_TEXT, children, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+@example({"a": [], "b": {}, "c": [{}, []], "": [[{"d": None}]]})
+def test_json_emitter_equals_json_dumps_indent_2(value):
+    assert _json(value, "\n") == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {"a": [0.0]}, [{"b": ("x",)}]])
+def test_json_emitter_rejects_floats_and_tuples(value):
+    with pytest.raises(TypeError):
+        _json(value, "\n")
 
 
 def test_json_aspect_free_flags():
