@@ -216,12 +216,16 @@ def _split_member_name(head: list[Token]) -> tuple[list[Token], list[Token]]:
 
 
 class _DeclParser:
-    """Recursive descent over the declaration tokens.
+    """One pass over a file's declaration tokens, with no recursion.
 
     ``self.pos`` is the cursor between methods; each method works on a
     local ``pos`` and stores it back before it calls another that moves
     the cursor. Helpers named ``*_end`` only look ahead: they take a
     position and return one, and move nothing.
+
+    ``self.stack`` holds the open type bodies, innermost last, as
+    ``(decl, is_aspect, restore)``: ``restore`` is None for a body read in
+    place, else the enclosing token list, cursor and ``designators_split``.
 
     Every keyword and punctuation mark has a single token kind, so a token
     is tested by its text alone wherever the text is fixed.
@@ -237,6 +241,7 @@ class _DeclParser:
         self.label = file_label(file)
         self.diagnostics = diagnostics
         self.designators_split = False
+        self.stack: list[tuple[UnitDecl, bool, tuple | None]] = []
 
     def warn(self, line: int, message: str) -> None:
         self.diagnostics.append(warning(self.label, line, message))
@@ -382,25 +387,24 @@ class _DeclParser:
         """
         tokens = self.tokens
         pos = self.pos
-        depth = 0
-        parens = 0  # braces inside parentheses, as in '@A({1})', end nothing
+        parens = 0  # a brace block inside parentheses, as in '@A({1})', ends nothing
         while True:
             kind = tokens[pos][0]
-            if kind is _END or (kind is _BRACE_CLOSE and depth == 0):
+            if kind is _BRACE_OPEN:
+                closed = self.skip_balanced_braces(pos)
+                pos = self.pos
+                if closed and parens:
+                    continue
+                break
+            if kind is _END or kind is _BRACE_CLOSE:
                 break
             pos += 1
-            if kind is _BRACE_OPEN:
-                depth += 1
-            elif kind is _BRACE_CLOSE:
-                depth -= 1
-                if depth == 0 and parens == 0:
-                    break
-            elif kind is _PAREN_OPEN:
+            if kind is _PAREN_OPEN:
                 parens += 1
             elif kind is _PAREN_CLOSE:
                 if parens:
                     parens -= 1
-            elif kind is _SEMICOLON and depth == 0:
+            elif kind is _SEMICOLON:
                 break
         self.pos = pos
 
@@ -453,8 +457,10 @@ class _DeclParser:
             kind, text, line, _, _ = tokens[self.pos]
             if text in _CLASS_KEYWORDS:
                 unit.classes.append(self.parse_type(is_aspect=False))
+                self.parse_members()
             elif text == "aspect":
                 unit.aspects.append(self.parse_type(is_aspect=True))
+                self.parse_members()
             elif kind is _END:
                 return
             elif not self.skip_module():
@@ -485,26 +491,26 @@ class _DeclParser:
     def recover_to_type_keyword(self) -> None:
         tokens = self.tokens
         pos = self.pos
-        depth = 0
         while True:
             kind, text, _, _, _ = tokens[pos]
-            if kind is _END or (depth == 0 and text in _TYPE_KEYWORDS):
+            if kind is _END or text in _TYPE_KEYWORDS:
                 break
             if kind is _BRACE_OPEN:
-                depth += 1
-            elif kind is _BRACE_CLOSE and depth:
-                depth -= 1
-            elif text == ":":
+                self.skip_balanced_braces(pos)
+                pos = self.pos
+                continue
+            if text == ":":
                 self.split_designators(pos)
             pos += 1
         self.pos = pos
 
-    def parse_type(self, is_aspect: bool, nested: bool = False) -> UnitDecl:
-        """Parse the class, interface, enum or aspect whose keyword is at the cursor.
+    def parse_type(self, is_aspect: bool) -> UnitDecl:
+        """Read the head of the type whose keyword is at the cursor, and push its body.
 
-        A top-level body is parsed in place. A nested one ends at its matching
-        '}', as the lexer ends a body, and a child parser reads it, lexed again
-        alone if the lexer kept only its braces (as it may at top level, too).
+        A top-level body is read in place. A nested one ends at its matching
+        '}', as the lexer ends a body, and is read from its own token list,
+        lexed again alone if the lexer kept only its braces (as it may at
+        top level, too).
         """
         tokens = self.tokens
         pos = self.pos
@@ -532,8 +538,8 @@ class _DeclParser:
         if kind is not _BRACE_OPEN:
             self.pos = pos if kind is _END else pos + 1
             return decl
-        parser = self
-        if nested or tokens[pos + 1][0] is _BRACE_CLOSE or tokens[pos + 1][0] is _END:
+        restore = None
+        if self.stack or tokens[pos + 1][0] is _BRACE_CLOSE or tokens[pos + 1][0] is _END:
             closed = self.skip_balanced_braces(pos)
             close = self.pos - 1 if closed else self.pos
             if close == pos + 1:
@@ -543,26 +549,34 @@ class _DeclParser:
                 if closed:
                     end = tokens[close][4]
                     body.append((_END, "", tokens[close][2], end, end))
-            parser = _DeclParser(body, self.file, self.source, self.diagnostics)
+            restore = (tokens, self.pos, self.designators_split)
+            self.tokens = [*body, body[-1]]  # a second END, as in __init__
+            self.designators_split = False
             pos = 0
-        parser.pos = pos + 1  # past its '{'
-        parser.parse_members(decl, is_aspect)
+        self.pos = pos + 1  # past its '{'
+        self.stack.append((decl, is_aspect, restore))
         return decl
 
-    def parse_members(self, container: UnitDecl, is_aspect: bool) -> None:
-        tokens = self.tokens
-        while True:
+    def parse_members(self) -> None:
+        """Read the members of the open type bodies, innermost first, until none is open."""
+        stack = self.stack
+        while stack:
+            container, is_aspect, restore = stack[-1]
+            tokens = self.tokens
             pos = self.pos
             kind, text, line, _, _ = tokens[pos]
             if kind is _SEMICOLON:
                 self.pos = pos + 1
                 continue
-            if kind is _BRACE_CLOSE:
-                self.pos = pos + 1
-                return
-            if kind is _END:
-                self.err(line, f"unexpected end of file inside '{container.name}'")
-                return
+            if kind is _BRACE_CLOSE or kind is _END:
+                if kind is _END:
+                    self.err(line, f"unexpected end of file inside '{container.name}'")
+                else:
+                    self.pos = pos + 1
+                stack.pop()
+                if restore is not None:
+                    self.tokens, self.pos, self.designators_split = restore
+                continue
             if text == "@":
                 self.skip_annotation()
                 continue
@@ -573,7 +587,7 @@ class _DeclParser:
 
             if kind is _KEYWORD:
                 if text in _CLASS_KEYWORDS:
-                    container.nested.append(self.parse_type(is_aspect=False, nested=True))
+                    container.nested.append(self.parse_type(is_aspect=False))
                     continue
                 if text == "pointcut":
                     self.parse_pointcut_member(container, is_abstract)
@@ -889,17 +903,16 @@ def parse_source(text: str, file: object) -> SourceUnit:
     return parse_unit(tokens, file, text, lex_diagnostics=lex_diags)
 
 
-def walk_classes(unit_or_decl, prefix: str = ""):
-    """Yield (qualified name, ClassDecl) pairs, nested classes included."""
-    if isinstance(unit_or_decl, SourceUnit):
-        for cls in unit_or_decl.classes:
-            yield from walk_classes(cls, "")
-        for aspect in unit_or_decl.aspects:
-            for cls in aspect.nested:
-                yield from walk_classes(cls, aspect.name + ".")
-        return
-    decl = unit_or_decl
-    qualified = prefix + decl.name
-    yield qualified, decl
-    for inner in decl.nested:
-        yield from walk_classes(inner, qualified + ".")
+def walk_classes(unit: SourceUnit):
+    """Yield (qualified name, ClassDecl) pairs, nested classes included.
+
+    Depth first in source order: each top-level class and the classes in it,
+    then those in each aspect.
+    """
+    stack = [(aspect.name + ".", cls) for aspect in reversed(unit.aspects) for cls in reversed(aspect.nested)]
+    stack += [("", cls) for cls in reversed(unit.classes)]
+    while stack:
+        prefix, decl = stack.pop()
+        qualified = prefix + decl.name
+        yield qualified, decl
+        stack += [(qualified + ".", inner) for inner in reversed(decl.nested)]

@@ -219,6 +219,8 @@ def _parsed_from_full_tokens(text: str, file: str):
 # its parentheses hold.
 @example("class A { class B { void m(}) {} } int z; }")
 @example("class A { class B { void m( } int z; }")
+# A '(' inside a brace block that the lexer elides ends nothing.
+@example("class A {within(A)class A {(} class")
 def test_parser_never_reads_inside_a_body(text):
     assert _declarations(parse_source(text, "F.java")) == _parsed_from_full_tokens(
         text, "F.java"

@@ -19,8 +19,10 @@ from aometrics import (
     wmca_unit,
 )
 import aometrics.metrics
+import aometrics.parser
 from aometrics.cli import main
 from aometrics.diagnostics import Diagnostic, Severity
+from aometrics.lexer import tokenize
 from aometrics.report import write_log
 from aometrics.pointcuts import extract_signature_pattern
 from helpers import MINI_UAS, TEST_FIXTURES, kinded_primitives, measure_dir, parse_version_dir
@@ -863,9 +865,41 @@ def test_unclosed_and_too_deep_designators_stay_linear(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_classes_nested_400_deep_are_each_measured():
-    depth = 400
-    src = "".join(f"class C{i} {{ int f; void m() {{}} " for i in range(depth)) + "}" * depth
-    metrics = measure_source(src)
-    assert (metrics.class_count, metrics.wmca, metrics.nac_rendered()) == (depth, depth, "1.000")
-    assert metrics.diagnostics == []
+def test_classes_nested_1000_deep_are_each_measured(tmp_path, capsys, monkeypatch):
+    # The nest sits in an aspect and holds an interface and an enum partway
+    # down; the aspect's members after it are still read as an aspect's.
+    # Each nested type body is lexed again alone: the file is lexed once,
+    # plus once per nested body, and each body k deep is scanned k times.
+    depth = 1000
+    words = ["class"] * depth
+    words[300], words[600] = "interface", "enum"
+    src = (
+        "aspect Outer {\n"
+        + "".join(f"{word} C{i} {{ int f; void m() {{}} " for i, word in enumerate(words))
+        + "}" * depth
+        + "\n  pointcut p(): within(C0);\n  before(): p() {}\n}\n"
+    )
+    lexed = []
+
+    def counting_tokenize(text, file):
+        lexed.append(len(text))
+        return tokenize(text, file=file)
+
+    monkeypatch.setattr(aometrics.parser, "tokenize", counting_tokenize)
+    (tmp_path / "V").mkdir()
+    (tmp_path / "V" / "Deep.aj").write_text(src, encoding="utf-8")
+    code = main(["measure", str(tmp_path / "V"), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert len(lexed) == 1 + depth
+    log = (tmp_path / "out" / "V.log").read_text(encoding="utf-8").splitlines()
+    names = ["Outer"]
+    for i in range(depth):
+        names.append(f"{names[-1]}.C{i}")
+    assert [line for line in log if line.startswith("CLASS ")] == [f"CLASS {n}" for n in names[1:]]
+    assert [line for line in log if line.startswith(("ASPECT", "  POINTCUT", "  ADVICE"))] == [
+        "ASPECT Outer",
+        "  POINTCUT p: within(C0)",
+        "  ADVICE before: p()",
+    ]
+    assert log[-2:] == [f"METRIC WMCA {depth}", "METRIC NAC 1.000"]

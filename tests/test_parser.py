@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 
-from aometrics import AdviceKind, parse_source
+from aometrics import AdviceKind, default_weights, measure_version, parse_source
 from aometrics.diagnostics import Severity
+from aometrics.parser import walk_classes
 from aometrics.pointcuts import NamedRef, Primitive
+from aometrics.report import write_log
 from helpers import MINI_UAS
 
 
@@ -256,8 +258,6 @@ def test_fixture_declaration_counts_match_manifest():
 
 
 def _walk(unit):
-    from aometrics.parser import walk_classes
-
     for _, cls in walk_classes(unit):
         yield cls
 
@@ -467,3 +467,29 @@ def test_a_declare_statement_with_a_designator_is_skipped_whole():
     assert _diagnostics(unit) == []
     assert unit.aspects[0].pointcuts == [] and unit.aspects[0].advices == []
     assert _members(unit) == [["A", "z"]]
+
+
+def test_a_parenthesis_inside_a_skipped_brace_block_ends_nothing():
+    # The import is skipped up to its brace block, which is passed whole:
+    # the '(' inside it must not hold the skip open past 'class B'.
+    unit = parse_source("import A.f()) , { ( } class B {}", "A.java")
+    assert _diagnostics(unit) == []
+    assert _members(unit) == [["B"]]
+
+
+def test_walk_classes_yields_depth_first_in_source_order():
+    # The aspect sits between the two top-level classes; the classes nested
+    # in it still come after every top-level class and its nest.
+    unit = parse_source(
+        "class A { class B { class C {} } interface D { enum E {} } }\n"
+        "aspect S { class T { class U {} } int s; }\n"
+        "class F { class G { class H {} class I {} } }\n",
+        "A.aj",
+    )
+    assert _diagnostics(unit) == []
+    names = ["A", "A.B", "A.B.C", "A.D", "A.D.E", "F", "F.G", "F.G.H", "F.G.I", "S.T", "S.T.U"]
+    assert [name for name, _ in walk_classes(unit)] == names
+    log = write_log([unit], measure_version("v", [unit], default_weights()))
+    assert [line for line in log.splitlines() if line.startswith("CLASS ")] == [
+        f"CLASS {name}" for name in names
+    ]
