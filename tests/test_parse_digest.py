@@ -1,0 +1,102 @@
+"""One digest pins what the parser makes of a fixed corpus of malformed input.
+
+The corpus is token soup drawn with a fixed seed over
+``test_never_raises._VOCABULARY``, and every Java/AspectJ fixture cut at,
+and with one character deleted at, every 11th offset. Each parse result
+is read field by field (names, signatures, lines, pointcut expressions,
+advice kinds, the text of each diagnostic), never through ``repr``, so
+the digest is the same on every supported Python version.
+
+A change to how the parser recovers from malformed code moves the digest
+in ``parse_digest_malformed.json``; such a change updates that file on
+purpose and says how many inputs moved (``malformed_results`` yields the
+results one by one, to diff two versions input by input). To print the
+digest of the code at hand::
+
+    PYTHONPATH=src:tests python tests/test_parse_digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+from aometrics import parse_source
+from aometrics.pointcuts import And, NamedRef, Not, Or
+from test_never_raises import _FIXTURE_TEXTS, _VOCABULARY
+
+DIGEST = Path(__file__).resolve().parent / "parse_digest_malformed.json"
+
+_SEED = 22
+_SOUP_TEXTS = 20_000
+_SOUP_MAX_TOKENS = 60
+_FIXTURE_STEP = 11
+
+
+def _corpus():
+    rng = random.Random(_SEED)
+    for _ in range(_SOUP_TEXTS):
+        yield " ".join(rng.choice(_VOCABULARY) for _ in range(rng.randrange(_SOUP_MAX_TOKENS + 1)))
+    for text in dict.fromkeys(_FIXTURE_TEXTS):  # each text once: versions share files
+        for offset in range(0, len(text), _FIXTURE_STEP):
+            yield text[:offset]
+            yield text[:offset] + text[offset + 1 :]
+
+
+def _expression(expr) -> str:
+    if isinstance(expr, (And, Or)):
+        return f"{type(expr).__name__}({_expression(expr.left)}, {_expression(expr.right)})"
+    if isinstance(expr, Not):
+        return f"Not({_expression(expr.child)})"
+    if isinstance(expr, NamedRef):
+        return f"Ref({expr.name})"
+    return f"{expr.designator}({expr.argument_text}){'' if expr.known else '?'}"
+
+
+def _type(decl) -> list:
+    fields = [
+        decl.name,
+        decl.line,
+        getattr(decl, "kind", "aspect"),
+        [[m.name, m.signature_text, m.is_constructor, m.is_intertype, m.line] for m in decl.methods],
+        [[a.name, a.declared_type, a.line] for a in decl.attributes],
+        [[p.name, p.source_line, _expression(p.expression)] for p in decl.pointcuts],
+        [_type(inner) for inner in decl.nested],
+    ]
+    if hasattr(decl, "advices"):
+        fields.append([[a.kind.value, a.source_line, _expression(a.expression)] for a in decl.advices])
+    return fields
+
+
+def malformed_results():
+    """Yield ``(text, result)`` for each corpus input, ``result`` as compact JSON."""
+    for text in _corpus():
+        unit = parse_source(text, "F.aj")
+        result = [
+            [_type(c) for c in unit.classes],
+            [_type(a) for a in unit.aspects],
+            [str(d) for d in unit.parse_diagnostics],
+        ]
+        yield text, json.dumps(result, separators=(",", ":"))
+
+
+def malformed_digest() -> tuple[int, str]:
+    digest = hashlib.sha256()
+    count = 0
+    for _, result in malformed_results():
+        digest.update(result.encode("utf-8"))
+        digest.update(b"\n")
+        count += 1
+    return count, digest.hexdigest()
+
+
+def test_parse_results_on_malformed_input_match_the_committed_digest():
+    count, digest = malformed_digest()
+    assert {"inputs": count, "sha256": digest} == json.loads(DIGEST.read_text(encoding="utf-8"))
+
+
+if __name__ == "__main__":
+    count, digest = malformed_digest()
+    print(json.dumps({"inputs": count, "sha256": digest}, indent=2))

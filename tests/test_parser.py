@@ -216,6 +216,12 @@ def test_recovery_after_top_level_garbage():
     unit = parse_source(";;; ??? class A { void f() {} }", "A.java")
     assert [c.name for c in unit.classes] == ["A"]
     assert unit.parse_diagnostics  # garbage reported
+    # Recovery does not count parentheses: an unclosed '(' hides nothing.
+    unit = parse_source("( class A { int x; }", "A.java")
+    assert [str(d) for d in unit.parse_diagnostics] == [
+        "A.java:1: error: unexpected token at top level: '('"
+    ]
+    assert [[a.name for a in c.attributes] for c in unit.classes] == [["x"]]
 
 
 def test_parse_is_deterministic():
@@ -324,6 +330,12 @@ def test_brace_block_in_initializer_is_passed_whole():
         assert not unit.parse_diagnostics
 
 
+def test_a_comma_inside_brackets_does_not_end_an_initializer():
+    unit = parse_source("class A { int a = m[1, 2], b; }", "A.java")
+    assert _members(unit) == [["A", "a", "b"]]
+    assert not unit.parse_diagnostics
+
+
 def test_brace_block_after_a_later_declarator_ends_the_field():
     unit = parse_source("class A { int a, b { c; d } int e; }", "A.java")
     assert _members(unit) == [["A", "a", "b", "e"]]
@@ -349,6 +361,18 @@ def test_brace_block_past_a_stray_paren_in_a_pointcut_is_passed_whole():
     ]
     assert _members(unit) == [["A", "y", "g"]]
     assert [pc.name for pc in unit.aspects[0].pointcuts] == ["p"]
+
+
+def test_a_brace_inside_parentheses_of_an_expression_or_a_type_head_ends_nothing():
+    # A parenthesized group is passed to its matching ')', whatever braces
+    # it holds, as the lexer reads it.
+    unit = parse_source("aspect A { pointcut p(): a( { ) ; int y; }", "A.aj")
+    assert _diagnostics(unit) == []
+    assert [pc.name for pc in unit.aspects[0].pointcuts] == ["p"]
+    assert _members(unit) == [["A", "y"]]
+    unit = parse_source("class A ( { ) { int x; }", "A.java")
+    assert _diagnostics(unit) == []
+    assert _members(unit) == [["A", "x"]]
 
 
 def _diagnostics(unit):
@@ -424,6 +448,13 @@ def test_braces_inside_parentheses_do_not_end_a_skipped_declaration():
     unit = parse_source("aspect A { declare @method: * *(..) : @Foo({1, 2}); int y; }", "A.aj")
     assert _diagnostics(unit) == []
     assert _members(unit) == [["A", "y"]]
+    # A ';' or '}' ends it at any depth of parentheses.
+    unit = parse_source("import a(b; class C { int y; }", "C.java")
+    assert _diagnostics(unit) == []
+    assert _members(unit) == [["C", "y"]]
+    unit = parse_source("import a(b } class C { int y; }", "C.java")
+    assert _diagnostics(unit) == ["C.java:1: error: unexpected token at top level: '}'"]
+    assert _members(unit) == [["C", "y"]]
 
 
 def test_type_annotations_in_a_method_head_are_left_out_of_its_signature():
