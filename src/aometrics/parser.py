@@ -4,11 +4,12 @@ The parser walks the token stream produced by :mod:`aometrics.lexer` and
 extracts signatures only: classes, aspects, methods, fields, named
 pointcuts, and advice. The lexer keeps only the outer braces of every
 body within the outermost brace block. The parser alone decides which is a
-type body, which it lexes again alone (``parse_type``); it passes every
-other brace block with ``skip_balanced_braces``, never token by token.
-So statement-level constructs never influence the result, and
-parsing the full token stream gives the same result as parsing the
-lexer's.
+type body, which it lexes again alone (``parse_type``). ``walk_to`` is
+the one walk that takes it past the code it does not measure, and it
+passes every other brace block outside parentheses whole, never token by
+token, with ``skip_balanced_braces``. So statement-level constructs never
+influence the result, and parsing the full token stream gives the same
+result as parsing the lexer's.
 
 Parsing never raises for bad input. Structural problems become
 diagnostics on the returned SourceUnit; a unit with error-severity
@@ -41,8 +42,17 @@ _SEMICOLON = TokenKind.SEMICOLON
 _DESIGNATOR = TokenKind.DESIGNATOR
 _END = TokenKind.END
 
-# A 'throws' clause and the 'around' lookahead stop at _MEMBER_STOPS.
-_MEMBER_STOPS = (_BRACE_OPEN, _SEMICOLON, _BRACE_CLOSE, _END)
+# The texts that end each walk of ``_DeclParser.walk_to``. Each set holds
+# '', the text of END, which ends every walk.
+_AT_END = frozenset({""})
+_BRACE = frozenset({"", "{"})
+_HEAD_ENDS = frozenset({"", "{", ";"})  # a type head, a pointcut or advice expression
+_DECLARATION_ENDS = frozenset({"", ";", "}"})  # a skipped declaration, at any depth
+_SKIP_ENDS = _DECLARATION_ENDS | {"{"}  # ... and outside parentheses
+_MEMBER_ENDS = frozenset({"", "{", ";", "}"})  # a method's 'throws' clause
+_ADVICE_HEAD_ENDS = _MEMBER_ENDS | {":"}  # an advice's 'throws' clause, the 'around' lookahead
+_INITIALIZER_ENDS = frozenset({"", ";", ",", "}"})
+_RECOVERY_ENDS = _TYPE_KEYWORDS | {"", ":"}
 
 
 class AdviceKind(Enum):
@@ -221,7 +231,10 @@ class _DeclParser:
     ``self.pos`` is the cursor between methods; each method works on a
     local ``pos`` and stores it back before it calls another that moves
     the cursor. Helpers named ``*_end`` only look ahead: they take a
-    position and return one, and move nothing.
+    position and return one, and move nothing. Each way past code the
+    parser does not measure (a skipped declaration, top-level recovery, an
+    initializer, a pointcut expression, a type head, a 'throws' clause)
+    calls ``walk_to`` with stop sets of its own.
 
     ``self.stack`` holds the open type bodies, innermost last, as
     ``(decl, is_aspect, restore)``: ``restore`` is None for a body read in
@@ -336,32 +349,45 @@ class _DeclParser:
         kept.extend(tokens[resume:end])
         return kept
 
-    def expression_end(self, pos: int) -> int:
-        """Position of the first ';', '{' or END at paren depth 0 from ``pos``.
+    # -- skipping ----------------------------------------------------------
 
-        The depth is clamped at 0, as in the lexer, so an unmatched ')'
-        does not hide the stop token behind it.
+    def walk_to(
+        self, pos: int, stops: frozenset, nests: str = "", anywhere: frozenset = _AT_END, braces: bool = True
+    ) -> int:
+        """Position of the first token from ``pos`` whose text is in ``stops`` at depth 0.
+
+        ``nests`` lists bracket pairs, such as ``"()[]"``: an opening one
+        adds one to the depth, a closing one takes one off, clamped at 0 as
+        in the lexer, so an unmatched ')' does not hide the stop behind it.
+        At a depth above 0 only a text in ``anywhere``, a subset of
+        ``stops``, ends the walk. A '{' that ends nothing is passed whole,
+        with ``skip_balanced_braces`` (which moves the cursor), or read as
+        a plain token if ``braces`` is False, as the lexer reads a '{'
+        inside parentheses.
         """
         tokens = self.tokens
+        opens, closes = nests[0::2], nests[1::2]
         depth = 0
         while True:
-            kind = tokens[pos][0]
-            if kind is _PAREN_OPEN:
-                depth += 1
-            elif kind is _PAREN_CLOSE:
-                if depth:
-                    depth -= 1
-            elif kind is _END or (depth == 0 and (kind is _SEMICOLON or kind is _BRACE_OPEN)):
+            text = tokens[pos][1]
+            if text in (anywhere if depth else stops):
                 return pos
+            if text == "{" and braces:
+                self.skip_balanced_braces(pos)
+                pos = self.pos
+                continue
+            if text in opens:
+                depth += 1
+            elif depth and text in closes:
+                depth -= 1
             pos += 1
-
-    # -- skipping ----------------------------------------------------------
 
     def skip_balanced_braces(self, pos: int) -> bool:
         """Move past the brace block whose '{' is at ``pos``; False if it is unclosed.
 
-        This is the only way the parser passes a brace block it does not
-        parse as a type body, or finds where a nested type body ends.
+        Every brace block outside parentheses that the parser does not parse
+        as a type body is passed with this, directly or through ``walk_to``,
+        and so is a nested type body to find where it ends.
         """
         tokens = self.tokens
         depth = 0
@@ -382,43 +408,25 @@ class _DeclParser:
     def skip_declaration(self) -> None:
         """Move past the rest of a declaration, or to the '}' that closes the block.
 
-        A declaration ends at a ';' outside braces, or after a brace block
-        outside parentheses, such as the body of a malformed method.
+        A declaration ends after a ';', or at a '}', at any depth of
+        parentheses; or after a brace block outside them, such as the body
+        of a malformed method. A brace block inside them, as in '@A({1})',
+        ends nothing.
         """
-        tokens = self.tokens
-        pos = self.pos
-        parens = 0  # a brace block inside parentheses, as in '@A({1})', ends nothing
-        while True:
-            kind = tokens[pos][0]
-            if kind is _BRACE_OPEN:
-                closed = self.skip_balanced_braces(pos)
-                pos = self.pos
-                if closed and parens:
-                    continue
-                break
-            if kind is _END or kind is _BRACE_CLOSE:
-                break
-            pos += 1
-            if kind is _PAREN_OPEN:
-                parens += 1
-            elif kind is _PAREN_CLOSE:
-                if parens:
-                    parens -= 1
-            elif kind is _SEMICOLON:
-                break
-        self.pos = pos
+        pos = self.walk_to(self.pos, _SKIP_ENDS, "()", _DECLARATION_ENDS)
+        text = self.tokens[pos][1]
+        if text == "{":
+            self.skip_balanced_braces(pos)
+        else:
+            self.pos = pos + 1 if text == ";" else pos
 
     def skip_annotation(self) -> None:
         """Move past the annotation, or the annotation type, whose '@' is at the cursor."""
-        tokens = self.tokens
-        pos = self.pos + 1
-        if tokens[pos][1] == "interface":
+        if self.tokens[self.pos + 1][1] == "interface":
             # Annotation type declaration: skip name and body wholesale.
-            while tokens[pos][0] is not _BRACE_OPEN and tokens[pos][0] is not _END:
-                pos += 1
-            self.skip_balanced_braces(pos)
-            return
-        self.pos = self.annotation_end(self.pos)
+            self.skip_balanced_braces(self.walk_to(self.pos, _BRACE))
+        else:
+            self.pos = self.annotation_end(self.pos)
 
     def skip_modifiers(self) -> bool:
         """Move past modifiers and annotations; True if 'abstract' is among them."""
@@ -489,19 +497,11 @@ class _DeclParser:
         return True
 
     def recover_to_type_keyword(self) -> None:
-        tokens = self.tokens
-        pos = self.pos
-        while True:
-            kind, text, _, _, _ = tokens[pos]
-            if kind is _END or text in _TYPE_KEYWORDS:
-                break
-            if kind is _BRACE_OPEN:
-                self.skip_balanced_braces(pos)
-                pos = self.pos
-                continue
-            if text == ":":
-                self.split_designators(pos)
-            pos += 1
+        """Move to the next type keyword at any depth of parentheses, or to END."""
+        pos = self.walk_to(self.pos, _RECOVERY_ENDS)
+        while self.tokens[pos][1] == ":":
+            self.split_designators(pos)
+            pos = self.walk_to(pos + 1, _RECOVERY_ENDS)
         self.pos = pos
 
     def parse_type(self, is_aspect: bool) -> UnitDecl:
@@ -523,14 +523,8 @@ class _DeclParser:
             name = "<anonymous>"
             pos += 1
         # extends/implements/generics/per-clauses: everything up to the body.
-        while True:
-            kind = tokens[pos][0]
-            if kind is _PAREN_OPEN:
-                pos = self.paren_end(pos)
-            elif kind is _BRACE_OPEN or kind is _SEMICOLON or kind is _END:
-                break
-            else:
-                pos += 1
+        pos = self.walk_to(pos, _HEAD_ENDS, "()", braces=False)
+        kind = tokens[pos][0]
         if is_aspect:
             decl: UnitDecl = AspectDecl(name=name, line=line)
         else:
@@ -631,7 +625,7 @@ class _DeclParser:
             self.skip_declaration()
             return
         start = pos + 1
-        stop = self.expression_end(start)
+        stop = self.walk_to(start, _HEAD_ENDS, "()", braces=False)
         if tokens[stop][0] is _SEMICOLON:
             self.pos = stop + 1
         else:
@@ -660,15 +654,14 @@ class _DeclParser:
                 pos += 1
             pos = self.paren_end(pos)
         if tokens[pos][1] == "throws":
-            while tokens[pos][1] != ":" and tokens[pos][0] not in _MEMBER_STOPS:
-                pos += 1
+            pos = self.walk_to(pos, _ADVICE_HEAD_ENDS)
         if tokens[pos][1] != ":":
             self.err(line, f"malformed {word} advice (missing ':')")
             self.pos = pos
             self.skip_declaration()
             return
         start = pos + 1
-        stop = self.expression_end(start)
+        stop = self.walk_to(start, _HEAD_ENDS, "()", braces=False)
         stop_kind = tokens[stop][0]
         if stop_kind is _BRACE_OPEN:
             if not self.skip_balanced_braces(stop):
@@ -680,20 +673,6 @@ class _DeclParser:
             tokens[start : stop + 1], self.source, diagnostics=self.diagnostics, file=self.label, line=line
         )
         container.advices.append(AdviceDecl(kind=kind, expression=expr, source_line=line))
-
-    def _looks_like_around_advice(self, pos: int) -> bool:
-        """Bounded lookahead from an 'around' identifier at ``pos``."""
-        tokens = self.tokens
-        if tokens[pos + 1][0] is not _PAREN_OPEN:
-            return False
-        pos = self.paren_end(pos + 1)
-        while True:
-            kind, text, _, _, _ = tokens[pos]
-            if text == ":":
-                return True
-            if kind in _MEMBER_STOPS:
-                return False
-            pos += 1
 
     def parse_member_tail(self, container: UnitDecl, is_aspect: bool) -> None:
         tokens = self.tokens
@@ -712,10 +691,11 @@ class _DeclParser:
                 elif text == "=" and angle_depth == 0:
                     break
             elif kind is _IDENTIFIER:
-                if is_aspect and text == "around" and self._looks_like_around_advice(pos):
-                    # Preceding head tokens are the advice return type; drop them.
-                    self.parse_advice(container, pos)
-                    return
+                if is_aspect and text == "around" and tokens[pos + 1][0] is _PAREN_OPEN:
+                    # An advice if a ':' follows; the head tokens before are its return type.
+                    if tokens[self.walk_to(self.paren_end(pos + 1), _ADVICE_HEAD_ENDS)][1] == ":":
+                        self.parse_advice(container, pos)
+                        return
             elif kind is _PAREN_OPEN:
                 if angle_depth == 0:
                     self.pos = pos
@@ -765,8 +745,7 @@ class _DeclParser:
         line = name_tokens[0][2]
         pos = end
         if tokens[pos][1] == "throws":
-            while tokens[pos][0] not in _MEMBER_STOPS:
-                pos += 1
+            pos = self.walk_to(pos, _MEMBER_ENDS)
         kind, text, _, _, _ = tokens[pos]
         if kind is _BRACE_OPEN:
             if not self.skip_balanced_braces(pos):
@@ -812,7 +791,8 @@ class _DeclParser:
                 pos += 1
                 break
             if text == "=":
-                pos = self._skip_initializer(pos + 1)
+                # '{' is passed whole, so a '}' closes only a '(' or '[' left open.
+                pos = self.walk_to(pos + 1, _INITIALIZER_ENDS, "()[]{}")
                 continue
             if text == ",":
                 nxt = tokens[pos + 1]
@@ -851,26 +831,6 @@ class _DeclParser:
             container.attributes.append(
                 AttributeDecl(name=name, declared_type=declared_type + "[]" * dims, line=line)
             )
-
-    def _skip_initializer(self, pos: int) -> int:
-        """Position of the ',', ';' or '}' that ends the initializer at ``pos``."""
-        tokens = self.tokens
-        depth = 0
-        while True:
-            kind, text, _, _, _ = tokens[pos]
-            if kind is _BRACE_OPEN:
-                self.skip_balanced_braces(pos)
-                pos = self.pos
-                continue
-            if kind is _PAREN_OPEN or text == "[":
-                depth += 1
-            elif kind is _BRACE_CLOSE and depth == 0:
-                return pos
-            elif kind is _PAREN_CLOSE or kind is _BRACE_CLOSE or text == "]":
-                depth = max(0, depth - 1)
-            elif kind is _END or (depth == 0 and (kind is _SEMICOLON or text == ",")):
-                return pos
-            pos += 1
 
 
 def parse_unit(
