@@ -46,10 +46,12 @@ _END = TokenKind.END
 # '', the text of END, which ends every walk.
 _AT_END = frozenset({""})
 _BRACE = frozenset({"", "{"})
-_HEAD_ENDS = frozenset({"", "{", ";"})  # a type head, a pointcut or advice expression
+_HEAD_ENDS = frozenset({"", "{", ";"})  # a type head
 _DECLARATION_ENDS = frozenset({"", ";", "}"})  # a skipped declaration, at any depth
 _SKIP_ENDS = _DECLARATION_ENDS | {"{"}  # ... and outside parentheses
-_MEMBER_ENDS = frozenset({"", "{", ";", "}"})  # a method's 'throws' clause
+# A method's 'throws' clause; a pointcut or advice expression, which ends
+# at a '}' as the lexer's expression mode does.
+_MEMBER_ENDS = frozenset({"", "{", ";", "}"})
 _ADVICE_HEAD_ENDS = _MEMBER_ENDS | {":"}  # an advice's 'throws' clause, the 'around' lookahead
 _INITIALIZER_ENDS = frozenset({"", ";", ",", "}"})
 _RECOVERY_ENDS = _TYPE_KEYWORDS | {"", ":"}
@@ -625,7 +627,7 @@ class _DeclParser:
             self.skip_declaration()
             return
         start = pos + 1
-        stop = self.walk_to(start, _HEAD_ENDS, "()", braces=False)
+        stop = self.walk_to(start, _MEMBER_ENDS, "()", braces=False)
         if tokens[stop][0] is _SEMICOLON:
             self.pos = stop + 1
         else:
@@ -661,7 +663,7 @@ class _DeclParser:
             self.skip_declaration()
             return
         start = pos + 1
-        stop = self.walk_to(start, _HEAD_ENDS, "()", braces=False)
+        stop = self.walk_to(start, _MEMBER_ENDS, "()", braces=False)
         stop_kind = tokens[stop][0]
         if stop_kind is _BRACE_OPEN:
             if not self.skip_balanced_braces(stop):

@@ -190,7 +190,7 @@ def parse_pointcut_expression(
     """Parse the tokens of the expression after ':' in a pointcut or advice.
 
     ``tokens`` holds the expression's tokens and then one stop token
-    (``;``, ``{`` or END); their offsets index ``source``. Operators are
+    (``;``, ``{``, ``}`` or END); their offsets index ``source``. Operators are
     applied by precedence climbing over one explicit stack, so neither
     ``(`` nor ``!`` recurses, however deep it nests.
 

@@ -206,6 +206,8 @@ def _parsed_from_full_tokens(text: str, file: str):
 @example("class A { int a = b ? c : ( d ] , call(x) ) ; int e; }")
 @example("aspect A { declare x : ( } call(b) class B { int z; }")
 @example("aspect A { before(): within(class) { int x; } int y; }")
+@example("aspect A { pointcut p(): call(* f()) }\nclass B { int x; void m() {} }\n")
+@example("aspect A { before(): call(* f()) }\nclass B { int x; }\n")
 # Nested type bodies, each lexed again alone by the parser.
 @example("class A { class B { class C { int x; void m() {} } int y; } int z; }")
 @example("class A { void m() { class L { int q; } } int z; }")  # a local class

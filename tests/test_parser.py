@@ -417,6 +417,17 @@ def test_field_ended_by_a_closing_brace_is_kept():
     assert _members(unit) == [["A", "a"], ["B", "y"]]
 
 
+def test_pointcut_or_advice_ended_by_a_closing_brace_keeps_the_next_type():
+    unit = parse_source("aspect A { pointcut p(): call(* f()) }\nclass B { int x; void m() {} }\n", "A.aj")
+    assert _diagnostics(unit) == ["A.aj:1: error: missing ';' after pointcut 'p'"]
+    assert [pc.name for pc in unit.aspects[0].pointcuts] == ["p"]
+    assert _members(unit) == [["B", "x", "m"], ["A"]]
+    unit = parse_source("aspect A { before(): call(* f()) }\nclass B { int x; }\n", "A.aj")
+    assert _diagnostics(unit) == ["A.aj:1: warning: before advice without a body"]
+    assert [ad.kind for ad in unit.aspects[0].advices] == [AdviceKind.BEFORE]
+    assert _members(unit) == [["B", "x"], ["A"]]
+
+
 def test_colon_after_a_method_header_drops_only_that_member():
     unit = parse_source("class A { void f() : x; int b; }", "A.java")
     assert _diagnostics(unit) == ["A.java:1: warning: unexpected ':' after member 'f'"]
