@@ -56,6 +56,9 @@ _ADVICE_HEAD_ENDS = _MEMBER_ENDS | {":"}  # an advice's 'throws' clause, the 'ar
 _INITIALIZER_ENDS = frozenset({"", ";", ",", "}"})
 _RECOVERY_ENDS = _TYPE_KEYWORDS | {"", ":"}
 
+# Besides words, the tokens a parameter list read in one step may hold.
+_PARAMETER_MARKS = frozenset({",", ".", "[", "]"})
+
 
 class AdviceKind(Enum):
     BEFORE = "before"
@@ -338,7 +341,7 @@ class _DeclParser:
         and ``void f(@X int a)`` logs ``void f(int a)``.
         """
         tokens = self.tokens
-        if "@" not in self.source[tokens[start][3] : tokens[end - 1][4]]:
+        if self.source.find("@", tokens[start][3], tokens[end - 1][4]) < 0:
             return tokens[start:end]
         kept: list[Token] = []
         resume = pos = start
@@ -577,8 +580,15 @@ class _DeclParser:
                 self.skip_annotation()
                 continue
 
-            is_abstract = self.skip_modifiers()
-            pos = self.pos
+            is_abstract = False
+            while text in MODIFIER_WORDS:
+                is_abstract = is_abstract or text == "abstract"
+                pos += 1
+                text = tokens[pos][1]
+            if text == "@":  # from the member's start again, for the '@interface' rule
+                is_abstract = self.skip_modifiers()
+                pos = self.pos
+            self.pos = pos
             kind, text, line, _, _ = tokens[pos]
 
             if kind is _KEYWORD:
@@ -600,6 +610,31 @@ class _DeclParser:
                 if not self.skip_balanced_braces(pos):
                     self.err(line, "unclosed initializer block")
                 continue
+
+            # One step for the commonest shapes, ``T x;`` and ``T f(A a)`` with ``;``
+            # or ``{}``, read as ``parse_member_tail`` reads them. A method named
+            # 'around' needs no test: it is an advice only if a ':' follows its ')'.
+            name_kind, name, name_line, _, _ = tokens[pos + 1]
+            if (kind is _IDENTIFIER or kind is _KEYWORD) and name_kind is _IDENTIFIER:
+                after = tokens[pos + 2][0]
+                if after is _SEMICOLON:
+                    container.attributes.append(AttributeDecl(name, text, name_line))
+                    self.pos = pos + 3
+                    continue
+                if after is _PAREN_OPEN:
+                    close = pos + 3
+                    kind, text, _, _, _ = tokens[close]
+                    while kind is _IDENTIFIER or kind is _KEYWORD or text in _PARAMETER_MARKS:
+                        close += 1
+                        kind, text, _, _, _ = tokens[close]
+                    after = tokens[close + 1][0]
+                    if kind is _PAREN_CLOSE and (
+                        after is _SEMICOLON or after is _BRACE_OPEN and tokens[close + 2][0] is _BRACE_CLOSE
+                    ):
+                        signature = _normalize_tokens(tokens[pos : close + 1])
+                        container.methods.append(MethodDecl(name, signature, False, False, name_line))
+                        self.pos = close + 2 if after is _SEMICOLON else close + 3
+                        continue
 
             self.parse_member_tail(container, is_aspect)
 

@@ -223,6 +223,15 @@ def _parsed_from_full_tokens(text: str, file: str):
 @example("class A { class B { void m( } int z; }")
 # A '(' inside a brace block that the lexer elides ends nothing.
 @example("class A {within(A)class A {(} class")
+# The edges of the members read in one step. With full tokens a body that
+# holds a statement keeps its tokens and is read by ``parse_member_tail``,
+# so these compare the one-step read with the general one.
+@example("class A { int f()[] { x; } int y; }")
+@example("class A { T f(int... a) { x; } int y; }")
+@example("class A { T f() throws E { x; } int y; }")
+@example("class A { T f(@A int a) { x; } int y; }")
+@example("class A { T f(int a) {")  # unclosed
+@example("aspect A { void around(int a) { x; } int around(); int y; }")
 def test_parser_never_reads_inside_a_body(text):
     assert _declarations(parse_source(text, "F.java")) == _parsed_from_full_tokens(
         text, "F.java"

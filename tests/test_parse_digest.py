@@ -10,14 +10,17 @@ the digest is the same on every supported Python version.
 A change to how the parser recovers from malformed code moves the digest
 in ``parse_digest_malformed.json``; such a change updates that file on
 purpose and says how many inputs moved (``malformed_results`` yields the
-results one by one, to diff two versions input by input). To print the
-digest of the code at hand::
+results one by one). To print the digest of the code at hand, or to
+write one JSON line ``[text, result]`` per input to FILE::
 
-    PYTHONPATH=src:tests python tests/test_parse_digest.py
+    PYTHONPATH=src:tests python tests/test_parse_digest.py [--dump FILE]
+
+Two trees' dumps diff line by line: each differing line is one moved input.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import random
@@ -82,13 +85,16 @@ def malformed_results():
         yield text, json.dumps(result, separators=(",", ":"))
 
 
-def malformed_digest() -> tuple[int, str]:
+def malformed_digest(dump=None) -> tuple[int, str]:
+    """The input count and SHA-256 of the results; each ``[text, result]`` line goes to ``dump`` too."""
     digest = hashlib.sha256()
     count = 0
-    for _, result in malformed_results():
+    for text, result in malformed_results():
         digest.update(result.encode("utf-8"))
         digest.update(b"\n")
         count += 1
+        if dump is not None:
+            dump.write(f"[{json.dumps(text)},{result}]\n")
     return count, digest.hexdigest()
 
 
@@ -97,6 +103,17 @@ def test_parse_results_on_malformed_input_match_the_committed_digest():
     assert {"inputs": count, "sha256": digest} == json.loads(DIGEST.read_text(encoding="utf-8"))
 
 
-if __name__ == "__main__":
-    count, digest = malformed_digest()
+def _main() -> None:
+    parser = argparse.ArgumentParser(description="Print the parse digest of the malformed corpus.")
+    parser.add_argument("--dump", metavar="FILE", help="also write one JSON line [text, result] per input")
+    args = parser.parse_args()
+    if args.dump:
+        with open(args.dump, "w", encoding="utf-8") as dump:
+            count, digest = malformed_digest(dump)
+    else:
+        count, digest = malformed_digest()
     print(json.dumps({"inputs": count, "sha256": digest}, indent=2))
+
+
+if __name__ == "__main__":
+    _main()

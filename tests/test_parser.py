@@ -122,6 +122,31 @@ def test_nested_generics_field():
     assert [a.name for a in unit.classes[0].attributes] == ["index", "n"]
 
 
+def test_fields_in_an_aspect_and_a_name_on_the_next_line():
+    # ``declare`` starts a declaration in an aspect; the other words are types.
+    unit = parse_source("aspect A {\n around x; before y; declare z; new w;\n int\n v; }", "A.aj")
+    assert unit.parse_diagnostics == []
+    assert [(a.name, a.declared_type, a.line) for a in unit.aspects[0].attributes] == [
+        ("x", "around", 2),
+        ("y", "before", 2),
+        ("w", "new", 2),
+        ("v", "int", 4),
+    ]
+
+
+def test_methods_without_a_body_keep_their_signatures():
+    unit = parse_source(
+        "aspect A { T f(int... a); T g(@X int a); int around(); int[] h()[]; }", "A.aj"
+    )
+    assert unit.parse_diagnostics == []
+    assert [(m.name, m.signature_text) for m in unit.aspects[0].methods] == [
+        ("f", "T f(int... a)"),
+        ("g", "T g(int a)"),
+        ("around", "int around()"),
+        ("h", "int[] h()[]"),
+    ]
+
+
 def test_advice_kinds():
     unit = parse_source(
         """
