@@ -45,8 +45,7 @@ _END = TokenKind.END
 # The texts that end each walk of ``_DeclParser.walk_to``. Each set holds
 # '', the text of END, which ends every walk.
 _AT_END = frozenset({""})
-_BRACE = frozenset({"", "{"})
-_HEAD_ENDS = frozenset({"", "{", ";"})  # a type head
+_HEAD_ENDS = frozenset({"", "{", ";"})  # a type or annotation type head
 _DECLARATION_ENDS = frozenset({"", ";", "}"})  # a skipped declaration, at any depth
 _SKIP_ENDS = _DECLARATION_ENDS | {"{"}  # ... and outside parentheses
 # A method's 'throws' clause; a pointcut or advice expression, which ends
@@ -188,8 +187,9 @@ def file_label(file: object) -> str:
     return str(getattr(file, "path", file))
 
 
-# Tokens whose text takes no blank before or after it in a signature.
-_NO_SPACE_BEFORE = frozenset({".", ",", "(", ")", "<", ">", "[", "]", ";"})
+# Tokens whose text takes no blank before or after it in a signature. The
+# '>>' that closes nested generics is one token, and '>>>' lexes as '>>' '>'.
+_NO_SPACE_BEFORE = frozenset({".", ",", "(", ")", "<", ">", ">>", "[", "]", ";"})
 _NO_SPACE_AFTER = frozenset({".", "(", "<", "["})
 
 _ADVICE_KINDS = {"before": AdviceKind.BEFORE, "after": AdviceKind.AFTER, "around": AdviceKind.AROUND}
@@ -426,12 +426,23 @@ class _DeclParser:
             self.pos = pos + 1 if text == ";" else pos
 
     def skip_annotation(self) -> None:
-        """Move past the annotation, or the annotation type, whose '@' is at the cursor."""
-        if self.tokens[self.pos + 1][1] == "interface":
-            # Annotation type declaration: skip name and body wholesale.
-            self.skip_balanced_braces(self.walk_to(self.pos, _BRACE))
-        else:
-            self.pos = self.annotation_end(self.pos)
+        """Move past the annotation, or the annotation type, whose '@' is at the cursor.
+
+        An annotation type's head ends at a '{' or ';' outside parentheses.
+        """
+        tokens = self.tokens
+        pos = self.pos
+        if tokens[pos + 1][1] != "interface":
+            self.pos = self.annotation_end(pos)
+            return
+        end = self.walk_to(pos, _HEAD_ENDS, "()", braces=False)
+        if tokens[end][0] is _BRACE_OPEN:
+            self.skip_balanced_braces(end)
+            return
+        if tokens[end][0] is _SEMICOLON:
+            self.warn(tokens[pos][2], "annotation type without a body")
+            end += 1
+        self.pos = end
 
     def skip_modifiers(self) -> bool:
         """Move past modifiers and annotations; True if 'abstract' is among them."""

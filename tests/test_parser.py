@@ -115,11 +115,41 @@ def test_generics_in_members():
 
 
 def test_nested_generics_field():
+    # '>>' closes two generics as one token, '>>>' lexes as '>>' '>': no blank before either.
     unit = parse_source(
-        "class A { java.util.Map<String, java.util.List<Integer>> index; int n; }",
+        "class A { java.util.Map<String, java.util.List<Integer>> index; int n;"
+        " Map<A, List<List<B>>> deep;"
+        " <K, V extends Comparable<V>> java.util.List<K> f(Map<K, List<V>> m) { return null; } }",
         "A.java",
     )
-    assert [a.name for a in unit.classes[0].attributes] == ["index", "n"]
+    cls = unit.classes[0]
+    assert [(a.name, a.declared_type) for a in cls.attributes] == [
+        ("index", "java.util.Map<String, java.util.List<Integer>>"),
+        ("n", "int"),
+        ("deep", "Map<A, List<List<B>>>"),
+    ]
+    assert [m.signature_text for m in cls.methods] == [
+        "<K, V extends Comparable<V>> java.util.List<K> f(Map<K, List<V>> m)"
+    ]
+
+
+def test_an_annotation_type_without_a_body_is_warned_and_skipped_alone():
+    top = parse_source("@interface A; class B { int x; }", "A.java")
+    assert [c.name for c in top.classes] == ["B"]
+    assert [a.name for a in top.classes[0].attributes] == ["x"]
+    assert _diagnostics(top) == ["A.java:1: warning: annotation type without a body"]
+
+    nested = parse_source("class C { @interface A; int y; void m() {} }", "C.java")
+    cls = nested.classes[0]
+    assert ([a.name for a in cls.attributes], [m.name for m in cls.methods]) == (["y"], ["m"])
+    assert _diagnostics(nested) == ["C.java:1: warning: annotation type without a body"]
+
+
+def test_an_annotation_type_head_ends_outside_parentheses():
+    # As in a type head, a '{' or ';' inside parentheses ends nothing.
+    unit = parse_source("class C { @interface A (x{;}) { int v(); } int y; }", "C.java")
+    assert unit.parse_diagnostics == []
+    assert [a.name for a in unit.classes[0].attributes] == ["y"]
 
 
 def test_fields_in_an_aspect_and_a_name_on_the_next_line():
