@@ -226,8 +226,10 @@ def test_bare_named_ref_advice():
 
 
 def test_abstract_pointcut_not_recorded():
+    # 'abstract' counts among plain modifiers and among modifiers and annotations.
     unit = parse_source(
-        "abstract aspect S { abstract pointcut guarded(); before(): guarded() {} }",
+        "abstract aspect S { abstract pointcut guarded(); before(): guarded() {}"
+        " public abstract pointcut g(): call(* f()); abstract @A pointcut h(): call(* f()); }",
         "S.aj",
     )
     aspect = unit.aspects[0]
