@@ -16,6 +16,11 @@ write one JSON line ``[text, result]`` per input to FILE::
     PYTHONPATH=src:tests python tests/test_parse_digest.py [--dump FILE]
 
 Two trees' dumps diff line by line: each differing line is one moved input.
+To count them against a dump that another tree wrote, printing how many
+inputs moved, how many of those had no error there, and the first few
+moved texts::
+
+    PYTHONPATH=src:tests python tests/test_parse_digest.py --compare OLD_DUMP
 """
 
 from __future__ import annotations
@@ -103,10 +108,32 @@ def test_parse_results_on_malformed_input_match_the_committed_digest():
     assert {"inputs": count, "sha256": digest} == json.loads(DIGEST.read_text(encoding="utf-8"))
 
 
+def compare(old_dump: str, shown: int = 5) -> None:
+    """Print how many inputs parse unlike in ``old_dump``, a dump of the same corpus."""
+    moved = clean = 0
+    with open(old_dump, encoding="utf-8") as old:
+        for (text, result), line in zip(malformed_results(), old, strict=True):
+            old_text, old_result = json.loads(line)
+            assert old_text == text, "the dump was written over another corpus"
+            if json.loads(result) == old_result:
+                continue
+            moved += 1
+            # Each diagnostic reads "F.aj:LINE: SEVERITY: message".
+            if all(d.split(": ", 2)[1] != "error" for d in old_result[2]):
+                clean += 1
+            if moved <= shown:
+                print(f"moved: {json.dumps(text)}")
+    print(f"{moved} inputs moved, {clean} of them with no error in {old_dump}")
+
+
 def _main() -> None:
     parser = argparse.ArgumentParser(description="Print the parse digest of the malformed corpus.")
     parser.add_argument("--dump", metavar="FILE", help="also write one JSON line [text, result] per input")
+    parser.add_argument("--compare", metavar="OLD_DUMP", help="count the inputs that parse unlike in OLD_DUMP")
     args = parser.parse_args()
+    if args.compare:
+        compare(args.compare)
+        return
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as dump:
             count, digest = malformed_digest(dump)
