@@ -10,10 +10,11 @@ are offsets into the text, and ``text[start:end]`` is always the token's
 text, so callers can slice raw text back out, as the pointcut parser does
 for a designator's argument.
 
-A ':' at parenthesis depth 0 opens expression mode: it starts every
-pointcut, advice and ``declare`` expression (in Java only a ternary in a
-field initializer puts one there). The next ',', ';', '{' or '}', at any
-depth, closes it. In that mode each pattern designator, ``call``,
+A ':' at parenthesis depth 0 inside the outermost brace block opens
+expression mode: it starts every pointcut, advice and ``declare``
+expression, each of which sits in a type body (in Java only a ternary in
+a field initializer puts one there; outside a type body none is valid).
+The next ',', ';', '{' or '}', at any depth, closes it. In that mode each pattern designator, ``call``,
 ``execution``, ``get``, ``set``, ``handler``, ``within``,
 ``withincode``, ``this``, ``target``, ``args`` or an ``initialization``
 form not glued to a '.' or '@' before it, becomes one DESIGNATOR token
@@ -238,7 +239,7 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
     pos = 1 if text.startswith("\ufeff") else 0
     depth = 0  # parentheses open, clamped at 0
     outer = False  # inside the outermost brace block at depth 0
-    expression = False  # after ':' at depth 0, up to ',', ';', '{' or '}'
+    expression = False  # after ':' at depth 0 in ``outer``, up to ',', ';', '{' or '}'
 
     while True:
         body = False
@@ -280,7 +281,7 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
             elif group == "MODE":
                 word = text[start]
                 append((_PUNCT, word, line, start, end))
-                expression = word == ":" and (expression or depth == 0)
+                expression = word == ":" and outer and (expression or depth == 0)
             elif group in _UNTERMINATED:
                 last = _report(group, text, start, end, file, line, diagnostics)
             # else LITERAL (closed, but spans a backslash-newline: not

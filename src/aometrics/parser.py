@@ -39,7 +39,6 @@ _BRACE_CLOSE = TokenKind.BRACE_CLOSE
 _PAREN_OPEN = TokenKind.PAREN_OPEN
 _PAREN_CLOSE = TokenKind.PAREN_CLOSE
 _SEMICOLON = TokenKind.SEMICOLON
-_DESIGNATOR = TokenKind.DESIGNATOR
 _END = TokenKind.END
 
 # The texts that end each walk of ``_DeclParser.walk_to``. Each set holds
@@ -53,7 +52,7 @@ _SKIP_ENDS = _DECLARATION_ENDS | {"{"}  # ... and outside parentheses
 _MEMBER_ENDS = frozenset({"", "{", ";", "}"})
 _ADVICE_HEAD_ENDS = _MEMBER_ENDS | {":"}  # an advice's 'throws' clause, the 'around' lookahead
 _INITIALIZER_ENDS = frozenset({"", ";", ",", "}"})
-_RECOVERY_ENDS = _TYPE_KEYWORDS | {"", ":"}
+_RECOVERY_ENDS = _TYPE_KEYWORDS | {""}
 
 # Besides words, the tokens a parameter list read in one step may hold.
 _PARAMETER_MARKS = frozenset({",", ".", "[", "]"})
@@ -243,7 +242,7 @@ class _DeclParser:
 
     ``self.stack`` holds the open type bodies, innermost last, as
     ``(decl, is_aspect, restore)``: ``restore`` is None for a body read in
-    place, else the enclosing token list, cursor and ``designators_split``.
+    place, else the enclosing token list and cursor.
 
     Every keyword and punctuation mark has a single token kind, so a token
     is tested by its text alone wherever the text is fixed.
@@ -258,7 +257,6 @@ class _DeclParser:
         self.file = file
         self.label = file_label(file)
         self.diagnostics = diagnostics
-        self.designators_split = False
         self.stack: list[tuple[UnitDecl, bool, tuple | None]] = []
 
     def warn(self, line: int, message: str) -> None:
@@ -274,29 +272,6 @@ class _DeclParser:
         """
         tokens, _ = tokenize(self.source[start:end], file=self.label)
         return [(kind, text, ln + line - 1, s + start, e + start) for kind, text, ln, s, e in tokens]
-
-    def split_designators(self, pos: int) -> None:
-        """Split every DESIGNATOR token from ``pos`` on into its plain tokens.
-
-        The lexer makes such a token after a ':' at depth 0, where a
-        pointcut expression, a ``declare`` or a ternary initializer starts;
-        the readers of those, and every skipping helper, pass it whole. The
-        readers of member heads, of declarators and of top-level recovery
-        read word by word, and meet a ':' only in malformed code. There
-        they call this, so they read what the plain tokens would give. The
-        tail is split once per token list, so time stays linear.
-        """
-        if self.designators_split:
-            return
-        self.designators_split = True
-        tokens = self.tokens
-        tail: list[Token] = []
-        for tok in tokens[pos:]:
-            if tok[0] is _DESIGNATOR:
-                tail.extend(self.lex(tok[3], tok[4], tok[2])[:-1])
-            else:
-                tail.append(tok)
-        tokens[pos:] = tail
 
     # -- look-ahead helpers ----------------------------------------------
 
@@ -514,11 +489,7 @@ class _DeclParser:
 
     def recover_to_type_keyword(self) -> None:
         """Move to the next type keyword at any depth of parentheses, or to END."""
-        pos = self.walk_to(self.pos, _RECOVERY_ENDS)
-        while self.tokens[pos][1] == ":":
-            self.split_designators(pos)
-            pos = self.walk_to(pos + 1, _RECOVERY_ENDS)
-        self.pos = pos
+        self.pos = self.walk_to(self.pos, _RECOVERY_ENDS)
 
     def parse_type(self, is_aspect: bool) -> UnitDecl:
         """Read the head of the type whose keyword is at the cursor, and push its body.
@@ -559,9 +530,8 @@ class _DeclParser:
                 if closed:
                     end = tokens[close][4]
                     body.append((_END, "", tokens[close][2], end, end))
-            restore = (tokens, self.pos, self.designators_split)
+            restore = (tokens, self.pos)
             self.tokens = [*body, body[-1]]  # a second END, as in __init__
-            self.designators_split = False
             pos = 0
         self.pos = pos + 1  # past its '{'
         self.stack.append((decl, is_aspect, restore))
@@ -585,7 +555,7 @@ class _DeclParser:
                     self.pos = pos + 1
                 stack.pop()
                 if restore is not None:
-                    self.tokens, self.pos, self.designators_split = restore
+                    self.tokens, self.pos = restore
                 continue
             if text == "@":
                 self.skip_annotation()
@@ -765,7 +735,10 @@ class _DeclParser:
                 self.pos = pos
                 return
             elif text == ":":
-                self.split_designators(pos)
+                self.warn(line, "unexpected ':' in member declaration")
+                self.pos = pos
+                self.skip_declaration()
+                return
             pos += 1
         self.pos = pos
         self.finish_field(container, self.without_annotations(start, pos))
@@ -871,7 +844,11 @@ class _DeclParser:
                 self.warn(line, "unterminated field declaration")
                 break
             if text == ":":
-                self.split_designators(pos)
+                self.warn(line, "unexpected ':' in member declaration")
+                self.pos = pos
+                self.skip_declaration()
+                pos = self.pos
+                break
             # Other trailing tokens on the declarator.
             pos += 1
         self.pos = pos

@@ -145,12 +145,12 @@ def test_pattern_designators_in_expression_mode_are_one_token_each():
 
 def test_words_glued_to_a_dot_or_at_sign_and_other_designators_keep_their_tokens():
     tokens, _ = tokenize(
-        "pointcut p(): Base.call() && X.within() && @within(A) && cflow(p()) && if(x > 0);"
+        "aspect A { pointcut p(): Base.call() && X.within() && @within(A) && cflow(p()) && if(x > 0); }"
     )
     assert _designators(tokens) == []
-    tokens, _ = tokenize("pointcut p(): cflow(call(* f())) && if(x > 0);")
+    tokens, _ = tokenize("aspect A { pointcut p(): cflow(call(* f())) && if(x > 0); }")
     assert _designators(tokens) == ["call(* f())"]
-    assert [text for _, text, _, _, _ in tokens][-8:-1] == ["if", "(", "x", ">", "0", ")", ";"]
+    assert [text for _, text, _, _, _ in tokens][-9:-2] == ["if", "(", "x", ">", "0", ")", ";"]
 
 
 def test_expression_mode_opens_at_a_colon_at_depth_0_and_closes_at_a_separator():
@@ -164,13 +164,16 @@ def test_expression_mode_opens_at_a_colon_at_depth_0_and_closes_at_a_separator()
         "before(): call(a) { } call(b)": ["call(a)"],
     }
     for src, expected in cases.items():
-        tokens, _ = tokenize(src)
+        tokens, _ = tokenize(f"aspect A {{ {src} }}")
         assert _designators(tokens) == expected, src
+    # Outside a type body no ':' at depth 0 is valid, and none opens it.
+    tokens, _ = tokenize("x : call(b)")
+    assert _designators(tokens) == []
 
 
 def test_arguments_a_bounded_match_cannot_read_keep_their_tokens():
     for argument in ("* f(/* c */ int)", '"x"', "* f(int,\n long)", "* f(g(h(x)))", "a[0]", "* f() // c\n"):
-        src = f"pointcut p(): call({argument}) && within(A);"
+        src = f"aspect A {{ pointcut p(): call({argument}) && within(A); }}"
         full, _ = reference_lexer.tokenize(src)
         tokens, _ = tokenize(src)
         assert _designators(tokens) == (["within(A)"] if "," not in argument else []), argument

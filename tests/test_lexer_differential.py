@@ -102,8 +102,8 @@ def _apply_tokenize_rules(tokens, source):
     brace block at depth 0 is open; a '}' at depth 0 closes it, and a '{'
     at depth 0 while it is open opens a body.
 
-    A ':' at depth 0 opens expression mode, and the next ',', ';', '{' or
-    '}' at any depth closes it. In that mode, the tokens of each pattern
+    A ':' at depth 0 inside the outermost brace block opens expression
+    mode, and the next ',', ';', '{' or '}' at any depth closes it. In that mode, the tokens of each pattern
     designator (see ``_designator_end``) become one DESIGNATOR token with
     the word's line.
     """
@@ -125,7 +125,7 @@ def _apply_tokenize_rules(tokens, source):
         i += 1
         if expression and (text == "," or text in (";", "{", "}")):
             expression = False
-        elif text == ":" and depth == 0:
+        elif text == ":" and depth == 0 and outer:
             expression = True
         if kind is TokenKind.PAREN_OPEN:
             depth += 1
@@ -192,14 +192,15 @@ def _parsed_from_full_tokens(text: str, file: str):
 @example("aspect A { pointcut p(): a()) { ( } ; int y; }")  # body past a stray ')'
 @example("class A { int x = a[ { ( } ]; int y; }")  # body inside brackets
 @example("aspect A { before(): a() { ( } int y; }")
-# A designator token read where the parser reads word by word: each needs
-# its plain tokens back.
+# A ':' where the parser reads word by word, which ends the member there:
+# the designator token after it is never read as words.
 @example("class A { x : call(* *(..)) ; }")
 @example("x : within(class) A { int y; }")
 @example("class A { int a b : call(x, y) ; }")
 @example("class A { int a = b, c : call(x, y) ; }")
 @example("class A { x : void f(call( y )) {} }")
 @example("aspect A { : pointcut call(y) : call(z); }")
+@example("aspect A { after) throwing: within(A) { } int y; }")  # an advice missing its '('
 # Where expression mode must close early: a ',' or ';' inside parentheses,
 # a '}' at any depth.
 @example("aspect A { declare x : ( a ; call(b) ) ; int q; }")

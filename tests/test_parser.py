@@ -505,6 +505,23 @@ def test_recovery_after_a_colon_stops_after_a_brace_block():
         assert _members(unit) == [["C", "b"]], source
 
 
+def test_colon_inside_a_member_declaration_ends_that_member():
+    # What follows the ':' is never read as a head or a declarator; the
+    # declarators read before it are kept.
+    unit = parse_source("class A { x : call(* *(..)) ; int y; }", "A.java")
+    assert _diagnostics(unit) == ["A.java:1: warning: unexpected ':' in member declaration"]
+    assert _members(unit) == [["A", "y"]]
+    unit = parse_source("class A { int a = b, c : call(x, y) ; int d; }", "A.java")
+    assert _diagnostics(unit) == ["A.java:1: warning: unexpected ':' in member declaration"]
+    assert _members(unit) == [["A", "a", "c", "d"]]
+    # An advice with its '(' deleted.
+    unit = parse_source("aspect A {\n  pointcut p(): get(* *);\n  after) throwing: p() {\n  }\n  int y;\n}\n", "A.aj")
+    assert _diagnostics(unit) == ["A.aj:3: warning: unexpected ':' in member declaration"]
+    assert [pc.name for pc in unit.aspects[0].pointcuts] == ["p"]
+    assert unit.aspects[0].advices == []
+    assert _members(unit) == [["A", "y"]]
+
+
 def test_pointcut_without_a_colon_is_skipped_past_its_brace_block():
     unit = parse_source("aspect A { pointcut p() within(A) { } int y; }", "A.aj")
     assert _diagnostics(unit) == ["A.aj:1: error: malformed pointcut declaration 'p'"]
