@@ -44,11 +44,11 @@ _END = TokenKind.END
 # The texts that end each walk of ``_DeclParser.walk_to``. Each set holds
 # '', the text of END, which ends every walk.
 _AT_END = frozenset({""})
-_HEAD_ENDS = frozenset({"", "{", ";"})  # a type or annotation type head
+_HEAD_ENDS = frozenset({"", "{", ";"})  # a type or annotation type head at top level
 _DECLARATION_ENDS = frozenset({"", ";", "}"})  # a skipped declaration, at any depth
 _SKIP_ENDS = _DECLARATION_ENDS | {"{"}  # ... and outside parentheses
-# A method's 'throws' clause; a pointcut or advice expression, which ends
-# at a '}' as the lexer's expression mode does.
+# A method's 'throws' clause; a type head inside a type body; a pointcut or
+# advice expression, which ends at a '}' as the lexer's expression mode does.
 _MEMBER_ENDS = frozenset({"", "{", ";", "}"})
 _ADVICE_HEAD_ENDS = _MEMBER_ENDS | {":"}  # an advice's 'throws' clause, the 'around' lookahead
 _INITIALIZER_ENDS = frozenset({"", ";", ",", "}"})
@@ -403,21 +403,21 @@ class _DeclParser:
     def skip_annotation(self) -> None:
         """Move past the annotation, or the annotation type, whose '@' is at the cursor.
 
-        An annotation type's head ends at a '{' or ';' outside parentheses.
+        An annotation type's head ends as ``parse_type`` ends a type head.
         """
         tokens = self.tokens
         pos = self.pos
         if tokens[pos + 1][1] != "interface":
             self.pos = self.annotation_end(pos)
             return
-        end = self.walk_to(pos, _HEAD_ENDS, "()", braces=False)
-        if tokens[end][0] is _BRACE_OPEN:
+        end = self.walk_to(pos, _MEMBER_ENDS if self.stack else _HEAD_ENDS, "()", braces=False)
+        kind = tokens[end][0]
+        if kind is _BRACE_OPEN:
             self.skip_balanced_braces(end)
             return
-        if tokens[end][0] is _SEMICOLON:
+        if kind is not _END:
             self.warn(tokens[pos][2], "annotation type without a body")
-            end += 1
-        self.pos = end
+        self.pos = end + 1 if kind is _SEMICOLON else end
 
     def skip_modifiers(self) -> bool:
         """Move past modifiers and annotations; True if 'abstract' is among them."""
@@ -494,7 +494,9 @@ class _DeclParser:
     def parse_type(self, is_aspect: bool) -> UnitDecl:
         """Read the head of the type whose keyword is at the cursor, and push its body.
 
-        A top-level body is read in place. A nested one ends at its matching
+        The head ends at a '{' or ';' outside parentheses, or, inside a
+        type body, at the '}' that closes that body, which is left to it. A
+        top-level body is read in place. A nested one ends at its matching
         '}', as the lexer ends a body, and is read from its own token list,
         lexed again alone if the lexer kept only its braces (as it may at
         top level, too).
@@ -510,14 +512,14 @@ class _DeclParser:
             name = "<anonymous>"
             pos += 1
         # extends/implements/generics/per-clauses: everything up to the body.
-        pos = self.walk_to(pos, _HEAD_ENDS, "()", braces=False)
+        pos = self.walk_to(pos, _MEMBER_ENDS if self.stack else _HEAD_ENDS, "()", braces=False)
         kind = tokens[pos][0]
         if is_aspect:
             decl: UnitDecl = AspectDecl(name=name, line=line)
         else:
             decl = ClassDecl(name=name, kind=word, line=line)
         if kind is not _BRACE_OPEN:
-            self.pos = pos if kind is _END else pos + 1
+            self.pos = pos + 1 if kind is _SEMICOLON else pos
             return decl
         restore = None
         if self.stack or tokens[pos + 1][0] is _BRACE_CLOSE or tokens[pos + 1][0] is _END:

@@ -218,6 +218,8 @@ def _parsed_from_full_tokens(text: str, file: str):
 @example('class A {\n class B { String s = "x\n; int y; } int z; }')
 @example("class A { class B { x : call(* *(..)) ; int y; } int z; }")
 @example("class A { interface I { int x; } enum E { R; } @interface N { int v(); } aspect S { int q; } int z; }")
+@example("class C { class B } class D { int y; }")  # a nested head ends at the '}'
+@example("class C { @interface A } class D { int y; }")
 # A nested body ends at its matching '}', as the lexer ends it, whatever
 # its parentheses hold.
 @example("class A { class B { void m(}) {} } int z; }")

@@ -522,6 +522,22 @@ def test_colon_inside_a_member_declaration_ends_that_member():
     assert _members(unit) == [["A", "y"]]
 
 
+def test_a_nested_type_head_without_a_body_ends_at_the_closing_brace():
+    # The '}' closes the container, and the next type is declared.
+    unit = parse_source("class C { class B } class D { int y; }", "C.java")
+    assert _diagnostics(unit) == []
+    assert _members(unit) == [["C"], ["D", "y"]]
+    assert [b.name for b in unit.classes[0].nested] == ["B"]
+    unit = parse_source("class C { @interface A } class D { int y; }", "C.java")
+    assert _diagnostics(unit) == ["C.java:1: warning: annotation type without a body"]
+    assert _members(unit) == [["C"], ["D", "y"]]
+    # A ';' still ends the head and is consumed, as before.
+    unit = parse_source("class C { class B; int y; }", "C.java")
+    assert _diagnostics(unit) == []
+    assert _members(unit) == [["C", "y"]]
+    assert [b.name for b in unit.classes[0].nested] == ["B"]
+
+
 def test_pointcut_without_a_colon_is_skipped_past_its_brace_block():
     unit = parse_source("aspect A { pointcut p() within(A) { } int y; }", "A.aj")
     assert _diagnostics(unit) == ["A.aj:1: error: malformed pointcut declaration 'p'"]
