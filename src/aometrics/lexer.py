@@ -14,17 +14,18 @@ A ':' at parenthesis depth 0 inside the outermost brace block opens
 expression mode: it starts every pointcut, advice and ``declare``
 expression, each of which sits in a type body (in Java only a ternary in
 a field initializer puts one there; outside a type body none is valid).
-The next ',', ';', '{' or '}', at any depth, closes it. In that mode each pattern designator, ``call``,
-``execution``, ``get``, ``set``, ``handler``, ``within``,
-``withincode``, ``this``, ``target``, ``args`` or an ``initialization``
-form not glued to a '.' or '@' before it, becomes one DESIGNATOR token
-together with its argument, such as ``call(void A.g())``: the pointcut
-parser reads that argument only as text. ``cflow``, ``cflowbelow``, ``if``
-and named references keep their tokens. The argument is read by a bounded
-match; an argument it cannot read, such as one holding a comment, a
-literal or a newline, falls back to plain tokens, so the declaration and
-pointcut parsers see the same program either way, and a failed match
-costs linear time (see ``_GROUP``).
+The next ',', ';', '{' or '}', at any depth, closes it. In that mode
+each pattern designator, ``call``, ``execution``, ``get``, ``set``,
+``handler``, ``within``, ``withincode``, ``this``, ``target``, ``args``
+or an ``initialization`` form not glued to a '.' or '@' before it,
+becomes one DESIGNATOR token together with its argument, such as
+``call(void A.g())``: the pointcut parser reads that argument only as
+text. ``cflow``, ``cflowbelow``, ``if`` and named references keep their
+tokens. The argument is read by a bounded match; an argument it cannot
+read, such as one holding a comment, a literal or a newline, falls back
+to plain tokens, so the declaration and pointcut parsers see the same
+program either way, and a failed match costs linear time (see
+``_GROUP``).
 
 One compiled alternation does the whole scan. Each match is the blanks,
 comments and closed literals before a token (the skipped prefix) followed
