@@ -1,8 +1,11 @@
 """One digest pins what the parser makes of a fixed corpus of malformed input.
 
 The corpus is token soup drawn with a fixed seed over
-``test_never_raises._VOCABULARY``, and every Java/AspectJ fixture cut at,
-and with one character deleted at, every 11th offset. Each parse result
+``test_never_raises._VOCABULARY``; soup from a second seed, each text the
+body of a class nested in another, ahead of a field of the outer class;
+and every Java/AspectJ fixture cut at, and with one character deleted at,
+every 11th offset. The nested soup pins where a nested body ends: what it
+leaves unclosed must not take the outer class's field. Each parse result
 is read field by field (names, signatures, lines, pointcut expressions,
 advice kinds, the text of each diagnostic), never through ``repr``, so
 the digest is the same on every supported Python version.
@@ -39,14 +42,22 @@ DIGEST = Path(__file__).resolve().parent / "parse_digest_malformed.json"
 
 _SEED = 22
 _SOUP_TEXTS = 20_000
+_NESTED_SEED = 25
+_NESTED_TEXTS = 5_000
 _SOUP_MAX_TOKENS = 60
 _FIXTURE_STEP = 11
 
 
-def _corpus():
-    rng = random.Random(_SEED)
-    for _ in range(_SOUP_TEXTS):
+def _soup(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
         yield " ".join(rng.choice(_VOCABULARY) for _ in range(rng.randrange(_SOUP_MAX_TOKENS + 1)))
+
+
+def _corpus():
+    yield from _soup(_SEED, _SOUP_TEXTS)
+    for soup in _soup(_NESTED_SEED, _NESTED_TEXTS):
+        yield f"class O {{\n  class I {{\n{soup}\n  }}\n  int y;\n}}\n"
     for text in dict.fromkeys(_FIXTURE_TEXTS):  # each text once: versions share files
         for offset in range(0, len(text), _FIXTURE_STEP):
             yield text[:offset]
