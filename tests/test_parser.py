@@ -538,6 +538,25 @@ def test_a_nested_type_head_without_a_body_ends_at_the_closing_brace():
     assert [b.name for b in unit.classes[0].nested] == ["B"]
 
 
+def test_a_nested_body_ends_at_its_matching_brace_whatever_it_leaves_open():
+    # A nested body is read from its own tokens, up to the '}' that matches
+    # its '{': an unclosed '(' inside ends there, not at the container's end.
+    unit = parse_source("class A { class B { void f( } int y; }", "A.java")
+    assert _diagnostics(unit) == [
+        "A.java:1: error: malformed declaration of 'f'",
+        "A.java:1: error: unexpected end of file inside 'B'",
+    ]
+    assert _members(unit) == [["A", "y"]]
+    assert [b.name for b in unit.classes[0].nested] == ["B"]
+    unit = parse_source("class A { class B { int a; class C { void g( } } int y; } class D { int z; }", "A.java")
+    assert _diagnostics(unit) == [
+        "A.java:1: error: malformed declaration of 'g'",
+        "A.java:1: error: unexpected end of file inside 'C'",
+    ]
+    assert _members(unit) == [["A", "y"], ["D", "z"]]
+    assert [[b.name, *(a.name for a in b.attributes)] for b in unit.classes[0].nested] == [["B", "a"]]
+
+
 def test_pointcut_without_a_colon_is_skipped_past_its_brace_block():
     unit = parse_source("aspect A { pointcut p() within(A) { } int y; }", "A.aj")
     assert _diagnostics(unit) == ["A.aj:1: error: malformed pointcut declaration 'p'"]
