@@ -7,7 +7,7 @@ body within the outermost brace block. The parser alone decides which is a
 type body, which it lexes again alone (``parse_type``). ``walk_to`` is
 the one walk that takes it past the code it does not measure, and it
 passes every other brace block outside parentheses whole, never token by
-token, with ``skip_balanced_braces``. So statement-level constructs never
+token, with ``brace_end``. So statement-level constructs never
 influence the result, and parsing the full token stream gives the same
 result as parsing the lexer's.
 
@@ -230,31 +230,27 @@ def _split_member_name(head: list[Token]) -> tuple[list[Token], list[Token]]:
 
 
 class _DeclParser:
-    """One pass over a file's declaration tokens, with no recursion.
+    """One pass over a file's declaration tokens, with no recursion and no cursor.
 
-    ``self.pos`` is the cursor between methods; each method works on a
-    local ``pos`` and stores it back before it calls another that moves
-    the cursor. Helpers named ``*_end`` only look ahead: they take a
-    position and return one, and move nothing. Each way past code the
+    Every method that moves through the tokens takes the position it
+    starts at and returns the position it stops at. Each way past code the
     parser does not measure (a skipped declaration, top-level recovery, an
     initializer, a pointcut expression, a type head, a 'throws' clause)
     calls ``walk_to`` with stop sets of its own.
 
     ``self.stack`` holds the open type bodies, innermost last, as
     ``(decl, is_aspect, restore)``: ``restore`` is None for a body read in
-    place, else the enclosing token list and cursor.
+    place, else the enclosing token list and the position past the body.
 
     Every keyword and punctuation mark has a single token kind, so a token
     is tested by its text alone wherever the text is fixed.
     """
 
     def __init__(self, tokens: list[Token], file: object, source: str, diagnostics: list[Diagnostic]):
-        # A second END token is added. No cursor moves past the first, so
+        # A second END token is added. No walk moves past the first, so
         # ``tokens[pos + 1]`` can index without a bounds check.
         self.tokens = [*tokens, tokens[-1]]
-        self.pos = 0
         self.source = source
-        self.file = file
         self.label = file_label(file)
         self.diagnostics = diagnostics
         self.stack: list[tuple[UnitDecl, bool, tuple | None]] = []
@@ -341,9 +337,8 @@ class _DeclParser:
         in the lexer, so an unmatched ')' does not hide the stop behind it.
         At a depth above 0 only a text in ``anywhere``, a subset of
         ``stops``, ends the walk. A '{' that ends nothing is passed whole,
-        with ``skip_balanced_braces`` (which moves the cursor), or read as
-        a plain token if ``braces`` is False, as the lexer reads a '{'
-        inside parentheses.
+        with ``brace_end``, or read as a plain token if ``braces`` is
+        False, as the lexer reads a '{' inside parentheses.
         """
         tokens = self.tokens
         opens, closes = nests[0::2], nests[1::2]
@@ -353,8 +348,7 @@ class _DeclParser:
             if text in (anywhere if depth else stops):
                 return pos
             if text == "{" and braces:
-                self.skip_balanced_braces(pos)
-                pos = self.pos
+                pos, _ = self.brace_end(pos)
                 continue
             if text in opens:
                 depth += 1
@@ -362,147 +356,141 @@ class _DeclParser:
                 depth -= 1
             pos += 1
 
-    def skip_balanced_braces(self, pos: int) -> bool:
-        """Move past the brace block whose '{' is at ``pos``; False if it is unclosed.
+    def brace_end(self, pos: int) -> tuple[int, bool]:
+        """Position past the brace block whose '{' is at ``pos``, and False if it is unclosed.
 
-        Every brace block outside parentheses that the parser does not parse
-        as a type body is passed with this, directly or through ``walk_to``,
-        and so is a nested type body to find where it ends.
+        An unclosed block ends at the END token. Every brace block outside
+        parentheses that the parser does not parse as a type body is passed
+        with this, directly or through ``walk_to``, and a nested type body
+        ends where this says.
         """
         tokens = self.tokens
         depth = 0
         while True:
             kind = tokens[pos][0]
             if kind is _END:
-                self.pos = pos
-                return False
+                return pos, False
             pos += 1
             if kind is _BRACE_OPEN:
                 depth += 1
             elif kind is _BRACE_CLOSE:
                 depth -= 1
                 if depth == 0:
-                    self.pos = pos
-                    return True
+                    return pos, True
 
-    def skip_declaration(self) -> None:
-        """Move past the rest of a declaration, or to the '}' that closes the block.
+    def skip_declaration(self, pos: int) -> int:
+        """Where the declaration at ``pos`` ends: past it, or at the '}' that closes the block.
 
         A declaration ends after a ';', or at a '}', at any depth of
         parentheses; or after a brace block outside them, such as the body
         of a malformed method. A brace block inside them, as in '@A({1})',
         ends nothing.
         """
-        pos = self.walk_to(self.pos, _SKIP_ENDS, "()", _DECLARATION_ENDS)
+        pos = self.walk_to(pos, _SKIP_ENDS, "()", _DECLARATION_ENDS)
         text = self.tokens[pos][1]
         if text == "{":
-            self.skip_balanced_braces(pos)
-        else:
-            self.pos = pos + 1 if text == ";" else pos
+            return self.brace_end(pos)[0]
+        return pos + 1 if text == ";" else pos
 
-    def skip_annotation(self) -> None:
-        """Move past the annotation, or the annotation type, whose '@' is at the cursor.
+    def skip_annotation(self, pos: int) -> int:
+        """Position past the annotation, or the annotation type, whose '@' is at ``pos``.
 
         An annotation type's head ends as ``parse_type`` ends a type head.
         """
         tokens = self.tokens
-        pos = self.pos
         if tokens[pos + 1][1] != "interface":
-            self.pos = self.annotation_end(pos)
-            return
+            return self.annotation_end(pos)
         end = self.walk_to(pos, _MEMBER_ENDS if self.stack else _HEAD_ENDS, "()", braces=False)
         kind = tokens[end][0]
         if kind is _BRACE_OPEN:
-            self.skip_balanced_braces(end)
-            return
+            return self.brace_end(end)[0]
         if kind is not _END:
             self.warn(tokens[pos][2], "annotation type without a body")
-        self.pos = end + 1 if kind is _SEMICOLON else end
+        return end + 1 if kind is _SEMICOLON else end
 
-    def skip_modifiers(self) -> bool:
-        """Move past modifiers and annotations; True if 'abstract' is among them."""
+    def skip_modifiers(self, pos: int) -> tuple[int, bool]:
+        """Position past modifiers and annotations, and whether 'abstract' is among them."""
         tokens = self.tokens
         is_abstract = False
         while True:
-            text = tokens[self.pos][1]
+            text = tokens[pos][1]
             if text == "@":
                 # The modifiers before an annotation type are its own.
-                is_abstract = is_abstract and tokens[self.pos + 1][1] != "interface"
-                self.skip_annotation()
+                is_abstract = is_abstract and tokens[pos + 1][1] != "interface"
+                pos = self.skip_annotation(pos)
             elif text in MODIFIER_WORDS:
                 is_abstract = is_abstract or text == "abstract"
-                self.pos += 1
+                pos += 1
             else:
-                return is_abstract
+                return pos, is_abstract
 
     # -- declarations ----------------------------------------------------
 
     def parse_unit_body(self, unit: SourceUnit) -> None:
         tokens = self.tokens
+        pos = 0
         while True:
-            kind, text, _, _, _ = tokens[self.pos]
+            kind, text, _, _, _ = tokens[pos]
             if kind is _END:
                 return
             if kind is _SEMICOLON:
-                self.pos += 1
+                pos += 1
                 continue
             if text == "package" or text == "import":
-                self.skip_declaration()
+                pos = self.skip_declaration(pos)
                 continue
             if text == "@":
-                self.skip_annotation()
+                pos = self.skip_annotation(pos)
                 continue
-            self.skip_modifiers()
-            kind, text, line, _, _ = tokens[self.pos]
-            if text in _CLASS_KEYWORDS:
-                unit.classes.append(self.parse_type(is_aspect=False))
-                self.parse_members()
-            elif text == "aspect":
-                unit.aspects.append(self.parse_type(is_aspect=True))
-                self.parse_members()
+            pos, _ = self.skip_modifiers(pos)
+            kind, text, line, _, _ = tokens[pos]
+            if text in _TYPE_KEYWORDS:
+                decl, pos = self.parse_type(pos)
+                (unit.aspects if text == "aspect" else unit.classes).append(decl)
+                pos = self.parse_members(pos)
             elif kind is _END:
                 return
-            elif not self.skip_module():
-                self.err(line, f"unexpected token at top level: {text!r}")
-                self.recover_to_type_keyword()
+            else:
+                end = self.module_end(pos)
+                if end == pos:
+                    self.err(line, f"unexpected token at top level: {text!r}")
+                    # Recover at the next type keyword, at any depth of parentheses.
+                    end = self.walk_to(pos, _RECOVERY_ENDS)
+                pos = end
 
-    def skip_module(self) -> bool:
-        """Move past ``[open] module a.b { ... }`` at the cursor; False if none is there.
+    def module_end(self, pos: int) -> int:
+        """Position past ``[open] module a.b { ... }`` at ``pos``; ``pos`` if none is there.
 
-        A module declaration, the content of ``module-info.java``, declares no type.
+        A module declaration, the content of ``module-info.java``, declares
+        no type. An unclosed one is an error.
         """
         tokens = self.tokens
-        pos = self.pos
-        if tokens[pos][1] == "open":
-            pos += 1
-        if tokens[pos][1] != "module" or tokens[pos + 1][0] is not _IDENTIFIER:
-            return False
-        line = tokens[pos][2]
-        pos += 2
-        while tokens[pos][1] == "." and tokens[pos + 1][0] is _IDENTIFIER:
-            pos += 2
-        if tokens[pos][0] is not _BRACE_OPEN:
-            return False
-        if not self.skip_balanced_braces(pos):
+        end = pos + 1 if tokens[pos][1] == "open" else pos
+        if tokens[end][1] != "module" or tokens[end + 1][0] is not _IDENTIFIER:
+            return pos
+        line = tokens[end][2]
+        end += 2
+        while tokens[end][1] == "." and tokens[end + 1][0] is _IDENTIFIER:
+            end += 2
+        if tokens[end][0] is not _BRACE_OPEN:
+            return pos
+        end, closed = self.brace_end(end)
+        if not closed:
             self.err(line, "unclosed module declaration")
-        return True
+        return end
 
-    def recover_to_type_keyword(self) -> None:
-        """Move to the next type keyword at any depth of parentheses, or to END."""
-        self.pos = self.walk_to(self.pos, _RECOVERY_ENDS)
+    def parse_type(self, pos: int) -> tuple[UnitDecl, int]:
+        """Read the head of the type whose keyword is at ``pos``, and push its body.
 
-    def parse_type(self, is_aspect: bool) -> UnitDecl:
-        """Read the head of the type whose keyword is at the cursor, and push its body.
-
-        The head ends at a '{' or ';' outside parentheses, or, inside a
-        type body, at the '}' that closes that body, which is left to it. A
-        top-level body is read in place. A nested one ends at its matching
-        '}', as the lexer ends a body, and is read from its own token list,
-        lexed again alone if the lexer kept only its braces (as it may at
-        top level, too).
+        Returns the type and the position of its first member. The head
+        ends at a '{' or ';' outside parentheses, or, inside a type body, at
+        the '}' that closes that body, which is left to it. A top-level body
+        is read in place. A nested one ends at its matching '}', as the
+        lexer ends a body, and is read from its own token list, lexed again
+        alone if the lexer kept only its braces (as it may at top level,
+        too).
         """
         tokens = self.tokens
-        pos = self.pos
         _, word, line, _, _ = tokens[pos]
         kind, name, _, _, _ = tokens[pos + 1]
         if kind is _IDENTIFIER:
@@ -514,17 +502,17 @@ class _DeclParser:
         # extends/implements/generics/per-clauses: everything up to the body.
         pos = self.walk_to(pos, _MEMBER_ENDS if self.stack else _HEAD_ENDS, "()", braces=False)
         kind = tokens[pos][0]
+        is_aspect = word == "aspect"
         if is_aspect:
             decl: UnitDecl = AspectDecl(name=name, line=line)
         else:
             decl = ClassDecl(name=name, kind=word, line=line)
         if kind is not _BRACE_OPEN:
-            self.pos = pos + 1 if kind is _SEMICOLON else pos
-            return decl
+            return decl, pos + 1 if kind is _SEMICOLON else pos
         restore = None
         if self.stack or tokens[pos + 1][0] is _BRACE_CLOSE or tokens[pos + 1][0] is _END:
-            closed = self.skip_balanced_braces(pos)
-            close = self.pos - 1 if closed else self.pos
+            after, closed = self.brace_end(pos)
+            close = after - 1 if closed else after
             if close == pos + 1:
                 body = self.lex(tokens[pos][3], tokens[close][4], tokens[pos][2])
             else:  # its tokens are here, as in a full token stream
@@ -532,65 +520,67 @@ class _DeclParser:
                 if closed:
                     end = tokens[close][4]
                     body.append((_END, "", tokens[close][2], end, end))
-            restore = (tokens, self.pos)
+            restore = (tokens, after)
             self.tokens = [*body, body[-1]]  # a second END, as in __init__
             pos = 0
-        self.pos = pos + 1  # past its '{'
         self.stack.append((decl, is_aspect, restore))
-        return decl
+        return decl, pos + 1  # past its '{'
 
-    def parse_members(self) -> None:
-        """Read the members of the open type bodies, innermost first, until none is open."""
+    def parse_members(self, pos: int) -> int:
+        """Read the members of the open type bodies, innermost first, until none is open.
+
+        Returns the position past the outermost body.
+        """
         stack = self.stack
         while stack:
             container, is_aspect, restore = stack[-1]
             tokens = self.tokens
-            pos = self.pos
             kind, text, line, _, _ = tokens[pos]
             if kind is _SEMICOLON:
-                self.pos = pos + 1
+                pos += 1
                 continue
             if kind is _BRACE_CLOSE or kind is _END:
                 if kind is _END:
                     self.err(line, f"unexpected end of file inside '{container.name}'")
                 else:
-                    self.pos = pos + 1
+                    pos += 1
                 stack.pop()
                 if restore is not None:
-                    self.tokens, self.pos = restore
+                    self.tokens, pos = restore
                 continue
             if text == "@":
-                self.skip_annotation()
+                pos = self.skip_annotation(pos)
                 continue
 
+            start = pos
             is_abstract = False
             while text in MODIFIER_WORDS:
                 is_abstract = is_abstract or text == "abstract"
                 pos += 1
                 text = tokens[pos][1]
             if text == "@":  # from the member's start again, for the '@interface' rule
-                is_abstract = self.skip_modifiers()
-                pos = self.pos
-            self.pos = pos
+                pos, is_abstract = self.skip_modifiers(start)
             kind, text, line, _, _ = tokens[pos]
 
             if kind is _KEYWORD:
                 if text in _CLASS_KEYWORDS:
-                    container.nested.append(self.parse_type(is_aspect=False))
+                    decl, pos = self.parse_type(pos)
+                    container.nested.append(decl)
                     continue
                 if text == "pointcut":
-                    self.parse_pointcut_member(container, is_abstract)
+                    pos = self.parse_pointcut_member(pos, container, is_abstract)
                     continue
             elif kind is _IDENTIFIER and is_aspect:
                 if (text == "before" or text == "after") and tokens[pos + 1][0] is _PAREN_OPEN:
-                    self.parse_advice(container, pos)
+                    pos = self.parse_advice(pos, container)
                     continue
                 if text == "declare":
-                    self.skip_declaration()
+                    pos = self.skip_declaration(pos)
                     continue
             elif kind is _BRACE_OPEN:
                 # Instance or static initializer block.
-                if not self.skip_balanced_braces(pos):
+                pos, closed = self.brace_end(pos)
+                if not closed:
                     self.err(line, "unclosed initializer block")
                 continue
 
@@ -602,7 +592,7 @@ class _DeclParser:
                 after = tokens[pos + 2][0]
                 if after is _SEMICOLON:
                     container.attributes.append(AttributeDecl(name, text, name_line))
-                    self.pos = pos + 3
+                    pos += 3
                     continue
                 if after is _PAREN_OPEN:
                     close = pos + 3
@@ -616,14 +606,14 @@ class _DeclParser:
                     ):
                         signature = _normalize_tokens(tokens[pos : close + 1])
                         container.methods.append(MethodDecl(name, signature, False, False, name_line))
-                        self.pos = close + 2 if after is _SEMICOLON else close + 3
+                        pos = close + 2 if after is _SEMICOLON else close + 3
                         continue
 
-            self.parse_member_tail(container, is_aspect)
+            pos = self.parse_member_tail(pos, container, is_aspect)
+        return pos
 
-    def parse_pointcut_member(self, container: UnitDecl, is_abstract: bool) -> None:
+    def parse_pointcut_member(self, pos: int, container: UnitDecl, is_abstract: bool) -> int:
         tokens = self.tokens
-        pos = self.pos
         line = tokens[pos][2]  # 'pointcut'
         kind, name, _, _, _ = tokens[pos + 1]
         if kind is _IDENTIFIER:
@@ -637,28 +627,25 @@ class _DeclParser:
         if text == ";":
             # Abstract pointcut: a declaration without an expression selects
             # nothing by itself, so it is not recorded.
-            self.pos = pos + 1
-            return
+            return pos + 1
         if text != ":":
             self.err(line, f"malformed pointcut declaration '{name}'")
-            self.pos = pos
-            self.skip_declaration()
-            return
+            return self.skip_declaration(pos)
         start = pos + 1
         stop = self.walk_to(start, _MEMBER_ENDS, "()", braces=False)
         if tokens[stop][0] is _SEMICOLON:
-            self.pos = stop + 1
+            pos = stop + 1
         else:
-            self.pos = stop
+            pos = stop
             self.err(line, f"missing ';' after pointcut '{name}'")
-        if is_abstract:
-            return
-        expr = parse_pointcut_expression(
-            tokens[start : stop + 1], self.source, diagnostics=self.diagnostics, file=self.label, line=line
-        )
-        container.pointcuts.append(PointcutDecl(name=name, expression=expr, source_line=line))
+        if not is_abstract:
+            expr = parse_pointcut_expression(
+                tokens[start : stop + 1], self.source, diagnostics=self.diagnostics, file=self.label, line=line
+            )
+            container.pointcuts.append(PointcutDecl(name=name, expression=expr, source_line=line))
+        return pos
 
-    def parse_advice(self, container: UnitDecl, pos: int) -> None:
+    def parse_advice(self, pos: int, container: UnitDecl) -> int:
         """Parse the advice whose 'before', 'after' or 'around' is at ``pos``."""
         tokens = self.tokens
         _, word, line, _, _ = tokens[pos]
@@ -677,26 +664,26 @@ class _DeclParser:
             pos = self.walk_to(pos, _ADVICE_HEAD_ENDS)
         if tokens[pos][1] != ":":
             self.err(line, f"malformed {word} advice (missing ':')")
-            self.pos = pos
-            self.skip_declaration()
-            return
+            return self.skip_declaration(pos)
         start = pos + 1
         stop = self.walk_to(start, _MEMBER_ENDS, "()", braces=False)
         stop_kind = tokens[stop][0]
         if stop_kind is _BRACE_OPEN:
-            if not self.skip_balanced_braces(stop):
+            pos, closed = self.brace_end(stop)
+            if not closed:
                 self.err(line, "unclosed advice body")
         else:
             self.warn(line, f"{word} advice without a body")
-            self.pos = stop + 1 if stop_kind is _SEMICOLON else stop
+            pos = stop + 1 if stop_kind is _SEMICOLON else stop
         expr = parse_pointcut_expression(
             tokens[start : stop + 1], self.source, diagnostics=self.diagnostics, file=self.label, line=line
         )
         container.advices.append(AdviceDecl(kind=kind, expression=expr, source_line=line))
+        return pos
 
-    def parse_member_tail(self, container: UnitDecl, is_aspect: bool) -> None:
+    def parse_member_tail(self, pos: int, container: UnitDecl, is_aspect: bool) -> int:
         tokens = self.tokens
-        start = pos = self.pos
+        start = pos
         angle_depth = 0
         while True:
             kind, text, line, _, _ = tokens[pos]
@@ -714,13 +701,10 @@ class _DeclParser:
                 if is_aspect and text == "around" and tokens[pos + 1][0] is _PAREN_OPEN:
                     # An advice if a ':' follows; the head tokens before are its return type.
                     if tokens[self.walk_to(self.paren_end(pos + 1), _ADVICE_HEAD_ENDS)][1] == ":":
-                        self.parse_advice(container, pos)
-                        return
+                        return self.parse_advice(pos, container)
             elif kind is _PAREN_OPEN:
                 if angle_depth == 0:
-                    self.pos = pos
-                    self.finish_method(container, self.without_annotations(start, pos))
-                    return
+                    return self.finish_method(pos, container, self.without_annotations(start, pos))
             elif kind is _SEMICOLON or text == ",":
                 if angle_depth == 0:
                     break
@@ -729,32 +713,24 @@ class _DeclParser:
                 continue
             elif kind is _BRACE_OPEN:
                 self.warn(line, "unexpected '{' in member declaration")
-                self.skip_balanced_braces(pos)
-                return
+                return self.brace_end(pos)[0]
             elif kind is _BRACE_CLOSE or kind is _END:
                 if pos > start:
                     self.err(line, "dangling member declaration")
-                self.pos = pos
-                return
+                return pos
             elif text == ":":
                 self.warn(line, "unexpected ':' in member declaration")
-                self.pos = pos
-                self.skip_declaration()
-                return
+                return self.skip_declaration(pos)
             pos += 1
-        self.pos = pos
-        self.finish_field(container, self.without_annotations(start, pos))
+        return self.finish_field(pos, container, self.without_annotations(start, pos))
 
-    def finish_method(self, container: UnitDecl, head: list[Token]) -> None:
-        """Finish the method or constructor whose parameter list opens at the cursor."""
+    def finish_method(self, pos: int, container: UnitDecl, head: list[Token]) -> int:
+        """Finish the method or constructor whose parameter list opens at ``pos``."""
         tokens = self.tokens
-        pos = self.pos
         type_tokens, name_tokens = _split_member_name(head)
         if not name_tokens:
             self.err(tokens[pos][2], "method declaration without a name")
-            self.pos = self.paren_end(pos)
-            self.skip_declaration()
-            return
+            return self.skip_declaration(self.paren_end(pos))
         name = "".join(tok[1] for tok in name_tokens)
         simple = name.rsplit(".", 1)[-1]
         is_intertype = "." in name
@@ -771,18 +747,17 @@ class _DeclParser:
             pos = self.walk_to(pos, _MEMBER_ENDS)
         kind, text, _, _, _ = tokens[pos]
         if kind is _BRACE_OPEN:
-            if not self.skip_balanced_braces(pos):
+            pos, closed = self.brace_end(pos)
+            if not closed:
                 self.err(line, f"unclosed body of '{name}'")
         elif kind is _SEMICOLON:
-            self.pos = pos + 1
+            pos += 1
         else:
             if text == ":":
                 self.warn(line, f"unexpected ':' after member '{name}'")
             else:
                 self.err(line, f"malformed declaration of '{name}'")
-            self.pos = pos
-            self.skip_declaration()
-            return
+            return self.skip_declaration(pos)
         container.methods.append(
             MethodDecl(
                 name=name,
@@ -792,10 +767,10 @@ class _DeclParser:
                 line=line,
             )
         )
+        return pos
 
-    def finish_field(self, container: UnitDecl, head: list[Token]) -> None:
+    def finish_field(self, pos: int, container: UnitDecl, head: list[Token]) -> int:
         tokens = self.tokens
-        pos = self.pos
         # C-style array declarators, as javac reads them: ``int c[][], d;``
         # declares ``int[][] c`` and ``int d``.
         dims = 0
@@ -804,8 +779,7 @@ class _DeclParser:
             dims += 1
         if not head or head[-1][0] is not _IDENTIFIER:
             self.warn(tokens[pos][2], "unrecognized member declaration")
-            self.skip_declaration()
-            return
+            return self.skip_declaration(pos)
         declared_type = _normalize_tokens(head[:-1])
         names: list[tuple[str, int, int]] = [(head[-1][1], head[-1][2], dims)]
         while True:
@@ -832,32 +806,27 @@ class _DeclParser:
                             break
                     names.append((nxt[1], nxt[2], dims))
                     continue
-                self.pos = pos + 1
                 self.warn(line, "missing declarator after ','")
-                self.skip_declaration()
-                pos = self.pos
+                pos = self.skip_declaration(pos + 1)
                 break
             if kind is _BRACE_OPEN:
                 self.warn(line, "unexpected '{' in member declaration")
-                self.skip_balanced_braces(pos)
-                pos = self.pos
+                pos, _ = self.brace_end(pos)
                 break
             if kind is _BRACE_CLOSE or kind is _END:
                 self.warn(line, "unterminated field declaration")
                 break
             if text == ":":
                 self.warn(line, "unexpected ':' in member declaration")
-                self.pos = pos
-                self.skip_declaration()
-                pos = self.pos
+                pos = self.skip_declaration(pos)
                 break
             # Other trailing tokens on the declarator.
             pos += 1
-        self.pos = pos
         for name, line, dims in names:
             container.attributes.append(
                 AttributeDecl(name=name, declared_type=declared_type + "[]" * dims, line=line)
             )
+        return pos
 
 
 def parse_unit(
