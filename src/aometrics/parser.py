@@ -508,6 +508,8 @@ class _DeclParser:
         else:
             decl = ClassDecl(name=name, kind=word, line=line)
         if kind is not _BRACE_OPEN:
+            if kind is not _END:
+                self.warn(line, f"{word} without a body")
             return decl, pos + 1 if kind is _SEMICOLON else pos
         restore = None
         if self.stack or tokens[pos + 1][0] is _BRACE_CLOSE or tokens[pos + 1][0] is _END:

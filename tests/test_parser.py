@@ -525,17 +525,30 @@ def test_colon_inside_a_member_declaration_ends_that_member():
 def test_a_nested_type_head_without_a_body_ends_at_the_closing_brace():
     # The '}' closes the container, and the next type is declared.
     unit = parse_source("class C { class B } class D { int y; }", "C.java")
-    assert _diagnostics(unit) == []
+    assert _diagnostics(unit) == ["C.java:1: warning: class without a body"]
     assert _members(unit) == [["C"], ["D", "y"]]
     assert [b.name for b in unit.classes[0].nested] == ["B"]
     unit = parse_source("class C { @interface A } class D { int y; }", "C.java")
     assert _diagnostics(unit) == ["C.java:1: warning: annotation type without a body"]
     assert _members(unit) == [["C"], ["D", "y"]]
-    # A ';' still ends the head and is consumed, as before.
-    unit = parse_source("class C { class B; int y; }", "C.java")
-    assert _diagnostics(unit) == []
-    assert _members(unit) == [["C", "y"]]
+
+
+def test_a_type_head_without_a_body_is_warned_and_still_recorded():
+    # A ';' ends the head and is consumed; javac rejects both heads.
+    unit = parse_source("class C { class B; int y; }\nclass D;\n", "C.java")
+    assert _diagnostics(unit) == [
+        "C.java:1: warning: class without a body",
+        "C.java:2: warning: class without a body",
+    ]
+    assert _members(unit) == [["C", "y"], ["D"]]
     assert [b.name for b in unit.classes[0].nested] == ["B"]
+    unit = parse_source("interface I;\naspect A;\nenum E", "I.aj")
+    assert _diagnostics(unit) == [
+        "I.aj:1: warning: interface without a body",
+        "I.aj:2: warning: aspect without a body",
+    ]
+    assert [c.name for c in unit.classes] == ["I", "E"]
+    assert [a.name for a in unit.aspects] == ["A"]
 
 
 def test_a_nested_body_ends_at_its_matching_brace_whatever_it_leaves_open():
