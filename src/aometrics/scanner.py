@@ -29,12 +29,11 @@ class ScanMode(Enum):
 
 
 class SourceFileRef(FrozenRecord):
-    __slots__ = ("path", "kind", "version_id")
+    __slots__ = ("path", "kind")
 
-    def __init__(self, path: Path, kind: FileKind, version_id: str):
+    def __init__(self, path: Path, kind: FileKind):
         object.__setattr__(self, "path", path)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "version_id", version_id)
 
 
 class VersionRef(FrozenRecord):
@@ -62,7 +61,7 @@ def classify_file(path: Path | str) -> FileKind:
     return _kind_of_name(Path(path).name)
 
 
-def _collect_files(root: Path, version_id: str) -> list[SourceFileRef]:
+def _collect_files(root: Path) -> list[SourceFileRef]:
     """Every source file under ``root``, sorted by its full path string.
 
     Only regular files and directories are visited, never a symlink; hidden
@@ -86,7 +85,7 @@ def _collect_files(root: Path, version_id: str) -> list[SourceFileRef]:
         except OSError:
             pass
     found.sort(key=itemgetter(0))
-    return [SourceFileRef(path=Path(path), kind=kind, version_id=version_id) for path, kind in found]
+    return [SourceFileRef(path=Path(path), kind=kind) for path, kind in found]
 
 
 def scan_corpus(root: Path | str, mode: ScanMode) -> list[VersionRef]:
@@ -101,7 +100,7 @@ def scan_corpus(root: Path | str, mode: ScanMode) -> list[VersionRef]:
 
     versions: list[VersionRef] = []
     if mode is ScanMode.SINGLE_VERSION:
-        files = _collect_files(root, root.name)
+        files = _collect_files(root)
         versions.append(VersionRef(id=root.name, root=root, files=tuple(files)))
     else:
         children = sorted(
@@ -113,7 +112,7 @@ def scan_corpus(root: Path | str, mode: ScanMode) -> list[VersionRef]:
             key=lambda p: p.name,
         )
         for child in children:
-            files = _collect_files(child, child.name)
+            files = _collect_files(child)
             versions.append(VersionRef(id=child.name, root=child, files=tuple(files)))
 
     if not any(version.files for version in versions):
