@@ -190,7 +190,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     lines = []
     for version in scan_corpus(args.root, mode):
         lines.append(f"VERSION {version.id} ({len(version.files)} files)\n")
-        lines.extend(f"  {ref.path} [{ref.kind.value}]\n" for ref in version.files)
+        lines.extend(f"  {ref.label} [{ref.kind.value}]\n" for ref in version.files)
     _echo("".join(lines))
     return 0
 

@@ -39,8 +39,9 @@ after its word, and the scan resumes behind it.
 The declaration parser never reads a statement and lexes each nested type
 body again itself, so only the outermost brace block at parenthesis depth
 0 keeps its tokens. The inside of every body within it is scanned by a
-second alternation that matches only braces, comments, literals and runs
-of other characters, and builds no token.
+second pattern that builds no token: one match per brace or event. Each
+match passes over the plain characters, closed comments and closed
+literals before it, so a body costs one match per brace it holds.
 """
 
 from __future__ import annotations
@@ -85,18 +86,18 @@ Token = tuple[TokenKind, str, int, int, int]
 
 _BLANKS_EOL = r"[ \t\f]*\r?\n"  # after a text block's opening quotes
 
-# Skipped before every token. Closed literals whose escapes include no
-# newline go here; the rest are alternatives below, because a
-# backslash-newline inside a literal does not count as a line.
-_SKIP = (
-    r"\s*(?:(?:"
+# Comments and closed literals whose escapes include no newline: the
+# skipped prefix before every token, and inside a body the forms a match
+# passes over. The rest are events below, because a backslash-newline
+# inside a literal does not count as a line.
+_CLOSED = (
     r"//[^\n]*"
     r"|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/"
     rf'|"""{_BLANKS_EOL}[^"\\]*(?:(?:\\[\s\S]|"(?!""))[^"\\]*)*"""'
     rf'|"(?!""{_BLANKS_EOL})[^"\\\n]*(?:\\.[^"\\\n]*)*"'
     r"|'[^'\\\n]*(?:\\.[^'\\\n]*)*'"
-    r")\s*)*"
 )
+_SKIP = rf"\s*(?:(?:{_CLOSED})\s*)*"
 
 # The four events that need Python code: a closed literal whose escapes
 # span a newline (those newlines are not counted), and the unterminated
@@ -144,11 +145,16 @@ _TOKENS = (
     r"|(?P<END>\Z)"
 )
 
-# Inside a body only braces and the events matter. A run stops before
-# every character that can open a brace, comment or literal.
+# Inside a body only braces and the events matter. One match passes over
+# everything up to the next brace, event or end: runs of other
+# characters, closed forms, and a '/' that opens no comment. Unrolled, as
+# ``_GROUP`` is: the passed part always ends where the next alternative
+# matches, so a match never backtracks into it.
+_BODY_RUN = r"[^{}\"'/]*"
 _scan_body = re.compile(
-    rf"{_SKIP}(?:(?P<BRACE>[{{}}])|{_EVENTS}|(?P<RUN>[^{{}}\"'/]+|/)|(?P<END>\Z))"
-).finditer
+    rf"{_BODY_RUN}(?:(?:{_CLOSED}|/(?!\*)){_BODY_RUN})*"
+    rf"(?:(?P<BRACE>[{{}}])|{_EVENTS}|(?P<END>\Z))"
+).match
 
 _SINGLE = {
     "{": TokenKind.BRACE_OPEN,
@@ -294,26 +300,22 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
             continue
 
         nesting = 1
-        for m in _scan_body(text, end):
+        while nesting:
+            m = _scan_body(text, end)
             group = m.lastgroup
-            if group == "RUN":
-                continue  # a run's newlines are counted at the next event
             start, end = m.span(group)
             if start != last:
                 line += count("\n", last, start)
             last = end
             if group == "BRACE":
-                if text[start] == "{":
-                    nesting += 1
-                else:
-                    nesting -= 1
-                    if nesting == 0:
-                        append((_BRACE_CLOSE, "}", line, start, end))
-                        break
+                nesting += 1 if text[start] == "{" else -1
             elif group in _UNTERMINATED:
                 last = _report(group, text, start, end, file, line, diagnostics)
-        else:
+            elif group == "END":
+                break
+        if nesting:
             break  # an unclosed body runs to the end
+        append((_BRACE_CLOSE, "}", line, start, end))
         pos = end
 
     n = len(text)

@@ -182,8 +182,8 @@ class SourceUnit(Record):
 
 
 def file_label(file: object) -> str:
-    """The path a unit's diagnostics and reports name: ``file.path`` or ``file``."""
-    return str(getattr(file, "path", file))
+    """The path string a unit's diagnostics and reports name: ``file.label`` or ``file``."""
+    return str(getattr(file, "label", file))
 
 
 # Tokens whose text takes no blank before or after it in a signature. The

@@ -29,11 +29,17 @@ class ScanMode(Enum):
 
 
 class SourceFileRef(FrozenRecord):
-    __slots__ = ("path", "kind")
+    """A source file, kept as the path string the scan found; ``path`` builds a ``Path``."""
 
-    def __init__(self, path: Path, kind: FileKind):
-        object.__setattr__(self, "path", path)
+    __slots__ = ("label", "kind")
+
+    def __init__(self, label: str, kind: FileKind):
+        object.__setattr__(self, "label", label)
         object.__setattr__(self, "kind", kind)
+
+    @property
+    def path(self) -> Path:
+        return Path(self.label)
 
 
 class VersionRef(FrozenRecord):
@@ -85,7 +91,7 @@ def _collect_files(root: Path) -> list[SourceFileRef]:
         except OSError:
             pass
     found.sort(key=itemgetter(0))
-    return [SourceFileRef(path=Path(path), kind=kind) for path, kind in found]
+    return [SourceFileRef(path, kind) for path, kind in found]
 
 
 def scan_corpus(root: Path | str, mode: ScanMode) -> list[VersionRef]:

@@ -12,7 +12,9 @@ lex again as a type body, so parsing the oracle's full tokens and parsing
 ``tokenize``'s gives the same declarations and diagnostics.
 
 Texts exclude the two inputs the regex lexer changed on purpose: Java
-text blocks (``\"\"\"``) and a leading byte-order mark.
+text blocks (``\"\"\"``) and a leading byte-order mark. Where an example
+holds a closed text block, the oracle reads it blanked out but for its
+newlines (see ``_blank_for_oracle``).
 """
 
 from __future__ import annotations
@@ -169,8 +171,23 @@ def _observed(tokens, diagnostics):
 @example("class A { void f() {\n  x = 1;\n  y(\"{\\\n\");\n}\n int z; }")  # newlines in runs
 @example("class A { void f() { 'x\n /* }\n")  # diagnostics inside an unclosed body
 @example("f(class) { a } g() { b } class B extends C { c }")
+# Inside a body one match passes over everything up to the next brace or
+# event, so every form that holds or hides a brace, or starts like one
+# that does, must be passed over whole or stop the match.
+@example("class A { void f() { x; // {\n y; } int z; }")
+@example("class A { void f() { /* } */ x; } int z; }")
+@example('class A { void f() { s = "}"; } int z; }')
+@example("class A { void f() { c = '{'; } int z; }")
+@example('class A { void f() {\n s = """\n  }\n  """; } int z; }')  # a text block
+@example("class A { void f() { x = a / b /c /} int z; /}")  # a lone '/'
+@example('class A { void f() { s = "a\\\n}"; }\n int z; }')  # backslash-newline literal
+@example("class A { void f() { /* }\n int z; }")  # unterminated comment
+@example('class A { void f() { s = "}\n } int z; }')  # unterminated literals
+@example("class A { void f() { c = '{ x\\\n } int z; }")
+@example("class A { void f() " + "{\n" * 50 + "x;\n" + "}\n" * 50 + "int z; }")
+@example("class A { void f() { if (x) { y; } // }\n\n")  # unclosed
 def test_regex_lexer_matches_char_loop_oracle(text):
-    full, full_diagnostics = reference_lexer.tokenize(text, file="F.java")
+    full, full_diagnostics = reference_lexer.tokenize(_blank_for_oracle(text), file="F.java")
     assert _observed(*tokenize(text, file="F.java")) == _observed(
         _apply_tokenize_rules(full, text), full_diagnostics
     )

@@ -3,17 +3,20 @@
 Each input goes through ``parse_source``, ``measure_version`` and
 ``write_log``: token soup over a Java/AspectJ vocabulary, fixture files
 cut short or with one character deleted at drawn offsets, and forms
-nested thousands deep. ``test_metrics.py`` covers the other deep forms:
+nested thousands deep. A long unclosed body must also lex in linear time. ``test_metrics.py`` covers the other deep forms:
 parentheses and '!' in pointcuts (``test_deeply_nested_pointcuts_*``)
 and type declarations (``test_classes_nested_1000_deep_are_each_measured``).
 """
 
 from __future__ import annotations
 
+import time
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aometrics import default_weights, measure_version, parse_source
+from aometrics.lexer import TokenKind, tokenize
 from aometrics.report import write_log
 from helpers import MINI_UAS, TEST_FIXTURES
 
@@ -91,3 +94,18 @@ def _deep_forms() -> dict[str, str]:
 def test_deeply_nested_forms_are_measured_without_a_diagnostic():
     for name, text in _deep_forms().items():
         assert _measure_and_log(text).diagnostics == [], name
+
+
+def test_an_unclosed_body_of_hidden_braces_lexes_in_linear_time():
+    # Every line hides braces in a literal, a character, a closed comment
+    # and a line comment, and the body never closes, so its scan runs to
+    # the end of the text. It takes about 0.04 s; a scan that backtracks
+    # over earlier lines would take minutes.
+    line = "x = f(\"a}b\", '{') /* } */ + g(); // {\n"
+    text = "class A { void f() {\n" + line * 20_000
+    start = time.perf_counter()
+    tokens, diagnostics = tokenize(text, file="F.java")
+    assert time.perf_counter() - start < 2.0
+    assert diagnostics == []
+    assert [tok[1] for tok in tokens] == ["class", "A", "{", "void", "f", "(", ")", "{", ""]
+    assert tokens[-1][0] is TokenKind.END and tokens[-1][2] == 20_002

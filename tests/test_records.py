@@ -11,15 +11,19 @@ import pytest
 
 from aometrics import (
     And,
+    FileKind,
     NamedRef,
     Not,
     Or,
     Primitive,
+    ScanMode,
     SignaturePattern,
+    SourceFileRef,
     VersionRef,
     Weight,
     classify_joinpoint_categories,
     parse_source,
+    scan_corpus,
 )
 from aometrics.diagnostics import Diagnostic, Severity
 from aometrics.parser import ClassDecl, SourceUnit
@@ -36,6 +40,7 @@ FROZEN = [
     (X, "designator"),
     (SignaturePattern("void", "a.B", "f", ".."), "name_pattern"),
     (VersionRef("V", Path("V"), ()), "files"),
+    (SourceFileRef("V/A.java", FileKind.JAVA), "label"),
 ]
 
 
@@ -82,6 +87,32 @@ def test_parsed_units_and_metrics_survive_deepcopy_and_pickle():
     for value in (version, units, metrics):
         for clone in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert clone == value
+
+
+def test_a_source_file_ref_is_its_path_string_and_kind():
+    ref = SourceFileRef("V/p/A.java", FileKind.JAVA)
+    same = SourceFileRef("/".join(("V", "p", "A.java")), FileKind.JAVA)
+    assert ref == same and hash(ref) == hash(same)
+    assert ref != SourceFileRef("V/p/A.java", FileKind.ASPECTJ)
+    assert ref != SourceFileRef("V/p/B.java", FileKind.JAVA)
+    for clone in (copy.deepcopy(ref), pickle.loads(pickle.dumps(ref))):
+        assert clone == ref and hash(clone) == hash(ref)
+        assert (clone.label, clone.kind) == ("V/p/A.java", FileKind.JAVA)
+    assert repr(ref) == "SourceFileRef(label='V/p/A.java', kind=<FileKind.JAVA: 'java'>)"
+
+
+def test_a_scanned_files_path_is_the_path_of_that_file():
+    (version,) = scan_corpus(MINI_UAS / "AJ1.4", ScanMode.SINGLE_VERSION)
+    found = sorted(
+        (p for p in version.root.rglob("*") if p.suffix in (".java", ".aj")), key=str
+    )
+    assert len(found) > 1
+    assert [ref.path for ref in version.files] == found
+    assert all(type(ref.path) is type(path) for ref, path in zip(version.files, found))
+    assert [ref.label for ref in version.files] == [str(p) for p in found]
+    assert [ref.path.relative_to(version.root) for ref in version.files] == [
+        p.relative_to(version.root) for p in found
+    ]
 
 
 def test_a_units_cache_is_not_part_of_its_value():
