@@ -3,9 +3,10 @@
 Each input goes through ``parse_source``, ``measure_version`` and
 ``write_log``: token soup over a Java/AspectJ vocabulary, fixture files
 cut short or with one character deleted at drawn offsets, and forms
-nested thousands deep. A long unclosed body must also lex in linear time. ``test_metrics.py`` covers the other deep forms:
+nested thousands deep. ``test_metrics.py`` covers the other deep forms:
 parentheses and '!' in pointcuts (``test_deeply_nested_pointcuts_*``)
 and type declarations (``test_classes_nested_1000_deep_are_each_measured``).
+A long unclosed body must also lex in linear time.
 """
 
 from __future__ import annotations

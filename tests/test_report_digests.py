@@ -36,7 +36,6 @@ def test_seed_1_reports_pass_the_gate_with_the_committed_digest(workload, tmp_pa
     corpus = corpus_mod.generate(workload, 1, MINI_UAS)
     corpus_dir, out_dir = (tmp_path / "corpus").resolve(), (tmp_path / "out").resolve()
     corpus.write(corpus_dir)
-    capsys.readouterr()
     code = main(corpus.cli_args(corpus_dir, out_dir))
     stdout, stderr = capsys.readouterr()
     assert gate.check_run(corpus, out_dir, code, stdout, stderr) == []
