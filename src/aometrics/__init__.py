@@ -26,12 +26,11 @@ from .metrics import (
 from .parser import (
     AdviceDecl,
     AdviceKind,
-    AspectDecl,
     AttributeDecl,
-    ClassDecl,
     MethodDecl,
     PointcutDecl,
     SourceUnit,
+    TypeDecl,
     parse_source,
     parse_unit,
 )

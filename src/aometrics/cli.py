@@ -16,7 +16,7 @@ from pathlib import Path
 from .diagnostics import error, relabeled, warning
 from .errors import AnalysisError, TooFewVersions, WriteFailure
 from .metrics import VersionMetrics, measure_version
-from .parser import SourceUnit, file_label, parse_source
+from .parser import SourceUnit, parse_source
 from .report import (
     compare_versions,
     render_table,
@@ -120,19 +120,19 @@ def _parse_version(
     """
     units = []
     for ref in version.files:
-        label = file_label(ref)
+        label = ref.label
         try:
             # Unbuffered: readall sizes its one buffer from fstat.
             with open(label, "rb", buffering=0) as handle:
                 data = handle.readall()
         except OSError as exc:
             message = f"cannot read file: {exc.strerror or exc}"
-            units.append(SourceUnit(file=ref, parse_diagnostics=[error(label, 0, message)]))
+            units.append(SourceUnit(file=label, parse_diagnostics=[error(label, 0, message)]))
             continue
         first = parsed.get(data)
         if first is None:
             text, lossy = _decode_source(data)
-            unit = parse_source(text, ref)
+            unit = parse_source(text, label)
             if lossy:
                 unit.parse_diagnostics.insert(
                     0, warning(label, 0, "invalid UTF-8 replaced with U+FFFD")
@@ -140,7 +140,7 @@ def _parse_version(
             parsed[data] = unit
         else:
             unit = SourceUnit(
-                file=ref,
+                file=label,
                 classes=first.classes,
                 aspects=first.aspects,
                 parse_diagnostics=relabeled(first.parse_diagnostics, label),

@@ -20,15 +20,7 @@ from fractions import Fraction
 
 from .diagnostics import Diagnostic, FrozenRecord, Record, relabeled, warning
 from .errors import StrictModeParseFailure
-from .parser import (
-    AdviceDecl,
-    AspectDecl,
-    ClassDecl,
-    PointcutDecl,
-    SourceUnit,
-    file_label,
-    walk_classes,
-)
+from .parser import AdviceDecl, PointcutDecl, SourceUnit, TypeDecl, walk_classes
 from .pointcuts import (
     KINDED_DESIGNATORS,
     And,
@@ -225,7 +217,7 @@ def classify_joinpoint_categories(
         stored = cache.classification = (_classify(unit, found), tuple(found))
     facts, found = stored
     if found and diagnostics is not None:
-        diagnostics.extend(relabeled(found, file_label(unit.file)))
+        diagnostics.extend(relabeled(found, unit.file))
     return facts
 
 
@@ -241,9 +233,9 @@ def _classify(unit: SourceUnit, diags: list[Diagnostic]) -> dict[int, PointcutFa
     once more than there are categories: the work is linear in the
     references, and cycles need no special case.
     """
-    containers: list[tuple[str, object]] = [(a.name, a) for a in unit.aspects]
+    containers: list[tuple[str, TypeDecl]] = [(a.name, a) for a in unit.aspects]
     containers.extend(walk_classes(unit))
-    if not any(owner.pointcuts or getattr(owner, "advices", None) for _, owner in containers):
+    if not any(owner.pointcuts or owner.advices for _, owner in containers):
         return {}
     qualified: dict[str, PointcutDecl] = {}
     simple: dict[str, PointcutDecl | None] = {}  # None: declared by two containers
@@ -272,7 +264,7 @@ def _classify(unit: SourceUnit, diags: list[Diagnostic]) -> dict[int, PointcutFa
     reached: dict[int, int] = {}  # declaration -> category mask
     referrers: dict[int, list[int]] = {}  # target -> each declaration naming it
     for (_, owner), local in zip(containers, local_names):
-        for decl in (*owner.pointcuts, *getattr(owner, "advices", ())):
+        for decl in (*owner.pointcuts, *owner.advices):
             key = id(decl)
             mask = 0
             designators: list[str] = []
@@ -344,12 +336,12 @@ def _classify(unit: SourceUnit, diags: list[Diagnostic]) -> dict[int, PointcutFa
     }
 
 
-def waa_aspect(a: AspectDecl, w: WeightTable) -> Weight:
+def waa_aspect(a: TypeDecl, w: WeightTable) -> Weight:
     weights = w.advice_weights
     return Weight(sum([weights[advice.kind].units for advice in a.advices]), w.scale)
 
 
-def wmca_unit(u: ClassDecl | AspectDecl) -> int:
+def wmca_unit(u: TypeDecl) -> int:
     """Methods weighted 1 each; constructors excluded, intertype included."""
     return sum(1 for m in u.methods if not m.is_constructor)
 
@@ -368,16 +360,14 @@ def measure_version(
     version_id = v if isinstance(v, str) else v.id
     failed = [u for u in units if u.has_errors]
     if strict and failed:
-        raise StrictModeParseFailure(sorted(file_label(u.file) for u in failed))
+        raise StrictModeParseFailure(sorted(u.file for u in failed))
 
-    usable = sorted((u for u in units if not u.has_errors), key=lambda u: file_label(u.file))
+    usable = sorted((u for u in units if not u.has_errors), key=lambda u: u.file)
     diags: list[Diagnostic] = []
     for unit in units:
         diags.extend(unit.parse_diagnostics)
     for unit in failed:
-        diags.append(
-            warning(file_label(unit.file), 0, "file excluded from metrics (parse errors)")
-        )
+        diags.append(warning(unit.file, 0, "file excluded from metrics (parse errors)"))
 
     per_aspect: list[AspectMetrics] = []
     per_class: list[ClassMetrics] = []

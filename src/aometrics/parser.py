@@ -20,7 +20,6 @@ the run (strict mode).
 from __future__ import annotations
 
 from enum import Enum
-from typing import Union
 
 from .diagnostics import Diagnostic, Record, Severity, error, warning
 from .lexer import Token, TokenKind, tokenize
@@ -106,33 +105,20 @@ class AdviceDecl(Record):
         self.source_line = source_line
 
 
-class ClassDecl(Record):
-    __slots__ = ("name", "kind", "methods", "attributes", "pointcuts", "nested", "line")
+class TypeDecl(Record):
+    """A class, interface, enum or aspect; only an aspect's ``advices`` can be non-empty."""
+
+    __slots__ = ("name", "kind", "methods", "attributes", "pointcuts", "advices", "nested", "line")
 
     def __init__(self, name: str, kind: str, line: int):
         self.name = name
-        self.kind = kind  # class | interface | enum
+        self.kind = kind  # class | interface | enum | aspect
         self.methods: list[MethodDecl] = []
         self.attributes: list[AttributeDecl] = []
-        self.pointcuts: list[PointcutDecl] = []
-        self.nested: list[ClassDecl] = []
-        self.line = line
-
-
-class AspectDecl(Record):
-    __slots__ = ("name", "pointcuts", "advices", "methods", "attributes", "nested", "line")
-
-    def __init__(self, name: str, line: int):
-        self.name = name
         self.pointcuts: list[PointcutDecl] = []
         self.advices: list[AdviceDecl] = []
-        self.methods: list[MethodDecl] = []
-        self.attributes: list[AttributeDecl] = []
-        self.nested: list[ClassDecl] = []
+        self.nested: list[TypeDecl] = []
         self.line = line
-
-
-UnitDecl = Union[ClassDecl, AspectDecl]
 
 
 class UnitCache:
@@ -164,9 +150,9 @@ class SourceUnit(Record):
 
     def __init__(
         self,
-        file: object,
-        classes: list[ClassDecl] | None = None,
-        aspects: list[AspectDecl] | None = None,
+        file: str,
+        classes: list[TypeDecl] | None = None,
+        aspects: list[TypeDecl] | None = None,
         parse_diagnostics: list[Diagnostic] | None = None,
         cache: UnitCache | None = None,
     ):
@@ -179,11 +165,6 @@ class SourceUnit(Record):
     @property
     def has_errors(self) -> bool:
         return any(d.severity is Severity.ERROR for d in self.parse_diagnostics)
-
-
-def file_label(file: object) -> str:
-    """The path string a unit's diagnostics and reports name: ``file.label`` or ``file``."""
-    return str(getattr(file, "label", file))
 
 
 # Tokens whose text takes no blank before or after it in a signature. The
@@ -239,21 +220,21 @@ class _DeclParser:
     calls ``walk_to`` with stop sets of its own.
 
     ``self.stack`` holds the open type bodies, innermost last, as
-    ``(decl, is_aspect, restore)``: ``restore`` is None for a body read in
+    ``(decl, restore)``: ``restore`` is None for a body read in
     place, else the enclosing token list and the position past the body.
 
     Every keyword and punctuation mark has a single token kind, so a token
     is tested by its text alone wherever the text is fixed.
     """
 
-    def __init__(self, tokens: list[Token], file: object, source: str, diagnostics: list[Diagnostic]):
+    def __init__(self, tokens: list[Token], file: str, source: str, diagnostics: list[Diagnostic]):
         # A second END token is added. No walk moves past the first, so
         # ``tokens[pos + 1]`` can index without a bounds check.
         self.tokens = [*tokens, tokens[-1]]
         self.source = source
-        self.label = file_label(file)
+        self.label = file
         self.diagnostics = diagnostics
-        self.stack: list[tuple[UnitDecl, bool, tuple | None]] = []
+        self.stack: list[tuple[TypeDecl, tuple | None]] = []
 
     def warn(self, line: int, message: str) -> None:
         self.diagnostics.append(warning(self.label, line, message))
@@ -404,8 +385,7 @@ class _DeclParser:
         kind = tokens[end][0]
         if kind is _BRACE_OPEN:
             return self.brace_end(end)[0]
-        if kind is not _END:
-            self.warn(tokens[pos][2], "annotation type without a body")
+        self.warn(tokens[pos][2], "annotation type without a body")
         return end + 1 if kind is _SEMICOLON else end
 
     def skip_modifiers(self, pos: int) -> tuple[int, bool]:
@@ -479,12 +459,14 @@ class _DeclParser:
             self.err(line, "unclosed module declaration")
         return end
 
-    def parse_type(self, pos: int) -> tuple[UnitDecl, int]:
+    def parse_type(self, pos: int) -> tuple[TypeDecl, int]:
         """Read the head of the type whose keyword is at ``pos``, and push its body.
 
         Returns the type and the position of its first member. The head
         ends at a '{' or ';' outside parentheses, or, inside a type body, at
-        the '}' that closes that body, which is left to it. A top-level body
+        the '}' that closes that body, which is left to it. A head that ends
+        anywhere but at a '{', the end of the file included, is warned
+        about and the type is kept with no members. A top-level body
         is read in place. A nested one ends at its matching '}', as the
         lexer ends a body, and is read from its own token list, lexed again
         alone if the lexer kept only its braces (as it may at top level,
@@ -502,14 +484,9 @@ class _DeclParser:
         # extends/implements/generics/per-clauses: everything up to the body.
         pos = self.walk_to(pos, _MEMBER_ENDS if self.stack else _HEAD_ENDS, "()", braces=False)
         kind = tokens[pos][0]
-        is_aspect = word == "aspect"
-        if is_aspect:
-            decl: UnitDecl = AspectDecl(name=name, line=line)
-        else:
-            decl = ClassDecl(name=name, kind=word, line=line)
+        decl = TypeDecl(name=name, kind=word, line=line)
         if kind is not _BRACE_OPEN:
-            if kind is not _END:
-                self.warn(line, f"{word} without a body")
+            self.warn(line, f"{word} without a body")
             return decl, pos + 1 if kind is _SEMICOLON else pos
         restore = None
         if self.stack or tokens[pos + 1][0] is _BRACE_CLOSE or tokens[pos + 1][0] is _END:
@@ -525,7 +502,7 @@ class _DeclParser:
             restore = (tokens, after)
             self.tokens = [*body, body[-1]]  # a second END, as in __init__
             pos = 0
-        self.stack.append((decl, is_aspect, restore))
+        self.stack.append((decl, restore))
         return decl, pos + 1  # past its '{'
 
     def parse_members(self, pos: int) -> int:
@@ -535,7 +512,7 @@ class _DeclParser:
         """
         stack = self.stack
         while stack:
-            container, is_aspect, restore = stack[-1]
+            container, restore = stack[-1]
             tokens = self.tokens
             kind, text, line, _, _ = tokens[pos]
             if kind is _SEMICOLON:
@@ -572,7 +549,7 @@ class _DeclParser:
                 if text == "pointcut":
                     pos = self.parse_pointcut_member(pos, container, is_abstract)
                     continue
-            elif kind is _IDENTIFIER and is_aspect:
+            elif kind is _IDENTIFIER and container.kind == "aspect":
                 if (text == "before" or text == "after") and tokens[pos + 1][0] is _PAREN_OPEN:
                     pos = self.parse_advice(pos, container)
                     continue
@@ -611,10 +588,10 @@ class _DeclParser:
                         pos = close + 2 if after is _SEMICOLON else close + 3
                         continue
 
-            pos = self.parse_member_tail(pos, container, is_aspect)
+            pos = self.parse_member_tail(pos, container)
         return pos
 
-    def parse_pointcut_member(self, pos: int, container: UnitDecl, is_abstract: bool) -> int:
+    def parse_pointcut_member(self, pos: int, container: TypeDecl, is_abstract: bool) -> int:
         tokens = self.tokens
         line = tokens[pos][2]  # 'pointcut'
         kind, name, _, _, _ = tokens[pos + 1]
@@ -647,7 +624,7 @@ class _DeclParser:
             container.pointcuts.append(PointcutDecl(name=name, expression=expr, source_line=line))
         return pos
 
-    def parse_advice(self, pos: int, container: UnitDecl) -> int:
+    def parse_advice(self, pos: int, container: TypeDecl) -> int:
         """Parse the advice whose 'before', 'after' or 'around' is at ``pos``."""
         tokens = self.tokens
         _, word, line, _, _ = tokens[pos]
@@ -683,7 +660,7 @@ class _DeclParser:
         container.advices.append(AdviceDecl(kind=kind, expression=expr, source_line=line))
         return pos
 
-    def parse_member_tail(self, pos: int, container: UnitDecl, is_aspect: bool) -> int:
+    def parse_member_tail(self, pos: int, container: TypeDecl) -> int:
         tokens = self.tokens
         start = pos
         angle_depth = 0
@@ -700,7 +677,7 @@ class _DeclParser:
                 elif text == "=" and angle_depth == 0:
                     break
             elif kind is _IDENTIFIER:
-                if is_aspect and text == "around" and tokens[pos + 1][0] is _PAREN_OPEN:
+                if container.kind == "aspect" and text == "around" and tokens[pos + 1][0] is _PAREN_OPEN:
                     # An advice if a ':' follows; the head tokens before are its return type.
                     if tokens[self.walk_to(self.paren_end(pos + 1), _ADVICE_HEAD_ENDS)][1] == ":":
                         return self.parse_advice(pos, container)
@@ -726,7 +703,7 @@ class _DeclParser:
             pos += 1
         return self.finish_field(pos, container, self.without_annotations(start, pos))
 
-    def finish_method(self, pos: int, container: UnitDecl, head: list[Token]) -> int:
+    def finish_method(self, pos: int, container: TypeDecl, head: list[Token]) -> int:
         """Finish the method or constructor whose parameter list opens at ``pos``."""
         tokens = self.tokens
         type_tokens, name_tokens = _split_member_name(head)
@@ -771,7 +748,7 @@ class _DeclParser:
         )
         return pos
 
-    def finish_field(self, pos: int, container: UnitDecl, head: list[Token]) -> int:
+    def finish_field(self, pos: int, container: TypeDecl, head: list[Token]) -> int:
         tokens = self.tokens
         # C-style array declarators, as javac reads them: ``int c[][], d;``
         # declares ``int[][] c`` and ``int d``.
@@ -833,7 +810,7 @@ class _DeclParser:
 
 def parse_unit(
     tokens: list[Token],
-    file: object,
+    file: str,
     source: str,
     lex_diagnostics: list[Diagnostic] | None = None,
 ) -> SourceUnit:
@@ -855,14 +832,14 @@ def parse_unit(
     return unit
 
 
-def parse_source(text: str, file: object) -> SourceUnit:
-    """Tokenize and parse one file's text."""
-    tokens, lex_diags = tokenize(text, file=file_label(file))
+def parse_source(text: str, file: str) -> SourceUnit:
+    """Tokenize and parse one file's text; ``file`` is the path its diagnostics name."""
+    tokens, lex_diags = tokenize(text, file=file)
     return parse_unit(tokens, file, text, lex_diagnostics=lex_diags)
 
 
 def walk_classes(unit: SourceUnit):
-    """Yield (qualified name, ClassDecl) pairs, nested classes included.
+    """Yield (qualified name, TypeDecl) pairs for every type but the top-level aspects.
 
     Depth first in source order: each top-level class and the classes in it,
     then those in each aspect.

@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii
 from .diagnostics import Record
 from .errors import TooFewVersions
 from .metrics import PointcutFacts, VersionMetrics, classify_joinpoint_categories, render_ratio
-from .parser import SourceUnit, file_label, walk_classes
+from .parser import SourceUnit, walk_classes
 from .pointcuts import render_expression
 from .weights import JoinPointCategory, Weight
 
@@ -29,10 +29,10 @@ _CATEGORY_ORDER = {cat: i for i, cat in enumerate(JoinPointCategory)}
 def write_log(units: list[SourceUnit], metrics: VersionMetrics) -> str:
     """Three-phase log: file inventory, declaration signatures, metrics."""
     lines: list[str] = []
-    ordered = sorted(units, key=lambda u: file_label(u.file))
+    ordered = sorted(units, key=lambda u: u.file)
 
     for unit in ordered:
-        lines.append(f"FILE {file_label(unit.file)}")
+        lines.append(f"FILE {unit.file}")
 
     # JOINPOINT lines per category set. Facts share one frozenset per
     # distinct set, so each set is sorted and formatted once.
@@ -41,10 +41,10 @@ def write_log(units: list[SourceUnit], metrics: VersionMetrics) -> str:
         facts = classify_joinpoint_categories(unit)
         for name, cls in walk_classes(unit):
             lines.append(f"CLASS {name}")
-            _emit_members(lines, cls, facts, joinpoints, has_advice=False)
+            _emit_members(lines, cls, facts, joinpoints)
         for aspect in unit.aspects:
             lines.append(f"ASPECT {aspect.name}")
-            _emit_members(lines, aspect, facts, joinpoints, has_advice=True)
+            _emit_members(lines, aspect, facts, joinpoints)
 
     lines.append(f"METRIC WPA {metrics.wpa.render()}")
     lines.append(f"METRIC WAA {metrics.waa.render()}")
@@ -59,7 +59,6 @@ def _emit_members(
     decl,
     facts: dict[int, PointcutFacts],
     joinpoints: dict[frozenset, list[str]],
-    has_advice: bool,
 ) -> None:
     for method in decl.methods:
         lines.append(f"  METHOD {method.signature_text}")
@@ -68,12 +67,9 @@ def _emit_members(
     for pc in decl.pointcuts:
         lines.append(f"  POINTCUT {pc.name}: {render_expression(pc.expression)}")
         _emit_joinpoints(lines, facts[id(pc)], joinpoints)
-    if has_advice:
-        for advice in decl.advices:
-            lines.append(
-                f"  ADVICE {advice.kind.value}: {render_expression(advice.expression)}"
-            )
-            _emit_joinpoints(lines, facts[id(advice)], joinpoints)
+    for advice in decl.advices:
+        lines.append(f"  ADVICE {advice.kind.value}: {render_expression(advice.expression)}")
+        _emit_joinpoints(lines, facts[id(advice)], joinpoints)
 
 
 def _emit_joinpoints(

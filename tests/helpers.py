@@ -34,7 +34,7 @@ MINI_UAS_ORDER = ["J1.0", "AJ1.1", "AJ1.2", "AJ1.3", "AJ1.4"]
 
 def parse_version_dir(path: Path):
     (version,) = scan_corpus(path, ScanMode.SINGLE_VERSION)
-    units = [parse_source(ref.path.read_text(encoding="utf-8"), ref) for ref in version.files]
+    units = [parse_source(ref.path.read_text(encoding="utf-8"), ref.label) for ref in version.files]
     return version, units
 
 
@@ -49,7 +49,7 @@ def kinded_primitives(units) -> int:
     for unit in units:
         owners = [*unit.aspects, *(cls for _, cls in walk_classes(unit))]
         for owner in owners:
-            stack = [d.expression for d in (*owner.pointcuts, *getattr(owner, "advices", ()))]
+            stack = [d.expression for d in (*owner.pointcuts, *owner.advices)]
             while stack:
                 node = stack.pop()
                 if isinstance(node, Primitive):

@@ -26,10 +26,9 @@ from aometrics.metrics import (
 )
 from aometrics.parser import (
     AdviceDecl,
-    AspectDecl,
     PointcutDecl,
     SourceUnit,
-    file_label,
+    TypeDecl,
     walk_classes,
 )
 from aometrics.pointcuts import (
@@ -126,7 +125,7 @@ def classify_joinpoint_categories(
     if not any(owner.pointcuts or getattr(owner, "advices", None) for _, owner in containers):
         return {}
     diags = diagnostics if diagnostics is not None else []
-    label = file_label(unit.file)
+    label = unit.file
     qualified: dict[str, PointcutDecl] = {}
     simple: dict[str, PointcutDecl | None] = {}  # None: declared more than once
     for owner_name, owner in containers:
@@ -202,7 +201,7 @@ def classify_joinpoint_categories(
     }
 
 
-def waa_aspect(a: AspectDecl, w: WeightTable) -> Weight:
+def waa_aspect(a: TypeDecl, w: WeightTable) -> Weight:
     total = Weight(0, w.scale)
     for advice in a.advices:
         total = total + w.advice_weights[advice.kind]
@@ -223,15 +222,15 @@ def measure_version(
     version_id = v if isinstance(v, str) else v.id
     failed = [u for u in units if u.has_errors]
     if strict and failed:
-        raise StrictModeParseFailure(sorted(file_label(u.file) for u in failed))
+        raise StrictModeParseFailure(sorted(u.file for u in failed))
 
-    usable = sorted((u for u in units if not u.has_errors), key=lambda u: file_label(u.file))
+    usable = sorted((u for u in units if not u.has_errors), key=lambda u: u.file)
     diags: list[Diagnostic] = []
     for unit in units:
         diags.extend(unit.parse_diagnostics)
     for unit in failed:
         diags.append(
-            warning(file_label(unit.file), 0, "file excluded from metrics (parse errors)")
+            warning(unit.file, 0, "file excluded from metrics (parse errors)")
         )
 
     per_aspect: list[AspectMetrics] = []

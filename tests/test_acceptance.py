@@ -192,7 +192,7 @@ def test_criterion_9_waa_monotonicity(tmp_path: Path):
                 patched_units = []
                 for ref, unit in zip(version.files, units):
                     if ref.path == aj:
-                        patched_units.append(parse_source(patched_text, ref))
+                        patched_units.append(parse_source(patched_text, ref.label))
                     else:
                         patched_units.append(unit)
                 patched = measure_version(version, patched_units, W)

@@ -292,7 +292,7 @@ def test_compare_parses_each_distinct_content_once(tmp_path: Path, monkeypatch):
     calls = []
 
     def counting_parse_source(text, file):
-        calls.append(file.path.name)
+        calls.append(Path(file).name)
         return parse_source(text, file)
 
     monkeypatch.setattr(cli, "parse_source", counting_parse_source)
@@ -333,7 +333,7 @@ def test_compare_payloads_match_fresh_single_version_parses(tmp_path: Path, caps
     for root, reported in zip(roots, payload["versions"]):
         (version,) = scan_corpus(root, ScanMode.SINGLE_VERSION)
         units = [
-            parse_source(_decode_source(ref.path.read_bytes())[0], ref) for ref in version.files
+            parse_source(_decode_source(ref.path.read_bytes())[0], ref.label) for ref in version.files
         ]
         fresh = measure_version(version, units, default_weights())
         assert reported == json.loads(write_json(fresh))
@@ -347,14 +347,14 @@ def test_shared_declarations_survive_measuring_and_logging(tmp_path: Path):
     snapshot = copy.deepcopy([(u.classes, u.aspects, u.parse_diagnostics) for u in first])
     second = cli._parse_version(versions[1], parsed)
 
-    shared = {u.file.path.name: u for u in first}
+    shared = {Path(u.file).name: u for u in first}
     for unit in second:
-        if unit.file.path.name in ("Legacy.java", "Broken.java", "Tracing.aj"):
-            original = shared[unit.file.path.name]
+        if Path(unit.file).name in ("Legacy.java", "Broken.java", "Tracing.aj"):
+            original = shared[Path(unit.file).name]
             assert unit.classes is original.classes
             assert unit.aspects is original.aspects
             assert [d.file for d in unit.parse_diagnostics] == [
-                str(unit.file.path)
+                str(Path(unit.file))
             ] * len(original.parse_diagnostics)
 
     for version, units in zip(versions, (first, second)):

@@ -78,13 +78,13 @@ def _type(decl) -> list:
     fields = [
         decl.name,
         decl.line,
-        getattr(decl, "kind", "aspect"),
+        decl.kind,
         [[m.name, m.signature_text, m.is_constructor, m.is_intertype, m.line] for m in decl.methods],
         [[a.name, a.declared_type, a.line] for a in decl.attributes],
         [[p.name, p.source_line, _expression(p.expression)] for p in decl.pointcuts],
         [_type(inner) for inner in decl.nested],
     ]
-    if hasattr(decl, "advices"):
+    if decl.kind == "aspect":
         fields.append([[a.kind.value, a.source_line, _expression(a.expression)] for a in decl.advices])
     return fields
 

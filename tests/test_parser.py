@@ -310,6 +310,8 @@ def test_fixture_declaration_counts_match_manifest():
                 len(a.pointcuts) for a in unit.aspects
             )
             advices = sum(len(a.advices) for a in unit.aspects)
+            for decl in (*classes, *unit.aspects):
+                assert decl.kind == "aspect" or decl.advices == [], (rel, decl.name)
 
             assert len(classes) == counts["classes"], rel
             assert len(unit.aspects) == counts["aspects"], rel
@@ -498,11 +500,28 @@ def test_recovery_after_a_colon_stops_after_a_brace_block():
             "class C { before(): call(* *(..)) {} int b; }",
             "warning: unexpected ':' after member 'before'",
         ),
+        (
+            "class C { Object around(): call(* *(..)) {} int b; }",
+            "warning: unexpected ':' after member 'around'",
+        ),
     ]
     for source, message in cases:
         unit = parse_source(source, "C.java")
         assert _diagnostics(unit) == [f"C.java:1: {message}"], source
         assert _members(unit) == [["C", "b"]], source
+        assert unit.classes[0].advices == [], source
+
+
+def test_a_class_nested_in_an_aspect_takes_no_advice():
+    unit = parse_source(
+        "aspect A { class N { before(): call(* *(..)) {} int b; } before(): call(* *(..)) {} }", "A.aj"
+    )
+    assert _diagnostics(unit) == ["A.aj:1: warning: unexpected ':' after member 'before'"]
+    (aspect,) = unit.aspects
+    (nested,) = aspect.nested
+    assert [(nested.kind, [a.name for a in nested.attributes], nested.advices)] == [("class", ["b"], [])]
+    assert [advice.kind for advice in aspect.advices] == [AdviceKind.BEFORE]
+    assert [name for name, _ in walk_classes(unit)] == ["A.N"]
 
 
 def test_colon_inside_a_member_declaration_ends_that_member():
@@ -546,9 +565,18 @@ def test_a_type_head_without_a_body_is_warned_and_still_recorded():
     assert _diagnostics(unit) == [
         "I.aj:1: warning: interface without a body",
         "I.aj:2: warning: aspect without a body",
+        "I.aj:3: warning: enum without a body",
     ]
     assert [c.name for c in unit.classes] == ["I", "E"]
     assert [a.name for a in unit.aspects] == ["A"]
+    # The end of the file cuts the head off as a ';' would.
+    for source in ("class A { int x; }\nclass D", "class A { int x; }\nclass D extends"):
+        unit = parse_source(source, "A.java")
+        assert _diagnostics(unit) == ["A.java:2: warning: class without a body"], source
+        assert _members(unit) == [["A", "x"], ["D"]], source
+    unit = parse_source("class A { int x; }\n@interface N", "A.java")
+    assert _diagnostics(unit) == ["A.java:2: warning: annotation type without a body"]
+    assert _members(unit) == [["A", "x"]]
 
 
 def test_a_nested_body_ends_at_its_matching_brace_whatever_it_leaves_open():

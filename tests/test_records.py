@@ -26,7 +26,7 @@ from aometrics import (
     scan_corpus,
 )
 from aometrics.diagnostics import Diagnostic, Severity
-from aometrics.parser import ClassDecl, SourceUnit
+from aometrics.parser import SourceUnit, TypeDecl
 from helpers import MINI_UAS, measure_dir, parse_version_dir
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -67,14 +67,14 @@ def test_equal_frozen_records_hash_equal_and_mutable_ones_are_unhashable():
     assert hash(And(X, Y)) == hash(And(Primitive("within", "A"), Primitive("call", "* *(..)")))
     assert hash(Weight(2, 10)) == hash(Weight(1, 10) + Weight(1, 10))
     assert len({Weight(1, 10), Weight(1, 10), Weight(2, 10)}) == 2
-    for record in (ClassDecl(name="A", kind="class", line=1), SourceUnit("A.java")):
+    for record in (TypeDecl(name="A", kind="class", line=1), SourceUnit("A.java")):
         with pytest.raises(TypeError):
             hash(record)
 
 
 def test_mutable_records_take_fresh_lists_per_instance():
-    a = ClassDecl(name="A", kind="class", line=1)
-    b = ClassDecl(name="B", kind="class", line=2)
+    a = TypeDecl(name="A", kind="class", line=1)
+    b = TypeDecl(name="B", kind="class", line=2)
     a.methods.append("m")
     assert b.methods == []
     assert SourceUnit("A.java").classes is not SourceUnit("B.java").classes
