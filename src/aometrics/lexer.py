@@ -10,7 +10,7 @@ are offsets into the text, and ``text[start:end]`` is always the token's
 text, so callers can slice raw text back out, as the pointcut parser does
 for a designator's argument.
 
-A ':' at parenthesis depth 0 inside the outermost brace block opens
+A ':' at parenthesis depth 0 inside a kept brace block opens
 expression mode: it starts every pointcut, advice and ``declare``
 expression, each of which sits in a type body (in Java only a ternary in
 a field initializer puts one there; outside a type body none is valid).
@@ -36,12 +36,13 @@ later from a plain table of newline offsets; each token carries its own.
 A designator's argument is matched by a second, small pattern right
 after its word, and the scan resumes behind it.
 
-The declaration parser never reads a statement and lexes each nested type
-body again itself, so only the outermost brace block at parenthesis depth
-0 keeps its tokens. The inside of every body within it is scanned by a
-second pattern that builds no token: one match per brace or event. Each
-match passes over the plain characters, closed comments and closed
-literals before it, so a body costs one match per brace it holds.
+The declaration parser never reads a statement, so only a brace block
+that may be a type body keeps its tokens (see ``tokenize``), and the
+parser reads every type body from this one token list. The inside of
+every other body is scanned by a second pattern that builds no token: one
+match per brace or event. Each match passes over the plain characters,
+closed comments and closed literals before it, so a body costs one match
+per brace it holds.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ KEYWORDS = frozenset(
         "throw", "throws", "transient", "try", "void", "volatile", "while",
     }
 )
+TYPE_KEYWORDS = frozenset({"class", "interface", "enum", "aspect"})  # each starts a type head
 
 
 class TokenKind(Enum):
@@ -222,13 +224,14 @@ def _report(
 def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Diagnostic]]:
     """Tokenize ``text``, eliding comments, string/char literals and bodies.
 
-    The outermost brace block at parenthesis depth 0 keeps its tokens: at
-    top level only a type or module body sits there. Every other brace
-    block at depth 0 (a method, advice or initializer body, a nested type
-    body, or an array or anonymous-class initializer) keeps only its outer
-    ``{`` and matching ``}``; its inside is scanned for braces, comments
-    and literals only, so its diagnostics still come out, but no token is
-    built for it. An unclosed body drops the rest of the text.
+    A brace block at parenthesis depth 0 keeps its tokens if no kept block
+    is open (a top-level type or module body) or a type keyword has come
+    since the last '{' or ';' at depth 0 (a nested type body). Every other
+    one (a method, advice, initializer or enum constant body, or an array
+    or anonymous-class initializer) keeps only its ``{`` and matching
+    ``}``; its inside is scanned for braces, comments and literals only, so
+    its diagnostics still come out, but no token is built for it. An
+    unclosed body drops the rest of the text.
 
     In expression mode (see the module docstring) a pattern designator is
     one DESIGNATOR token.
@@ -245,8 +248,9 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
     last = 0  # newlines before ``last`` are already in ``line``
     pos = 1 if text.startswith("\ufeff") else 0
     depth = 0  # parentheses open, clamped at 0
-    outer = False  # inside the outermost brace block at depth 0
-    expression = False  # after ':' at depth 0 in ``outer``, up to ',', ';', '{' or '}'
+    kept = 0  # brace blocks open at depth 0 whose tokens are kept
+    typed = False  # a type keyword since the last '{' or ';' at depth 0
+    expression = False  # after ':' at depth 0 in a kept block, up to ',', ';', '{' or '}'
 
     while True:
         body = False
@@ -265,7 +269,11 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
                         word = text[start:end]
                         append((_DESIGNATOR, word, line, start, end))
                         break  # the scan resumes after the argument
-                append((_KEYWORD if word in KEYWORDS else _IDENTIFIER, word, line, start, end))
+                if word in KEYWORDS:
+                    append((_KEYWORD, word, line, start, end))
+                    typed = typed or word in TYPE_KEYWORDS
+                else:
+                    append((_IDENTIFIER, word, line, start, end))
             elif group == "SINGLE":
                 word = text[start]
                 append((_SINGLE[word], word, line, start, end))
@@ -276,11 +284,15 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
                         depth -= 1
                 else:
                     expression = False
-                    if depth == 0 and word != ";":
-                        if word == "{" and outer:
-                            body = True
-                            break  # a body
-                        outer = word == "{"
+                    if depth == 0 and word != "}":
+                        if word == "{":
+                            if kept and not typed:
+                                body = True
+                                break  # a body
+                            kept += 1
+                        typed = False
+                    elif depth == 0 and kept:
+                        kept -= 1
             elif group == "OPERATOR":
                 append((_OPERATOR, text[start:end], line, start, end))
             elif group == "PUNCT" or group == "NUMBER":
@@ -288,7 +300,7 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
             elif group == "MODE":
                 word = text[start]
                 append((_PUNCT, word, line, start, end))
-                expression = word == ":" and outer and (expression or depth == 0)
+                expression = word == ":" and kept > 0 and (expression or depth == 0)
             elif group in _UNTERMINATED:
                 last = _report(group, text, start, end, file, line, diagnostics)
             # else LITERAL (closed, but spans a backslash-newline: not

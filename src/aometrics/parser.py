@@ -2,14 +2,14 @@
 
 The parser walks the token stream produced by :mod:`aometrics.lexer` and
 extracts signatures only: classes, aspects, methods, fields, named
-pointcuts, and advice. The lexer keeps only the outer braces of every
-body within the outermost brace block. The parser alone decides which is a
-type body, which it lexes again alone (``parse_type``). ``walk_to`` is
-the one walk that takes it past the code it does not measure, and it
-passes every other brace block outside parentheses whole, never token by
-token, with ``brace_end``. So statement-level constructs never
-influence the result, and parsing the full token stream gives the same
-result as parsing the lexer's.
+pointcuts, and advice. The file is lexed once: the lexer keeps the tokens
+of every brace block that may be a type body, and the parser reads each
+type body in place (``parse_type``). ``walk_to`` is the one walk that
+takes it past the code it does not measure, and it passes every other
+brace block outside parentheses whole, never token by token, with
+``brace_end``. So statement-level constructs never influence the result,
+and parsing the full token stream gives the same result as parsing the
+lexer's.
 
 Parsing never raises for bad input. Structural problems become
 diagnostics on the returned SourceUnit; a unit with error-severity
@@ -22,13 +22,12 @@ from __future__ import annotations
 from enum import Enum
 
 from .diagnostics import Diagnostic, Record, Severity, error, warning
-from .lexer import Token, TokenKind, tokenize
+from .lexer import TYPE_KEYWORDS, Token, TokenKind, tokenize
 from .pointcuts import SIGNATURE_MODIFIERS, PointcutExpr, parse_pointcut_expression
 
-MODIFIER_WORDS = SIGNATURE_MODIFIERS | {"privileged", "default"}
+MODIFIER_WORDS = SIGNATURE_MODIFIERS | {"privileged", "default", "sealed"}
 
-_CLASS_KEYWORDS = frozenset({"class", "interface", "enum"})
-_TYPE_KEYWORDS = _CLASS_KEYWORDS | {"aspect"}
+_CLASS_KEYWORDS = TYPE_KEYWORDS - {"aspect"}
 
 _IDENTIFIER = TokenKind.IDENTIFIER
 _KEYWORD = TokenKind.KEYWORD
@@ -51,7 +50,7 @@ _SKIP_ENDS = _DECLARATION_ENDS | {"{"}  # ... and outside parentheses
 _MEMBER_ENDS = frozenset({"", "{", ";", "}"})
 _ADVICE_HEAD_ENDS = _MEMBER_ENDS | {":"}  # an advice's 'throws' clause, the 'around' lookahead
 _INITIALIZER_ENDS = frozenset({"", ";", ",", "}"})
-_RECOVERY_ENDS = _TYPE_KEYWORDS | {""}
+_RECOVERY_ENDS = TYPE_KEYWORDS | {""}
 
 # Besides words, the tokens a parameter list read in one step may hold.
 _PARAMETER_MARKS = frozenset({",", ".", "[", "]"})
@@ -220,8 +219,9 @@ class _DeclParser:
     calls ``walk_to`` with stop sets of its own.
 
     ``self.stack`` holds the open type bodies, innermost last, as
-    ``(decl, restore)``: ``restore`` is None for a body read in
-    place, else the enclosing token list and the position past the body.
+    ``(decl, restore)``: ``restore`` is None for a top-level body, else
+    the position past a nested body and the token there, for which an END
+    token stands until the body pops, so no walk inside passes its '}'.
 
     Every keyword and punctuation mark has a single token kind, so a token
     is tested by its text alone wherever the text is fixed.
@@ -241,14 +241,6 @@ class _DeclParser:
 
     def err(self, line: int, message: str) -> None:
         self.diagnostics.append(error(self.label, line, message))
-
-    def lex(self, start: int, end: int, line: int) -> list[Token]:
-        """The tokens of ``source[start:end]``, whose first line is ``line``, lexed alone.
-
-        Its diagnostics are dropped: the file's lex reported each at the same line.
-        """
-        tokens, _ = tokenize(self.source[start:end], file=self.label)
-        return [(kind, text, ln + line - 1, s + start, e + start) for kind, text, ln, s, e in tokens]
 
     # -- look-ahead helpers ----------------------------------------------
 
@@ -389,7 +381,7 @@ class _DeclParser:
         return end + 1 if kind is _SEMICOLON else end
 
     def skip_modifiers(self, pos: int) -> tuple[int, bool]:
-        """Position past modifiers and annotations, and whether 'abstract' is among them."""
+        """Position past modifiers, 'non-sealed' too, and annotations, and whether 'abstract' is one."""
         tokens = self.tokens
         is_abstract = False
         while True:
@@ -401,6 +393,8 @@ class _DeclParser:
             elif text in MODIFIER_WORDS:
                 is_abstract = is_abstract or text == "abstract"
                 pos += 1
+            elif text == "non" and tokens[pos + 1][1] == "-" and tokens[pos + 2][1] == "sealed":
+                pos += 3
             else:
                 return pos, is_abstract
 
@@ -424,7 +418,7 @@ class _DeclParser:
                 continue
             pos, _ = self.skip_modifiers(pos)
             kind, text, line, _, _ = tokens[pos]
-            if text in _TYPE_KEYWORDS:
+            if text in TYPE_KEYWORDS:
                 decl, pos = self.parse_type(pos)
                 (unit.aspects if text == "aspect" else unit.classes).append(decl)
                 pos = self.parse_members(pos)
@@ -466,11 +460,11 @@ class _DeclParser:
         ends at a '{' or ';' outside parentheses, or, inside a type body, at
         the '}' that closes that body, which is left to it. A head that ends
         anywhere but at a '{', the end of the file included, is warned
-        about and the type is kept with no members. A top-level body
-        is read in place. A nested one ends at its matching '}', as the
-        lexer ends a body, and is read from its own token list, lexed again
-        alone if the lexer kept only its braces (as it may at top level,
-        too).
+        about and the type is kept with no members. Every body is read in
+        place from the file's one token list: the lexer keeps the tokens of
+        each block after a type keyword. A top-level body ends where its
+        members end. A nested one ends at its matching '}', as the lexer
+        ends a body: what a member leaves open inside it ends there.
         """
         tokens = self.tokens
         _, word, line, _, _ = tokens[pos]
@@ -489,19 +483,12 @@ class _DeclParser:
             self.warn(line, f"{word} without a body")
             return decl, pos + 1 if kind is _SEMICOLON else pos
         restore = None
-        if self.stack or tokens[pos + 1][0] is _BRACE_CLOSE or tokens[pos + 1][0] is _END:
+        if self.stack:
             after, closed = self.brace_end(pos)
-            close = after - 1 if closed else after
-            if close == pos + 1:
-                body = self.lex(tokens[pos][3], tokens[close][4], tokens[pos][2])
-            else:  # its tokens are here, as in a full token stream
-                body = tokens[pos : close + 1]
-                if closed:
-                    end = tokens[close][4]
-                    body.append((_END, "", tokens[close][2], end, end))
-            restore = (tokens, after)
-            self.tokens = [*body, body[-1]]  # a second END, as in __init__
-            pos = 0
+            restore = (after, tokens[after])
+            if closed:
+                _, _, close_line, _, end = tokens[after - 1]
+                tokens[after] = (_END, "", close_line, end, end)
         self.stack.append((decl, restore))
         return decl, pos + 1  # past its '{'
 
@@ -510,10 +497,10 @@ class _DeclParser:
 
         Returns the position past the outermost body.
         """
+        tokens = self.tokens
         stack = self.stack
         while stack:
             container, restore = stack[-1]
-            tokens = self.tokens
             kind, text, line, _, _ = tokens[pos]
             if kind is _SEMICOLON:
                 pos += 1
@@ -525,7 +512,8 @@ class _DeclParser:
                     pos += 1
                 stack.pop()
                 if restore is not None:
-                    self.tokens, pos = restore
+                    pos, saved = restore
+                    tokens[pos] = saved
                 continue
             if text == "@":
                 pos = self.skip_annotation(pos)
@@ -537,7 +525,7 @@ class _DeclParser:
                 is_abstract = is_abstract or text == "abstract"
                 pos += 1
                 text = tokens[pos][1]
-            if text == "@":  # from the member's start again, for the '@interface' rule
+            if text == "@" or text == "non":  # from the member's start: '@interface', 'non-sealed'
                 pos, is_abstract = self.skip_modifiers(start)
             kind, text, line, _, _ = tokens[pos]
 

@@ -181,12 +181,29 @@ def test_arguments_a_bounded_match_cannot_read_keep_their_tokens():
         assert call == [tok for tok in full if tok[3] < src.index(" && ")], argument
 
 
-def test_only_the_outermost_block_keeps_its_tokens():
-    # Which block is a type body is the parser's to decide: a nested class
-    # body and the body after 'within(class)' are each '{' '}'.
+def test_blocks_after_a_type_keyword_keep_their_tokens():
+    # A nested class body keeps its tokens. The body after 'within(class)'
+    # is '{' '}': the keyword is inside the DESIGNATOR token.
     tokens, _ = tokenize("aspect A { class B { int y; } before(): within(class) { int x; } }")
     assert _designators(tokens) == ["within(class)"]
     assert [text for _, text, _, _, _ in tokens][:-1] == [
-        "aspect", "A", "{", "class", "B", "{", "}",
+        "aspect", "A", "{", "class", "B", "{", "int", "y", ";", "}",
         "before", "(", ")", ":", "within(class)", "{", "}", "}",
     ]
+
+
+def test_only_type_bodies_keep_their_tokens_inside_a_type_body():
+    def texts(member):
+        tokens, _ = tokenize(f"class O {{ {member} int z; }}")
+        return [text for _, text, _, _, _ in tokens][3:-5]  # between "class O {" and "int z; }"
+
+    for head in ("class N", "interface N", "enum N", "aspect N", "@interface N", "static final class N<T>"):
+        assert texts(f"{head} {{ int y; }}")[-5:] == ["{", "int", "y", ";", "}"], head
+    elided = {
+        "void f() { int y; }": ["void", "f", "(", ")", "{", "}"],  # a method body
+        "enum E { A { int y; }, B; }": ["enum", "E", "{", "A", "{", "}", ",", "B", ";", "}"],
+        "Object o = new Object() { int y; };": ["Object", "o", "=", "new", "Object", "(", ")", "{", "}", ";"],
+        "Object o = X.class; { int y; }": ["Object", "o", "=", "X", ".", "class", ";", "{", "}"],
+    }
+    for member, expected in elided.items():
+        assert texts(member) == expected, member

@@ -1,15 +1,16 @@
 """Differential properties: the regex lexer against the char-loop oracle.
 
-``tokenize`` keeps the tokens of the outermost brace block at parenthesis
-depth 0, and no token inside a body: any other brace block opened at
-depth 0. It also makes one DESIGNATOR token of each pattern designator
-read in expression mode. The first property applies both rules, written
-out again below over whole tokens, to the oracle's full token stream; the
-result must agree with ``tokenize`` on every token's kind, text, line and
-offsets, and the diagnostics must agree exactly. The second property is
-the parser's side of the rule: it never reads inside a body it does not
-lex again as a type body, so parsing the oracle's full tokens and parsing
-``tokenize``'s gives the same declarations and diagnostics.
+``tokenize`` keeps the tokens of a brace block opened at parenthesis
+depth 0 when no kept block is open, or when a type keyword has come since
+the last '{' or ';' at depth 0, and no token inside a body: any other
+brace block opened at depth 0. It also makes one DESIGNATOR token of each
+pattern designator read in expression mode. The first property applies
+both rules, written out again below over whole tokens, to the oracle's
+full token stream; the result must agree with ``tokenize`` on every
+token's kind, text, line and offsets, and the diagnostics must agree
+exactly. The second property is the parser's side of the rule: it never
+reads inside a body the lexer elides, so parsing the oracle's full tokens
+and parsing ``tokenize``'s gives the same declarations and diagnostics.
 
 Texts exclude the two inputs the regex lexer changed on purpose: Java
 text blocks (``\"\"\"``) and a leading byte-order mark. Where an example
@@ -100,18 +101,21 @@ def _designator_end(tokens, i, source):
 def _apply_tokenize_rules(tokens, source):
     """Drop every token inside a body, keeping its outer braces, and join designators.
 
-    Track the parenthesis depth (clamped at 0) and whether the outermost
-    brace block at depth 0 is open; a '}' at depth 0 closes it, and a '{'
-    at depth 0 while it is open opens a body.
+    Track the parenthesis depth (clamped at 0), a count of the kept brace
+    blocks open at depth 0, and a flag: a type keyword sets it, and a '{'
+    or ';' at depth 0 clears it. A '{' at depth 0 opens a kept block if
+    none is open or the flag is set, and a body otherwise; a '}' at depth
+    0 closes a kept block, if one is open.
 
-    A ':' at depth 0 inside the outermost brace block opens expression
+    A ':' at depth 0 inside a kept block opens expression
     mode, and the next ',', ';', '{' or '}' at any depth closes it. In that mode, the tokens of each pattern
     designator (see ``_designator_end``) become one DESIGNATOR token with
     the word's line.
     """
     kept = []
     depth = 0
-    outer = False
+    open_blocks = 0
+    typed = False
     expression = False
     i = 0
     while i < len(tokens):
@@ -127,17 +131,22 @@ def _apply_tokenize_rules(tokens, source):
         i += 1
         if expression and (text == "," or text in (";", "{", "}")):
             expression = False
-        elif text == ":" and depth == 0 and outer:
+        elif text == ":" and depth == 0 and open_blocks:
             expression = True
-        if kind is TokenKind.PAREN_OPEN:
+        if kind is TokenKind.KEYWORD and text in ("class", "interface", "enum", "aspect"):
+            typed = True
+        elif kind is TokenKind.PAREN_OPEN:
             depth += 1
         elif kind is TokenKind.PAREN_CLOSE:
             depth = max(0, depth - 1)
         elif depth == 0 and kind is TokenKind.BRACE_CLOSE:
-            outer = False
+            open_blocks = max(0, open_blocks - 1)
+        elif depth == 0 and kind is TokenKind.SEMICOLON:
+            typed = False
         elif depth == 0 and kind is TokenKind.BRACE_OPEN:
-            if not outer:
-                outer = True
+            if not open_blocks or typed:
+                open_blocks += 1
+                typed = False
                 continue
             nesting = 1
             while tokens[i][0] is not TokenKind.END:
@@ -226,7 +235,7 @@ def _parsed_from_full_tokens(text: str, file: str):
 @example("aspect A { before(): within(class) { int x; } int y; }")
 @example("aspect A { pointcut p(): call(* f()) }\nclass B { int x; void m() {} }\n")
 @example("aspect A { before(): call(* f()) }\nclass B { int x; }\n")
-# Nested type bodies, each lexed again alone by the parser.
+# Nested type bodies, each read in place by the parser.
 @example("class A { class B { class C { int x; void m() {} } int y; } int z; }")
 @example("class A { void m() { class L { int q; } } int z; }")  # a local class
 @example("aspect A { class B\n{ int x;\n pointcut p(): call(* f(..)); }\nint z; }")  # a later line
@@ -241,6 +250,12 @@ def _parsed_from_full_tokens(text: str, file: str):
 # its parentheses hold.
 @example("class A { class B { void m(}) {} } int z; }")
 @example("class A { class B { void m( } int z; }")
+# The edges of the lexer's rule for which blocks keep their tokens. A '}'
+# does not clear the type-keyword flag: a top-level head does not end there.
+@example("class O { class I { int x = f( } } ) ; class A } { int y; }")
+@example("class A { Object o = X.class; { int y; } int z; }")
+@example("class A { @interface N { int v(); } int z; }")
+@example("enum E { A { void f() {} }, B; class N { int y; } }")
 # A '(' inside a brace block that the lexer elides ends nothing.
 @example("class A {within(A)class A {(} class")
 # The edges of the members read in one step. With full tokens a body that

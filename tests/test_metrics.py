@@ -868,8 +868,7 @@ def test_unclosed_and_too_deep_designators_stay_linear(tmp_path, capsys):
 def test_classes_nested_1000_deep_are_each_measured(tmp_path, capsys, monkeypatch):
     # The nest sits in an aspect and holds an interface and an enum partway
     # down; the aspect's members after it are still read as an aspect's.
-    # Each nested type body is lexed again alone: the file is lexed once,
-    # plus once per nested body, and each body k deep is scanned k times.
+    # The file is lexed once: every nested body is read from its tokens.
     depth = 1000
     words = ["class"] * depth
     words[300], words[600] = "interface", "enum"
@@ -891,7 +890,7 @@ def test_classes_nested_1000_deep_are_each_measured(tmp_path, capsys, monkeypatc
     code = main(["measure", str(tmp_path / "V"), "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
-    assert len(lexed) == 1 + depth
+    assert len(lexed) == 1
     log = (tmp_path / "out" / "V.log").read_text(encoding="utf-8").splitlines()
     names = ["Outer"]
     for i in range(depth):

@@ -580,8 +580,8 @@ def test_a_type_head_without_a_body_is_warned_and_still_recorded():
 
 
 def test_a_nested_body_ends_at_its_matching_brace_whatever_it_leaves_open():
-    # A nested body is read from its own tokens, up to the '}' that matches
-    # its '{': an unclosed '(' inside ends there, not at the container's end.
+    # A nested body ends at the '}' that matches its '{': an unclosed '('
+    # inside ends there, not at the container's end.
     unit = parse_source("class A { class B { void f( } int y; }", "A.java")
     assert _diagnostics(unit) == [
         "A.java:1: error: malformed declaration of 'f'",
@@ -596,6 +596,25 @@ def test_a_nested_body_ends_at_its_matching_brace_whatever_it_leaves_open():
     ]
     assert _members(unit) == [["A", "y"], ["D", "z"]]
     assert [[b.name, *(a.name for a in b.attributes)] for b in unit.classes[0].nested] == [["B", "a"]]
+
+
+def test_sealed_and_non_sealed_are_modifiers():
+    # javac --release 17 accepts each source.
+    unit = parse_source("sealed interface S permits A {}\nfinal class A implements S {}\n", "S.java")
+    assert _diagnostics(unit) == []
+    assert [c.name for c in unit.classes] == ["S", "A"]
+    unit = parse_source(
+        "class C { sealed interface I permits J {} non-sealed interface J extends I {} int z; }", "C.java"
+    )
+    assert _diagnostics(unit) == []
+    assert _members(unit) == [["C", "z"]]
+    assert [(b.name, b.kind) for b in unit.classes[0].nested] == [("I", "interface"), ("J", "interface")]
+    unit = parse_source(
+        "public abstract sealed class T permits B {}\nnon-sealed class B extends T { int x; void f() {} }\n",
+        "T.java",
+    )
+    assert _diagnostics(unit) == []
+    assert _members(unit) == [["T"], ["B", "x", "f"]]
 
 
 def test_pointcut_without_a_colon_is_skipped_past_its_brace_block():
