@@ -225,8 +225,9 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
     """Tokenize ``text``, eliding comments, string/char literals and bodies.
 
     A brace block at parenthesis depth 0 keeps its tokens if no kept block
-    is open (a top-level type or module body) or a type keyword has come
-    since the last '{' or ';' at depth 0 (a nested type body). Every other
+    is open (a top-level type or module body) or a type keyword not glued
+    to a '.' before it (``X.class`` is a literal) has come since the last
+    '{' or ';' at depth 0 (a nested type body). Every other
     one (a method, advice, initializer or enum constant body, or an array
     or anonymous-class initializer) keeps only its ``{`` and matching
     ``}``; its inside is scanned for braces, comments and literals only, so
@@ -271,7 +272,7 @@ def tokenize(text: str, *, file: str = "<source>") -> tuple[list[Token], list[Di
                         break  # the scan resumes after the argument
                 if word in KEYWORDS:
                     append((_KEYWORD, word, line, start, end))
-                    typed = typed or word in TYPE_KEYWORDS
+                    typed = typed or (word in TYPE_KEYWORDS and text[start - 1] != ".")
                 else:
                     append((_IDENTIFIER, word, line, start, end))
             elif group == "SINGLE":

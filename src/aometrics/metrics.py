@@ -15,7 +15,6 @@ NAC  class attributes divided by class count (nested classes included,
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
 from .diagnostics import Diagnostic, FrozenRecord, Record, relabeled, warning
@@ -36,6 +35,7 @@ from .weights import (
     SpecificityLevel,
     Weight,
     WeightTable,
+    render_fixed,
     signature_specificity,
 )
 
@@ -109,18 +109,7 @@ class VersionMetrics(Record):
     def nac_rendered(self) -> str:
         if self.class_count == 0:
             return "NA"
-        return render_ratio(self.nac)
-
-
-def render_ratio(value: Fraction, signed: bool = False) -> str:
-    """Exact three-decimal rendering of a ratio (banker's rounding).
-
-    ``signed`` prefixes a positive value with ``+``, as deltas are shown.
-    """
-    dec = (Decimal(value.numerator) / Decimal(value.denominator)).quantize(
-        Decimal("0.001"), rounding=ROUND_HALF_EVEN
-    )
-    return f"+{dec}" if signed and value > 0 else str(dec)
+        return render_fixed(self.class_attribute_count, self.class_count, 3)
 
 
 class PointcutFacts(FrozenRecord):

@@ -12,10 +12,10 @@ from json.encoder import encode_basestring_ascii
 
 from .diagnostics import Record
 from .errors import TooFewVersions
-from .metrics import PointcutFacts, VersionMetrics, classify_joinpoint_categories, render_ratio
+from .metrics import PointcutFacts, VersionMetrics, classify_joinpoint_categories
 from .parser import SourceUnit, walk_classes
 from .pointcuts import render_expression
-from .weights import JoinPointCategory, Weight
+from .weights import JoinPointCategory, render_fixed
 
 VERSION_SCHEMA = "ao-metrics-version@1"
 COMPARISON_SCHEMA = "ao-metrics-comparison@1"
@@ -211,22 +211,13 @@ def write_csv(reports: list[VersionMetrics]) -> str:
 # -- comparison -----------------------------------------------------------
 
 
-class DeltaEntry(Record):
-    __slots__ = ("version_id", "value", "delta")
-
-    def __init__(self, version_id: str, value: str, delta: str | None):
-        self.version_id = version_id
-        self.value = value
-        self.delta = delta
-
-
 class ComparisonReport(Record):
     __slots__ = ("versions", "deltas", "trends")
 
     def __init__(
         self,
         versions: list[VersionMetrics],
-        deltas: dict[str, list[DeltaEntry]],
+        deltas: dict[str, list[dict]],  # per metric, comparison.json's {"version", "value", "delta"}
         trends: dict[str, str],
     ):
         self.versions = versions
@@ -246,54 +237,37 @@ def _trend(deltas: list[int | Fraction | None]) -> str:
 
 
 def compare_versions(reports: list[VersionMetrics]) -> ComparisonReport:
-    """Per-metric deltas across consecutive versions plus a trend verdict."""
+    """Per-metric deltas across consecutive versions plus a trend verdict.
+
+    Each column holds ints (a Fraction or None for NAC) in units of
+    ``1 / den``, and each value and delta is ``render_fixed`` of one.
+    """
     if len(reports) < 2:
         raise TooFewVersions(f"need at least 2 versions, got {len(reports)}")
 
-    deltas: dict[str, list[DeltaEntry]] = {}
+    weight = reports[0].wpa
+    columns = [
+        ("wmca", [m.wmca for m in reports], 1, 0),
+        ("nac", [m.nac for m in reports], 1, 3),
+        ("wpa", [m.wpa.units for m in reports], weight.scale, weight.places),
+        ("waa", [m.waa.units for m in reports], weight.scale, weight.places),
+        ("wjp", [m.wjp.units for m in reports], weight.scale, weight.places),
+    ]
+    deltas: dict[str, list[dict]] = {}
     trends: dict[str, str] = {}
-
-    def series(metric: str, values, render, render_delta):
-        entries: list[DeltaEntry] = []
-        raw_deltas: list = []
-        previous = None
-        for m, value in zip(reports, values):
-            if previous is None:
-                entries.append(DeltaEntry(m.version_id, render(value), None))
-            else:
-                diff = None if value is None or previous is None else value - previous
-                raw_deltas.append(diff)
-                entries.append(
-                    DeltaEntry(
-                        m.version_id,
-                        render(value),
-                        None if diff is None else render_delta(diff),
-                    )
-                )
-            previous = value
-        deltas[metric] = entries
-        trends[metric] = _trend(raw_deltas)
-
-    scale = reports[0].wpa.scale
-    series(
-        "wmca",
-        [m.wmca for m in reports],
-        str,
-        lambda d: str(d) if d == 0 else f"{d:+d}",
-    )
-    series(
-        "nac",
-        [m.nac for m in reports],
-        lambda v: "NA" if v is None else render_ratio(v),
-        lambda d: render_ratio(d, signed=True),
-    )
-    for metric in ("wpa", "waa", "wjp"):
-        series(
-            metric,
-            [getattr(m, metric).units for m in reports],
-            lambda units: Weight(units, scale).render(),
-            lambda d: ("-" if d < 0 else "+" if d > 0 else "") + Weight(abs(d), scale).render(),
-        )
+    for metric, values, den, places in columns:
+        diffs = [None] + [
+            None if old is None or new is None else new - old for old, new in zip(values, values[1:])
+        ]
+        deltas[metric] = [
+            {
+                "version": m.version_id,
+                "value": "NA" if x is None else render_fixed(x.numerator, x.denominator * den, places),
+                "delta": None if d is None else render_fixed(d.numerator, d.denominator * den, places, True),
+            }
+            for m, x, d in zip(reports, values, diffs)
+        ]
+        trends[metric] = _trend(diffs)
     return ComparisonReport(versions=list(reports), deltas=deltas, trends=trends)
 
 
@@ -301,14 +275,8 @@ def _comparison_payload(report: ComparisonReport) -> dict:
     return {
         "schema": COMPARISON_SCHEMA,
         "versions": [_version_payload(m) for m in report.versions],
-        "deltas": {
-            metric: [
-                {"version": e.version_id, "value": e.value, "delta": e.delta}
-                for e in entries
-            ]
-            for metric, entries in report.deltas.items()
-        },
-        "trends": dict(report.trends),
+        "deltas": report.deltas,
+        "trends": report.trends,
     }
 
 

@@ -20,6 +20,25 @@ from .parser import AdviceKind
 from .pointcuts import SignaturePattern
 
 
+def render_fixed(num: int, den: int, places: int, signed: bool = False) -> str:
+    """``num / den`` (``den > 0``) to ``places`` decimals, ties to even, in integers only.
+
+    The sign is the exact value's: ``-`` when negative, even when it rounds
+    to zero (``-0.000``), and ``+`` when positive and ``signed``.
+    """
+    if num < 0:
+        sign, num = "-", -num
+    else:
+        sign = "+" if signed and num else ""
+    digits, rest = divmod(num * 10**places, den)
+    if 2 * rest > den or (2 * rest == den and digits & 1):
+        digits += 1
+    if not places:
+        return sign + str(digits)
+    text = str(digits).rjust(places + 1, "0")
+    return f"{sign}{text[:-places]}.{text[-places:]}"
+
+
 class Weight(FrozenRecord):
     """A non-negative weight: ``units / scale`` with scale 10 or 100."""
 
@@ -34,10 +53,12 @@ class Weight(FrozenRecord):
             raise ValueError(f"mixed weight scales: {self.scale} vs {other.scale}")
         return Weight(self.units + other.units, self.scale)
 
+    @property
+    def places(self) -> int:
+        return 1 if self.scale == 10 else 2
+
     def render(self) -> str:
-        decimals = 1 if self.scale == 10 else 2
-        whole, frac = divmod(self.units, self.scale)
-        return f"{whole}.{frac:0{decimals}d}"
+        return render_fixed(self.units, self.scale, self.places)
 
     @classmethod
     def from_decimal(cls, value: Decimal, scale: int) -> "Weight":

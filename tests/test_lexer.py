@@ -207,3 +207,14 @@ def test_only_type_bodies_keep_their_tokens_inside_a_type_body():
     }
     for member, expected in elided.items():
         assert texts(member) == expected, member
+
+
+def test_a_class_literal_opens_no_type_body():
+    # 'E.class' is a class literal, so the body of t is '{' '}'; a type
+    # keyword after it still opens the nested body that follows.
+    tokens, _ = tokenize("class O { @Test(expected = E.class) void t() { int y = 1; g(); } int z; }")
+    assert [text for _, text, _, _, _ in tokens][3:-5] == [
+        "@", "Test", "(", "expected", "=", "E", ".", "class", ")", "void", "t", "(", ")", "{", "}",
+    ]
+    tokens, _ = tokenize("class O { @RunWith(X.class) static class I { int q; } }")
+    assert [text for _, text, _, _, _ in tokens][-9:-2] == ["class", "I", "{", "int", "q", ";", "}"]

@@ -1,10 +1,10 @@
 """Differential properties: the regex lexer against the char-loop oracle.
 
 ``tokenize`` keeps the tokens of a brace block opened at parenthesis
-depth 0 when no kept block is open, or when a type keyword has come since
-the last '{' or ';' at depth 0, and no token inside a body: any other
-brace block opened at depth 0. It also makes one DESIGNATOR token of each
-pattern designator read in expression mode. The first property applies
+depth 0 when no kept block is open, or when a type keyword not glued to a
+'.' before it has come since the last '{' or ';' at depth 0, and no token
+inside a body: any other brace block opened at depth 0. It also makes one
+DESIGNATOR token of each pattern designator read in expression mode. The first property applies
 both rules, written out again below over whole tokens, to the oracle's
 full token stream; the result must agree with ``tokenize`` on every
 token's kind, text, line and offsets, and the diagnostics must agree
@@ -102,8 +102,9 @@ def _apply_tokenize_rules(tokens, source):
     """Drop every token inside a body, keeping its outer braces, and join designators.
 
     Track the parenthesis depth (clamped at 0), a count of the kept brace
-    blocks open at depth 0, and a flag: a type keyword sets it, and a '{'
-    or ';' at depth 0 clears it. A '{' at depth 0 opens a kept block if
+    blocks open at depth 0, and a flag: a type keyword sets it unless a '.'
+    comes right before it (``X.class``), and a '{' or ';' at depth 0
+    clears it. A '{' at depth 0 opens a kept block if
     none is open or the flag is set, and a body otherwise; a '}' at depth
     0 closes a kept block, if one is open.
 
@@ -134,7 +135,7 @@ def _apply_tokenize_rules(tokens, source):
         elif text == ":" and depth == 0 and open_blocks:
             expression = True
         if kind is TokenKind.KEYWORD and text in ("class", "interface", "enum", "aspect"):
-            typed = True
+            typed = typed or source[start - 1] != "."
         elif kind is TokenKind.PAREN_OPEN:
             depth += 1
         elif kind is TokenKind.PAREN_CLOSE:
@@ -195,6 +196,7 @@ def _observed(tokens, diagnostics):
 @example("class A { void f() { c = '{ x\\\n } int z; }")
 @example("class A { void f() " + "{\n" * 50 + "x;\n" + "}\n" * 50 + "int z; }")
 @example("class A { void f() { if (x) { y; } // }\n\n")  # unclosed
+@example("class O { @Test(expected = E.class) void t() { int y; } @R(X .class) class I { int q; } }")
 def test_regex_lexer_matches_char_loop_oracle(text):
     full, full_diagnostics = reference_lexer.tokenize(_blank_for_oracle(text), file="F.java")
     assert _observed(*tokenize(text, file="F.java")) == _observed(

@@ -6,10 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aometrics import TooFewVersions, compare_versions, default_weights, measure_version, parse_source
+from aometrics import (
+    TooFewVersions,
+    compare_versions,
+    default_weights,
+    load_weight_overrides,
+    measure_version,
+    parse_source,
+)
 from aometrics.metrics import VersionMetrics
 from aometrics.report import _json, render_table, render_trends, write_csv, write_json, write_log
-from helpers import GOLDEN, MINI_UAS, TEST_FIXTURES, measure_dir, parse_version_dir
+from helpers import GOLDEN, MINI_UAS, MINI_UAS_ORDER, TEST_FIXTURES, measure_dir, parse_version_dir
 
 W = default_weights()
 
@@ -166,8 +173,8 @@ def test_compare_delta_and_trend_increasing():
     b = _metrics_with("v2", wmca=20, nc=2, na=2)
     report = compare_versions([a, b])
     entries = report.deltas["wmca"]
-    assert entries[0].delta is None
-    assert entries[1].delta == "+6"
+    assert entries[0]["delta"] is None
+    assert entries[1]["delta"] == "+6"
     assert report.trends["wmca"] == "increasing"
 
 
@@ -175,20 +182,20 @@ def test_compare_identical_versions_flat():
     a = _metrics_with("v1", wmca=4, nc=2, na=4)
     b = _metrics_with("v2", wmca=4, nc=2, na=4)
     report = compare_versions([a, b])
-    assert all(e.delta in (None, "0", "0.0", "0.000") for entries in report.deltas.values() for e in entries)
+    assert all(e["delta"] in (None, "0", "0.0", "0.000") for entries in report.deltas.values() for e in entries)
     assert set(report.trends.values()) == {"flat"}
 
 
 def test_compare_mini_uas_deltas_match_manifests():
     reports = [measure_dir(MINI_UAS / v) for v in ("J1.0", "AJ1.1", "AJ1.2", "AJ1.3", "AJ1.4")]
     report = compare_versions(reports)
-    wmca = [e.delta for e in report.deltas["wmca"]]
+    wmca = [e["delta"] for e in report.deltas["wmca"]]
     assert wmca == [None, "-2", "+2", "+2", "+2"]
     assert report.trends["wmca"] == "mixed"
-    wpa = [e.delta for e in report.deltas["wpa"]]
+    wpa = [e["delta"] for e in report.deltas["wpa"]]
     assert wpa == [None, "+2.0", "+1.6", "+0.2", "+2.2"]
     assert report.trends["wpa"] == "increasing"
-    nac = [e.delta for e in report.deltas["nac"]]
+    nac = [e["delta"] for e in report.deltas["nac"]]
     assert nac == [None, "-0.250", "-0.256", "-0.291", "-0.319"]
     assert report.trends["nac"] == "decreasing"
 
@@ -207,3 +214,77 @@ def test_trend_rendering():
     text = render_trends(compare_versions(reports))
     assert "TREND WMCA decreasing" in text
     assert "TREND WPA increasing" in text
+
+
+# -- number formats --------------------------------------------------------
+
+
+def _version(version_id: str, attributes=0, classes=0, methods=0, advices=0) -> VersionMetrics:
+    """``classes`` classes, the first holding the attributes and methods; one aspect of ``advices`` advices."""
+    units = []
+    if classes:
+        first = "".join(f"int a{j}; " for j in range(attributes))
+        first += "".join(f"void m{j}() {{}} " for j in range(methods))
+        rest = "".join(f" class K{i} {{}}" for i in range(1, classes))
+        units.append(parse_source(f"class K0 {{ {first}}}{rest}", "K.java"))
+    if advices:
+        units.append(parse_source("aspect A { " + "before(): execution(* a.B.m()) {} " * advices + "}", "A.aj"))
+    return measure_version(version_id, units, W)
+
+
+def _series(reports: list[VersionMetrics], metric: str, field: str) -> list:
+    payload = json.loads(write_json(compare_versions(reports)))
+    return [entry[field] for entry in payload["deltas"][metric]]
+
+
+def _seven_versions() -> list[VersionMetrics]:
+    # (attributes, classes): 1/16 and 5/16 are ties, 3/16 and 7/16 are not,
+    # 1/50 and 1/51 differ by less than half a thousandth.
+    return [
+        _version("v1", 1, 16, methods=3, advices=1),
+        _version("v2", 3, 16, methods=5, advices=5),
+        _version("v3", 1, 50, methods=5, advices=5),
+        _version("v4", 1, 51, methods=4, advices=1),
+        _version("v5"),
+        _version("v6", 5, 16, methods=2),
+        _version("v7", 7, 16, methods=2, advices=2),
+    ]
+
+
+def test_nac_values_round_ties_to_even_and_deltas_keep_the_sign_of_the_exact_value():
+    reports = _seven_versions()
+    assert _series(reports, "nac", "value") == ["0.062", "0.188", "0.020", "0.020", "NA", "0.312", "0.438"]
+    assert _series(reports, "nac", "delta") == [None, "+0.125", "-0.168", "-0.000", None, None, "+0.125"]
+    reports[2], reports[3] = reports[3], reports[2]
+    assert _series(reports, "nac", "delta") == [None, "+0.125", "-0.168", "+0.000", None, None, "+0.125"]
+    assert [m.nac_rendered() for m in reports] == ["0.062", "0.188", "0.020", "0.020", "NA", "0.312", "0.438"]
+
+
+def test_wmca_and_weight_deltas_sign_only_a_nonzero_value():
+    reports = _seven_versions()
+    assert _series(reports, "wmca", "value") == ["3", "5", "5", "4", "0", "2", "2"]
+    assert _series(reports, "wmca", "delta") == [None, "+2", "0", "-1", "-4", "+2", "0"]
+    for metric in ("waa", "wjp"):
+        assert _series(reports, metric, "value") == ["0.1", "0.5", "0.5", "0.1", "0.0", "0.0", "0.2"]
+        assert _series(reports, metric, "delta") == [None, "+0.4", "0.0", "-0.4", "-0.1", "0.0", "+0.2"]
+    assert _series(reports, "wpa", "delta") == [None, *["0.0"] * 6]
+    report = compare_versions(reports)
+    assert report.trends == {"wmca": "mixed", "nac": "mixed", "wpa": "flat", "waa": "mixed", "wjp": "mixed"}
+
+
+def test_hundredths_compare_of_mini_uas_renders_two_decimal_deltas(tmp_path):
+    config = tmp_path / "hundredths.json"
+    config.write_text(
+        '{"designator": {"execution": 0.15}, "advice": {"around": 0.25},'
+        ' "joinpoint_type": {"boolean_or_combined": 1.05},'
+        ' "signature_level": {"wildcard_or_unqualified_class": 0.45}}',
+        encoding="utf-8",
+    )
+    table = load_weight_overrides(config)
+    reports = [measure_dir(MINI_UAS / v, table) for v in MINI_UAS_ORDER]
+    assert _series(reports, "wpa", "value") == ["0.00", "2.00", "3.65", "3.90", "6.05"]
+    assert _series(reports, "wpa", "delta") == [None, "+2.00", "+1.65", "+0.25", "+2.15"]
+    assert _series(reports, "waa", "delta") == [None, "+0.55", "+0.45", "+0.20", "+0.10"]
+    assert _series(reports, "wjp", "delta") == [None, "+3.80", "+4.60", "+6.10", "+1.75"]
+    assert _series(reports, "wmca", "delta") == [None, "-2", "+2", "+2", "+2"]
+    assert _series(reports, "nac", "delta") == [None, "-0.250", "-0.256", "-0.291", "-0.319"]

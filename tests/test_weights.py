@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aometrics import (
@@ -19,6 +20,7 @@ from aometrics import (
     default_weights,
     load_weight_overrides,
 )
+from aometrics.weights import render_fixed
 
 
 def test_default_designator_weights():
@@ -94,6 +96,40 @@ def test_sum_order_independent(units):
 def test_mixed_scales_rejected():
     with pytest.raises(ValueError):
         Weight(1, 10) + Weight(1, 100)
+
+
+def _decimal_render(num: int, den: int, places: int, signed: bool) -> str:
+    """Decimal's banker's rounding of ``num / den``, in a context wide enough to be exact here."""
+    with localcontext() as context:
+        context.prec = 200
+        dec = (Decimal(num) / Decimal(den)).quantize(Decimal(10) ** -places, rounding=ROUND_HALF_EVEN)
+    return f"+{dec}" if signed and num > 0 else str(dec)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.integers(min_value=-(10**40), max_value=10**40) | st.integers(min_value=-2000, max_value=2000),
+    st.integers(min_value=1, max_value=10**30) | st.integers(min_value=1, max_value=64),
+    st.integers(min_value=0, max_value=3),
+    st.booleans(),
+)
+@example(1, 16, 3, False)  # a tie rounds down to the even 0.062
+@example(5, 16, 3, False)  # ... and 0.3125 to 0.312
+@example(-1, 2550, 3, True)  # -0.000
+@example(1, 2550, 3, True)  # +0.000
+@example(0, 7, 3, True)  # 0.000: zero takes no sign
+@example(-5, 2, 0, False)  # -2.5 to -2
+@example(7, 2, 0, True)  # 3.5 to +4
+def test_render_fixed_equals_decimal_half_even(num, den, places, signed):
+    assert render_fixed(num, den, places, signed) == _decimal_render(num, den, places, signed)
+
+
+@pytest.mark.parametrize("scale", [10, 100])
+def test_weight_renders_whole_and_padded_fraction(scale):
+    places = 1 if scale == 10 else 2
+    for units in range(0, 100_001, 7):
+        whole, frac = divmod(units, scale)
+        assert Weight(units, scale).render() == f"{whole}.{frac:0{places}d}"
 
 
 # -- overrides --------------------------------------------------------------
