@@ -42,6 +42,8 @@ _END = TokenKind.END
 # The texts that end each walk of ``_DeclParser.walk_to``. Each set holds
 # '', the text of END, which ends every walk.
 _AT_END = frozenset({""})
+_PAREN_CLOSE_ENDS = frozenset({"", ")"})  # the ')' that closes a '(', at depth 0
+_PARENS = ("(", ")")  # the brackets a walk nests: the opening ones, then the closing ones
 _HEAD_ENDS = frozenset({"", "{", ";"})  # a type or annotation type head at top level
 _DECLARATION_ENDS = frozenset({"", ";", "}"})  # a skipped declaration, at any depth
 _SKIP_ENDS = _DECLARATION_ENDS | {"{"}  # ... and outside parentheses
@@ -215,8 +217,8 @@ class _DeclParser:
     Every method that moves through the tokens takes the position it
     starts at and returns the position it stops at. Each way past code the
     parser does not measure (a skipped declaration, top-level recovery, an
-    initializer, a pointcut expression, a type head, a 'throws' clause)
-    calls ``walk_to`` with stop sets of its own.
+    initializer, a pointcut expression, a type head, a 'throws' clause, a
+    parenthesized list) calls ``walk_to`` with stop sets of its own.
 
     ``self.stack`` holds the open type bodies, innermost last, as
     ``(decl, restore)``: ``restore`` is None for a top-level body, else
@@ -235,6 +237,7 @@ class _DeclParser:
         self.label = file
         self.diagnostics = diagnostics
         self.stack: list[tuple[TypeDecl, tuple | None]] = []
+        self.brace_ends: dict[int, int] = {}  # '{' position -> position past its '}'
 
     def warn(self, line: int, message: str) -> None:
         self.diagnostics.append(warning(self.label, line, message))
@@ -249,21 +252,10 @@ class _DeclParser:
 
         An unclosed '(' ends at the END token.
         """
-        tokens = self.tokens
-        if tokens[pos][0] is not _PAREN_OPEN:
+        if self.tokens[pos][0] is not _PAREN_OPEN:
             return pos
-        depth = 0
-        while True:
-            kind = tokens[pos][0]
-            if kind is _END:
-                return pos
-            pos += 1
-            if kind is _PAREN_OPEN:
-                depth += 1
-            elif kind is _PAREN_CLOSE:
-                depth -= 1
-                if depth == 0:
-                    return pos
+        pos = self.walk_to(pos + 1, _PAREN_CLOSE_ENDS, _PARENS, braces=False)
+        return pos + 1 if self.tokens[pos][0] is _PAREN_CLOSE else pos
 
     def annotation_end(self, pos: int) -> int:
         """Position past the annotation ``@Name`` or ``@Name(...)`` whose '@' is at ``pos``."""
@@ -301,11 +293,12 @@ class _DeclParser:
     # -- skipping ----------------------------------------------------------
 
     def walk_to(
-        self, pos: int, stops: frozenset, nests: str = "", anywhere: frozenset = _AT_END, braces: bool = True
+        self, pos: int, stops: frozenset, nests: tuple = ("", ""), anywhere: frozenset = _AT_END,
+        braces: bool = True,
     ) -> int:
         """Position of the first token from ``pos`` whose text is in ``stops`` at depth 0.
 
-        ``nests`` lists bracket pairs, such as ``"()[]"``: an opening one
+        ``nests`` is ``(opens, closes)``, as ``_PARENS``: an opening bracket
         adds one to the depth, a closing one takes one off, clamped at 0 as
         in the lexer, so an unmatched ')' does not hide the stop behind it.
         At a depth above 0 only a text in ``anywhere``, a subset of
@@ -314,7 +307,7 @@ class _DeclParser:
         False, as the lexer reads a '{' inside parentheses.
         """
         tokens = self.tokens
-        opens, closes = nests[0::2], nests[1::2]
+        opens, closes = nests
         depth = 0
         while True:
             text = tokens[pos][1]
@@ -335,21 +328,30 @@ class _DeclParser:
         An unclosed block ends at the END token. Every brace block outside
         parentheses that the parser does not parse as a type body is passed
         with this, directly or through ``walk_to``, and a nested type body
-        ends where this says.
+        ends where this says. The walk records the end of every closed block
+        it passes, and a recorded block is answered without one: an outer
+        body is walked before the bodies in it, so no block is walked twice.
+        Most blocks are bodies the lexer elided to '{' '}', answered first.
         """
         tokens = self.tokens
-        depth = 0
+        if tokens[pos + 1][0] is _BRACE_CLOSE:
+            return pos + 2, True
+        ends = self.brace_ends
+        end = ends.get(pos)
+        if end is not None:
+            return end, True
+        opened: list[int] = []
         while True:
             kind = tokens[pos][0]
-            if kind is _END:
+            if kind is _BRACE_OPEN:
+                opened.append(pos)
+            elif kind is _BRACE_CLOSE:
+                ends[opened.pop()] = pos + 1
+                if not opened:
+                    return pos + 1, True
+            elif kind is _END:
                 return pos, False
             pos += 1
-            if kind is _BRACE_OPEN:
-                depth += 1
-            elif kind is _BRACE_CLOSE:
-                depth -= 1
-                if depth == 0:
-                    return pos, True
 
     def skip_declaration(self, pos: int) -> int:
         """Where the declaration at ``pos`` ends: past it, or at the '}' that closes the block.
@@ -359,7 +361,7 @@ class _DeclParser:
         of a malformed method. A brace block inside them, as in '@A({1})',
         ends nothing.
         """
-        pos = self.walk_to(pos, _SKIP_ENDS, "()", _DECLARATION_ENDS)
+        pos = self.walk_to(pos, _SKIP_ENDS, _PARENS, _DECLARATION_ENDS)
         text = self.tokens[pos][1]
         if text == "{":
             return self.brace_end(pos)[0]
@@ -373,7 +375,7 @@ class _DeclParser:
         tokens = self.tokens
         if tokens[pos + 1][1] != "interface":
             return self.annotation_end(pos)
-        end = self.walk_to(pos, _MEMBER_ENDS if self.stack else _HEAD_ENDS, "()", braces=False)
+        end = self.walk_to(pos, _MEMBER_ENDS if self.stack else _HEAD_ENDS, _PARENS, braces=False)
         kind = tokens[end][0]
         if kind is _BRACE_OPEN:
             return self.brace_end(end)[0]
@@ -476,7 +478,7 @@ class _DeclParser:
             name = "<anonymous>"
             pos += 1
         # extends/implements/generics/per-clauses: everything up to the body.
-        pos = self.walk_to(pos, _MEMBER_ENDS if self.stack else _HEAD_ENDS, "()", braces=False)
+        pos = self.walk_to(pos, _MEMBER_ENDS if self.stack else _HEAD_ENDS, _PARENS, braces=False)
         kind = tokens[pos][0]
         decl = TypeDecl(name=name, kind=word, line=line)
         if kind is not _BRACE_OPEN:
@@ -599,7 +601,7 @@ class _DeclParser:
             self.err(line, f"malformed pointcut declaration '{name}'")
             return self.skip_declaration(pos)
         start = pos + 1
-        stop = self.walk_to(start, _MEMBER_ENDS, "()", braces=False)
+        stop = self.walk_to(start, _MEMBER_ENDS, _PARENS, braces=False)
         if tokens[stop][0] is _SEMICOLON:
             pos = stop + 1
         else:
@@ -633,7 +635,7 @@ class _DeclParser:
             self.err(line, f"malformed {word} advice (missing ':')")
             return self.skip_declaration(pos)
         start = pos + 1
-        stop = self.walk_to(start, _MEMBER_ENDS, "()", braces=False)
+        stop = self.walk_to(start, _MEMBER_ENDS, _PARENS, braces=False)
         stop_kind = tokens[stop][0]
         if stop_kind is _BRACE_OPEN:
             pos, closed = self.brace_end(stop)
@@ -756,7 +758,7 @@ class _DeclParser:
                 break
             if text == "=":
                 # '{' is passed whole, so a '}' closes only a '(' or '[' left open.
-                pos = self.walk_to(pos + 1, _INITIALIZER_ENDS, "()[]{}")
+                pos = self.walk_to(pos + 1, _INITIALIZER_ENDS, ("([{", ")]}"))
                 continue
             if text == ",":
                 nxt = tokens[pos + 1]

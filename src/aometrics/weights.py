@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from decimal import Decimal, InvalidOperation
 from enum import Enum, IntEnum
+from fractions import Fraction
 from pathlib import Path
 
 from .diagnostics import FrozenRecord
@@ -59,13 +60,6 @@ class Weight(FrozenRecord):
 
     def render(self) -> str:
         return render_fixed(self.units, self.scale, self.places)
-
-    @classmethod
-    def from_decimal(cls, value: Decimal, scale: int) -> "Weight":
-        units = value * scale
-        if units != units.to_integral_value():
-            raise MalformedConfig(f"weight {value} is not representable in 1/{scale} steps")
-        return cls(int(units), scale)
 
 
 class JoinPointCategory(Enum):
@@ -132,15 +126,13 @@ _SECTIONS = {
 }
 
 
-def _build_table(scale: int, overrides: dict[str, dict[str, Decimal]]) -> WeightTable:
-    """The defaults at ``scale``, with each overridden entry replaced."""
-    factor = scale // 10
+def _build_table(scale: int, overrides: dict[str, dict[str, int]]) -> WeightTable:
+    """The defaults at ``scale``, with each overridden entry, in hundredths, replaced."""
     sections = []
     for section, (key_of, tenths) in _SECTIONS.items():
         given = overrides.get(section, {})
         sections.append({
-            key_of(name): Weight.from_decimal(given[name], scale) if name in given
-            else Weight(units * factor, scale)
+            key_of(name): Weight(given[name] * scale // 100 if name in given else units * scale // 10, scale)
             for name, units in tenths.items()
         })
     return WeightTable(*sections, scale)
@@ -163,15 +155,16 @@ def signature_specificity(pat: SignaturePattern) -> SpecificityLevel:
     return SpecificityLevel.FULLY_QUALIFIED
 
 
-def _coerce_decimal(section: str, key: str, value: object) -> Decimal:
+def _hundredths(section: str, key: str, value: object) -> int:
+    """An override's ``value``, an int or a Decimal, in exact hundredths."""
     if isinstance(value, bool) or not isinstance(value, (int, Decimal)):
         raise MalformedConfig(f"{section}.{key}: expected a number, got {value!r}")
-    dec = Decimal(value) if isinstance(value, int) else value
-    if dec < 0:
-        raise NegativeWeight(f"{section}.{key}: negative weight {dec}")
-    if dec * 100 != (dec * 100).to_integral_value():
+    if value < 0:
+        raise NegativeWeight(f"{section}.{key}: negative weight {value}")
+    hundredths = Fraction(value) * 100
+    if hundredths.denominator != 1:
         raise MalformedConfig(f"{section}.{key}: at most two decimal places supported")
-    return dec
+    return int(hundredths)
 
 
 def load_weight_overrides(config_path: Path | str) -> WeightTable:
@@ -192,14 +185,14 @@ def load_weight_overrides(config_path: Path | str) -> WeightTable:
     if not isinstance(raw, dict):
         raise MalformedConfig(f"{path}: top level must be an object")
 
-    overrides: dict[str, dict[str, Decimal]] = {}
+    overrides: dict[str, dict[str, int]] = {}
     for section, entries in raw.items():
         if section not in _SECTIONS:
             raise UnknownWeightKey(f"unknown section {section!r}")
         if not isinstance(entries, dict):
             raise MalformedConfig(f"{section}: expected an object of name -> weight")
         overrides[section] = {
-            key: _coerce_decimal(section, key, value) for key, value in entries.items()
+            key: _hundredths(section, key, value) for key, value in entries.items()
         }
 
     for section, entries in overrides.items():
@@ -207,10 +200,5 @@ def load_weight_overrides(config_path: Path | str) -> WeightTable:
             if key not in _SECTIONS[section][1]:
                 raise UnknownWeightKey(f"unknown {section} name {key!r}")
 
-    needs_hundredths = any(
-        dec * 10 != (dec * 10).to_integral_value()
-        for entries in overrides.values()
-        for dec in entries.values()
-    )
-    scale = 100 if needs_hundredths else 10
-    return _build_table(scale, overrides)
+    needs_hundredths = any(h % 10 for entries in overrides.values() for h in entries.values())
+    return _build_table(100 if needs_hundredths else 10, overrides)

@@ -196,6 +196,17 @@ def test_compare_explicit_roots(tmp_path: Path, capsys):
     assert out.splitlines()[1].startswith("J1.0")
 
 
+def test_compare_table_format_writes_the_table_it_prints(tmp_path: Path, capsys):
+    args = ["compare", "--versions-root", str(MINI_UAS), "--order", *MINI_UAS_ORDER]
+    code = main([*args, "--format", "table", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["comparison.txt"]
+    table = (tmp_path / "comparison.txt").read_text(encoding="utf-8")
+    assert table.splitlines() == out.splitlines()[: 1 + len(MINI_UAS_ORDER)]
+    assert out.startswith(table)
+
+
 def test_compare_too_few_roots_is_usage_error(tmp_path: Path):
     with pytest.raises(SystemExit) as exc:
         main(["compare", str(MINI_UAS / "J1.0"), "--out", str(tmp_path)])

@@ -868,7 +868,9 @@ def test_unclosed_and_too_deep_designators_stay_linear(tmp_path, capsys):
 def test_classes_nested_1000_deep_are_each_measured(tmp_path, capsys, monkeypatch):
     # The nest sits in an aspect and holds an interface and an enum partway
     # down; the aspect's members after it are still read as an aspect's.
-    # The file is lexed once: every nested body is read from its tokens.
+    # The file is lexed once: every nested body is read from its tokens,
+    # and each brace block is walked once, so the parser reads each token a
+    # few times, not once per level of the nest around it.
     depth = 1000
     words = ["class"] * depth
     words[300], words[600] = "interface", "enum"
@@ -884,13 +886,28 @@ def test_classes_nested_1000_deep_are_each_measured(tmp_path, capsys, monkeypatc
         lexed.append(len(text))
         return tokenize(text, file=file)
 
+    class CountingTokens(list):
+        reads = 0
+
+        def __getitem__(self, index):
+            CountingTokens.reads += 1
+            return super().__getitem__(index)
+
+    init = aometrics.parser._DeclParser.__init__
+
+    def counting_init(self, *args):
+        init(self, *args)
+        self.tokens = CountingTokens(self.tokens)
+
     monkeypatch.setattr(aometrics.parser, "tokenize", counting_tokenize)
+    monkeypatch.setattr(aometrics.parser._DeclParser, "__init__", counting_init)
     (tmp_path / "V").mkdir()
     (tmp_path / "V" / "Deep.aj").write_text(src, encoding="utf-8")
     code = main(["measure", str(tmp_path / "V"), "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert len(lexed) == 1
+    assert CountingTokens.reads < 4 * len(tokenize(src, file="Deep.aj")[0])
     log = (tmp_path / "out" / "V.log").read_text(encoding="utf-8").splitlines()
     names = ["Outer"]
     for i in range(depth):

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aometrics import parse_source
+from aometrics import measure_version, parse_source
 from aometrics.diagnostics import Severity
 from aometrics.lexer import PATTERN_DESIGNATORS, tokenize
 from aometrics.pointcuts import (
@@ -192,6 +193,41 @@ def test_malformed_signature_returns_none():
     )
     assert pat is None
     assert diags
+
+
+@pytest.mark.parametrize(
+    ("primitive", "reason"),
+    [
+        (Primitive("get", "int a.B.f()"), "unexpected parameter list"),
+        (Primitive("set", "int a.B.f()"), "unexpected parameter list"),
+        (Primitive("execution", "public (..)"), "no method pattern"),
+        (Primitive("execution", ") x ("), "unbalanced parameter list"),
+    ],
+)
+def test_malformed_signature_warning(primitive, reason):
+    diags = []
+    assert extract_signature_pattern(primitive, diagnostics=diags, file="A.aj", line=3) is None
+    assert [(d.severity, d.file, d.line, d.message) for d in diags] == [
+        (Severity.WARNING, "A.aj", 3, f"malformed {primitive.designator} signature: {reason}")
+    ]
+
+
+def test_malformed_signature_warnings_at_their_pointcut_lines():
+    unit = parse_source(
+        """aspect A {
+            pointcut g(): get(int a.B.f());
+            pointcut s(): set(int a.B.f());
+
+            pointcut e(): execution(public (..));
+        }""",
+        "A.aj",
+    )
+    m = measure_version("v", [unit], default_weights())
+    assert [(d.line, d.message) for d in m.diagnostics] == [
+        (2, "malformed get signature: unexpected parameter list"),
+        (3, "malformed set signature: unexpected parameter list"),
+        (5, "malformed execution signature: no method pattern"),
+    ]
 
 
 def test_package_wildcard_type_split():

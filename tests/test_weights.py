@@ -295,3 +295,20 @@ def test_zero_override_allowed(tmp_path: Path):
     path = write_config(tmp_path, {"joinpoint_type": {"control_flow": 0}})
     table = load_weight_overrides(path)
     assert table.joinpoint_type_weights[JoinPointCategory.CONTROL_FLOW].units == 0
+
+
+def test_thirty_one_digit_override_with_a_third_decimal_rejected(tmp_path: Path):
+    # Read exactly: Decimal's 28 significant digits would round it to 0.1.
+    path = tmp_path / "weights.json"
+    path.write_text('{"designator": {"execution": 0.1000000000000000000000000000001}}', encoding="utf-8")
+    with pytest.raises(MalformedConfig) as info:
+        load_weight_overrides(path)
+    assert str(info.value) == "designator.execution: at most two decimal places supported"
+
+
+def test_thirty_one_digit_override_kept_exactly(tmp_path: Path):
+    path = tmp_path / "weights.json"
+    path.write_text('{"advice": {"around": 123456789012345678901234567890.5}}', encoding="utf-8")
+    table = load_weight_overrides(path)
+    assert table.scale == 10
+    assert table.advice_weights[AdviceKind.AROUND].render() == "123456789012345678901234567890.5"
