@@ -28,8 +28,12 @@ from .report import (
 from .scanner import ScanMode, VersionRef, scan_corpus
 from .weights import WeightTable, default_weights, load_weight_overrides
 
-_FORMATS = ("log", "json", "csv", "table")
-_DEFAULT_FORMATS = ("log", "json", "csv")
+# The report formats each subcommand writes, and those it writes when no
+# --format is given: compare writes no log.
+_MEASURE_FORMATS = ("log", "json", "csv", "table")
+_MEASURE_DEFAULTS = ("log", "json", "csv")
+_COMPARE_FORMATS = ("json", "csv", "table")
+_COMPARE_DEFAULTS = ("json", "csv")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -50,7 +54,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     measure = sub.add_parser("measure", help="measure one version directory")
     measure.add_argument("root", type=Path)
-    _add_common(measure)
+    _add_common(measure, _MEASURE_FORMATS, _MEASURE_DEFAULTS)
 
     compare = sub.add_parser("compare", help="measure and compare several versions")
     compare.add_argument("roots", nargs="*", type=Path, metavar="root")
@@ -65,18 +69,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
         metavar="ID",
         help="explicit version ids in comparison order (subset allowed)",
     )
-    _add_common(compare)
+    _add_common(compare, _COMPARE_FORMATS, _COMPARE_DEFAULTS)
     return parser
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(
+    sub: argparse.ArgumentParser, formats: tuple[str, ...], defaults: tuple[str, ...]
+) -> None:
     sub.add_argument("--weights", type=Path, help="JSON weight override file")
     sub.add_argument(
         "--format",
         action="append",
-        choices=_FORMATS,
+        choices=formats,
         dest="formats",
-        help="report format to write (repeatable; default: log json csv)",
+        help=f"report format to write (repeatable; default: {' '.join(defaults)})",
     )
     sub.add_argument("--out", type=Path, default=Path("."), help="output directory")
     sub.add_argument(
@@ -196,7 +202,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
-    formats = set(args.formats or _DEFAULT_FORMATS)
+    formats = set(args.formats or _MEASURE_DEFAULTS)
     table = _load_table(args.weights)
     (version,) = scan_corpus(args.root, ScanMode.SINGLE_VERSION)
     metrics, units = _measure_one(version, table, args.strict, {})
@@ -234,7 +240,7 @@ def _cmd_compare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     if not args.versions_root and len(args.roots) < 2:
         parser.error("compare needs --versions-root or at least two version roots")
 
-    formats = set(args.formats or _DEFAULT_FORMATS)
+    formats = set(args.formats or _COMPARE_DEFAULTS)
     table = _load_table(args.weights)
 
     if args.versions_root:

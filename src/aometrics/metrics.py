@@ -62,6 +62,9 @@ class ClassMetrics(Record):
 
 
 class VersionMetrics(Record):
+    """One version's metrics. Every total is summed here from the rows, at
+    ``scale``, so no total can disagree with its rows."""
+
     __slots__ = (
         "version_id", "wpa", "waa", "wjp", "wmca", "class_attribute_count", "class_count",
         "aspect_count", "method_count", "attribute_count", "per_aspect", "per_class",
@@ -71,33 +74,27 @@ class VersionMetrics(Record):
     def __init__(
         self,
         version_id: str,
-        wpa: Weight,
-        waa: Weight,
-        wjp: Weight,
-        wmca: int,
-        class_attribute_count: int,  # NAC numerator: attributes declared in classes
-        class_count: int,  # NAC denominator: classes, nested included
-        aspect_count: int,
+        scale: int,
         method_count: int,
         attribute_count: int,
         per_aspect: list[AspectMetrics],
         per_class: list[ClassMetrics],
-        aspect_free: bool,
         diagnostics: list[Diagnostic],
     ):
+        aspect_wjp = sum([a.wjp.units for a in per_aspect])
         self.version_id = version_id
-        self.wpa = wpa
-        self.waa = waa
-        self.wjp = wjp
-        self.wmca = wmca
-        self.class_attribute_count = class_attribute_count
-        self.class_count = class_count
-        self.aspect_count = aspect_count
+        self.wpa = Weight(sum([a.wpa.units for a in per_aspect]), scale)
+        self.waa = Weight(sum([a.waa.units for a in per_aspect]), scale)
+        self.wjp = Weight(aspect_wjp + sum([c.wjp_contribution.units for c in per_class]), scale)
+        self.wmca = sum([c.wmca for c in per_class]) + sum([a.wmca for a in per_aspect])
+        self.class_attribute_count = sum([c.attribute_count for c in per_class])
+        self.class_count = len(per_class)
+        self.aspect_count = len(per_aspect)
         self.method_count = method_count
         self.attribute_count = attribute_count
         self.per_aspect = per_aspect
         self.per_class = per_class
-        self.aspect_free = aspect_free
+        self.aspect_free = not per_aspect
         self.diagnostics = diagnostics
 
     @property
@@ -360,9 +357,7 @@ def measure_version(
 
     per_aspect: list[AspectMetrics] = []
     per_class: list[ClassMetrics] = []
-    # Sums are kept in integer units; each total becomes one Weight.
     scale = w.scale
-    wpa = waa = wjp = 0
     method_count = 0
     attribute_count = 0
 
@@ -372,7 +367,6 @@ def measure_version(
             a_wpa = 0
             for pc in aspect.pointcuts:
                 a_wpa += _pointcut_units(facts[id(pc)], w)
-            a_waa = waa_aspect(aspect, w)
             a_wjp = 0
             for decl in (*aspect.pointcuts, *aspect.advices):
                 a_wjp += _joinpoint_units(facts[id(decl)], w)
@@ -380,14 +374,11 @@ def measure_version(
                 AspectMetrics(
                     aspect.name,
                     Weight(a_wpa, scale),
-                    a_waa,
+                    waa_aspect(aspect, w),
                     Weight(a_wjp, scale),
                     wmca_unit(aspect),
                 )
             )
-            wpa += a_wpa
-            waa += a_waa.units
-            wjp += a_wjp
             method_count += len(aspect.methods)
             attribute_count += len(aspect.attributes)
         for qname, cls in walk_classes(unit):
@@ -397,28 +388,11 @@ def measure_version(
             per_class.append(
                 ClassMetrics(qname, wmca_unit(cls), len(cls.attributes), Weight(c_wjp, scale))
             )
-            wjp += c_wjp
             method_count += len(cls.methods)
             attribute_count += len(cls.attributes)
 
     per_aspect.sort(key=lambda m: m.aspect_name)
     per_class.sort(key=lambda m: m.class_name)
-    na = sum(m.attribute_count for m in per_class)
-    wmca = sum(m.wmca for m in per_class) + sum(m.wmca for m in per_aspect)
-
     return VersionMetrics(
-        version_id=version_id,
-        wpa=Weight(wpa, scale),
-        waa=Weight(waa, scale),
-        wjp=Weight(wjp, scale),
-        wmca=wmca,
-        class_attribute_count=na,
-        class_count=len(per_class),
-        aspect_count=len(per_aspect),
-        method_count=method_count,
-        attribute_count=attribute_count,
-        per_aspect=per_aspect,
-        per_class=per_class,
-        aspect_free=not per_aspect,
-        diagnostics=diags,
+        version_id, scale, method_count, attribute_count, per_aspect, per_class, diags
     )

@@ -10,7 +10,6 @@ nested pointcuts inside e.g. ``cflow(...)`` are deliberately not expanded.
 from __future__ import annotations
 
 import re
-from typing import Union
 
 from .diagnostics import Diagnostic, FrozenRecord, warning
 from .lexer import KEYWORDS, PATTERN_DESIGNATORS, Token, TokenKind
@@ -68,7 +67,7 @@ class NamedRef(FrozenRecord):
         object.__setattr__(self, "name", name)
 
 
-PointcutExpr = Union[Primitive, And, Or, Not, NamedRef]
+PointcutExpr = Primitive | And | Or | Not | NamedRef
 
 
 class SignaturePattern(FrozenRecord):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from decimal import Decimal, InvalidOperation
 from enum import Enum, IntEnum
-from fractions import Fraction
 from pathlib import Path
 
 from .diagnostics import FrozenRecord
@@ -155,16 +154,36 @@ def signature_specificity(pat: SignaturePattern) -> SpecificityLevel:
     return SpecificityLevel.FULLY_QUALIFIED
 
 
+# An override must be below 10**100, so every sum of weights renders far
+# inside Python's 4,300-digit limit on converting an int to a string.
+_BOUND = 10**100
+
+
 def _hundredths(section: str, key: str, value: object) -> int:
-    """An override's ``value``, an int or a Decimal, in exact hundredths."""
+    """An override's ``value``, an int or a Decimal, in exact hundredths.
+
+    A Decimal is checked from its digits and exponent as written, and
+    bounded before any product is formed, so no check costs more than the
+    text of the value.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, Decimal)):
         raise MalformedConfig(f"{section}.{key}: expected a number, got {value!r}")
     if value < 0:
         raise NegativeWeight(f"{section}.{key}: negative weight {value}")
-    hundredths = Fraction(value) * 100
-    if hundredths.denominator != 1:
-        raise MalformedConfig(f"{section}.{key}: at most two decimal places supported")
-    return int(hundredths)
+    if isinstance(value, Decimal):
+        _, digits, exponent = value.as_tuple()
+        shift = exponent + 2  # value == int(digits) * 10**shift hundredths
+        if shift < 0:
+            if any(digits[shift:]):
+                raise MalformedConfig(f"{section}.{key}: at most two decimal places supported")
+            digits, shift = digits[:shift], 0
+    if value >= _BOUND:
+        raise MalformedConfig(f"{section}.{key}: weight must be below 1e100")
+    if isinstance(value, int):
+        return value * 100
+    if not value:  # a zero may carry any exponent
+        return 0
+    return int("".join(map(str, digits))) * 10**shift
 
 
 def load_weight_overrides(config_path: Path | str) -> WeightTable:
@@ -180,7 +199,7 @@ def load_weight_overrides(config_path: Path | str) -> WeightTable:
         raise ConfigNotFound(f"weight config not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"), parse_float=Decimal)
-    except (ValueError, InvalidOperation) as exc:
+    except (ValueError, InvalidOperation, RecursionError) as exc:  # or nested too deep
         raise MalformedConfig(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise MalformedConfig(f"{path}: top level must be an object")

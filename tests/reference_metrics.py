@@ -270,7 +270,11 @@ def measure_version(
     na = sum(m.attribute_count for m in per_class)
     wmca = sum(m.wmca for m in per_class) + sum(m.wmca for m in per_aspect)
 
-    return VersionMetrics(
+    # Every field is set from the sums above, not by VersionMetrics.__init__,
+    # so the differential compares the totals it derives from the rows with
+    # the per-addition sums.
+    record = VersionMetrics.__new__(VersionMetrics)
+    for name, value in dict(
         version_id=version_id,
         wpa=wpa,
         waa=waa,
@@ -285,4 +289,6 @@ def measure_version(
         per_class=per_class,
         aspect_free=not per_aspect,
         diagnostics=diags,
-    )
+    ).items():
+        setattr(record, name, value)
+    return record

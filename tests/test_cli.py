@@ -207,6 +207,18 @@ def test_compare_table_format_writes_the_table_it_prints(tmp_path: Path, capsys)
     assert out.startswith(table)
 
 
+def test_compare_format_log_is_a_usage_error(tmp_path: Path, capsys):
+    # compare writes no log, so it does not accept the format.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--versions-root", str(MINI_UAS), "--format", "log", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "argument --format: invalid choice: 'log'" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_compare_too_few_roots_is_usage_error(tmp_path: Path):
     with pytest.raises(SystemExit) as exc:
         main(["compare", str(MINI_UAS / "J1.0"), "--out", str(tmp_path)])

@@ -7,19 +7,30 @@ nested thousands deep. ``test_metrics.py`` covers the other deep forms:
 parentheses and '!' in pointcuts (``test_deeply_nested_pointcuts_*``)
 and type declarations (``test_classes_nested_1000_deep_are_each_measured``).
 A long unclosed body must also lex in linear time.
+
+The command line keeps the same promise for every other input: drawn
+argument lists and weight override files end in an exit code that README
+lists, within a deadline.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aometrics import default_weights, measure_version, parse_source
+from aometrics.cli import main
 from aometrics.lexer import TokenKind, tokenize
 from aometrics.report import write_log
-from helpers import MINI_UAS, TEST_FIXTURES
+from aometrics.weights import _SECTIONS
+from helpers import MINI_UAS, MINI_UAS_ORDER, TEST_FIXTURES
 
 W = default_weights()
 
@@ -110,3 +121,141 @@ def test_an_unclosed_body_of_hidden_braces_lexes_in_linear_time():
     assert diagnostics == []
     assert [tok[1] for tok in tokens] == ["class", "A", "{", "void", "f", "(", ")", "{", ""]
     assert tokens[-1][0] is TokenKind.END and tokens[-1][2] == 20_002
+
+
+# Override values as JSON text: numbers with long mantissas and extreme
+# exponents, the constants Python's json reads, and values of other types.
+# A repeated choice is drawn more often, so that most documents get past
+# the name checks to the values.
+_DIGITS = st.text("0123456789", min_size=1, max_size=120)
+_EXPONENTS = st.one_of(
+    st.integers(-(10**9), 10**9),
+    st.sampled_from([-999999999, -5000, -3, -2, 99, 100, 400, 4300, 5000, 999990]),
+)
+
+
+@st.composite
+def _numbers(draw) -> str:
+    text = draw(_DIGITS).lstrip("0") or "0"
+    if draw(st.booleans()):
+        text += "." + draw(_DIGITS)
+    if draw(st.booleans()):
+        text += f"e{draw(_EXPONENTS)}"
+    return "-" + text if draw(st.integers(0, 9)) == 0 else text
+
+
+_VALUES = st.one_of(
+    _numbers(),
+    _numbers(),
+    _numbers(),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", '"0.3"', "true", "null", "[0.1]", "{}"]),
+)
+
+
+# Nested past any interpreter's recursion limit.
+_DEEP = '{"advice": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+@st.composite
+def _weight_documents(draw) -> str:
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", "{", "[1, 2]", "0.5", '{"advice": [0.3]}', _DEEP]))
+    sections = []
+    for section in draw(st.lists(st.sampled_from([*_SECTIONS] * 4 + ["designators"]), max_size=3)):
+        if draw(st.integers(0, 9)) == 0:
+            body = draw(_VALUES)
+        else:
+            known = list(_SECTIONS[section][1]) if section in _SECTIONS else []
+            names = st.sampled_from(known * 4 + ["befor"])
+            entries = draw(st.lists(st.tuples(names, _VALUES), max_size=3))
+            body = "{" + ", ".join(f'"{name}": {value}' for name, value in entries) + "}"
+        sections.append(f'"{section}": {body}')
+    return "{" + ", ".join(sections) + "}"
+
+
+# Roots: missing, a file, an empty directory, one version, a version with
+# a parse error, and the five mini-uas versions; --out: an existing
+# directory, a new one, a file, and a path under a file.
+_ROOTS = ["missing", "file", "empty", "version", "corrupt", "versions"]
+_OUTS = ["existing", "new", "file", "under file"]
+
+
+@st.composite
+def _argvs(draw) -> tuple[str, list[str], str | None, str]:
+    """A command, its arguments, a weights document (or None) and an --out shape."""
+    command = draw(st.sampled_from(["scan", "measure", "measure", "compare", "compare"]))
+    if command == "scan":
+        return command, [draw(st.sampled_from(_ROOTS))], None, "existing"
+    choices = ["log", "json", "csv", "table"]
+    if command == "compare":  # rarely "log", which compare rejects, so most runs get past argparse
+        choices = choices[1:] * 3 + ["log"]
+    formats = draw(st.lists(st.sampled_from(choices), max_size=3))
+    options = [arg for name in formats for arg in ("--format", name)]
+    if draw(st.booleans()):
+        options.append("--strict")
+    if command == "measure":
+        roots = [draw(st.sampled_from(["version"] * 3 + _ROOTS))]
+    elif draw(st.booleans()):
+        roots = ["--versions-root", draw(st.sampled_from(["versions"] * 3 + _ROOTS))]
+        order = draw(st.lists(st.sampled_from([*MINI_UAS_ORDER, "X"]), max_size=3))
+        options += ["--order", *order] if order else []
+    else:
+        roots = draw(st.lists(st.sampled_from(["version"] * 3 + _ROOTS), min_size=1, max_size=3))
+    weights = draw(st.one_of(st.none(), _weight_documents()))
+    return command, roots + options, weights, draw(st.sampled_from(_OUTS))
+
+
+@pytest.fixture(scope="module")
+def cli_paths(tmp_path_factory):
+    base = tmp_path_factory.mktemp("cli")
+    (base / "empty").mkdir()
+    (base / "existing").mkdir()
+    (base / "file").write_text("", encoding="utf-8")
+    return base, {
+        "missing": base / "missing",
+        "file": base / "file",
+        "empty": base / "empty",
+        "version": MINI_UAS / "AJ1.1",
+        "corrupt": TEST_FIXTURES / "corrupt" / "V",
+        "versions": MINI_UAS,
+    }
+
+
+_RUNS = itertools.count()
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+@given(case=_argvs())
+@example(case=("measure", ["version"], '{"advice": {"around": 1e5000}}', "new"))
+@example(case=("measure", ["version"], '{"advice": {"around": 1e400}}', "new"))
+@example(case=("measure", ["version"], '{"advice": {"around": 1e999990}}', "new"))
+@example(case=("measure", ["version"], '{"advice": {"around": 1e-999999999}}', "new"))
+@example(case=("compare", ["--versions-root", "versions", "--format", "log"], None, "new"))
+def test_cli_inputs_never_raise(cli_paths, case):
+    base, roots = cli_paths
+    command, args, weights, out_shape = case
+    argv = [command] + [str(roots[arg]) if arg in roots else arg for arg in args]
+    if command != "scan":
+        if weights is not None:
+            config = base / "weights.json"
+            config.write_text(weights, encoding="utf-8")
+            argv += ["--weights", str(config)]
+        out = {
+            "existing": base / "existing",
+            "new": base / "new" / str(next(_RUNS)),
+            "file": base / "file",
+            "under file": base / "file" / "out",
+        }[out_shape]
+        argv += ["--out", str(out)]
+    stderr = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors only
+            code = exc.code
+            assert code == 2, argv
+    err = stderr.getvalue()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.splitlines()[-1].startswith("error: "), err

@@ -150,3 +150,17 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_without_site_loads_no_typing():
+    # -S skips the site step, whose .pth hooks may import typing before
+    # aometrics does, so the import chain of the CLI alone is seen.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = (
+        "import sys, aometrics.cli; print(sorted(m for m in "
+        "('typing', 'dataclasses', 'inspect', 'ast') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

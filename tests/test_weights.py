@@ -280,6 +280,15 @@ def test_bad_json_rejected(tmp_path: Path):
         load_weight_overrides(path)
 
 
+def test_document_nested_too_deep_rejected(tmp_path: Path):
+    # json raises RecursionError, not a ValueError, past the depth limit.
+    path = tmp_path / "weights.json"
+    path.write_text('{"advice": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    with pytest.raises(MalformedConfig) as info:
+        load_weight_overrides(path)
+    assert str(info.value).startswith(f"invalid JSON in {path}: ")
+
+
 def test_non_number_rejected(tmp_path: Path):
     path = write_config(tmp_path, {"designator": {"call": "0.3"}})
     with pytest.raises(MalformedConfig):
@@ -304,6 +313,45 @@ def test_thirty_one_digit_override_with_a_third_decimal_rejected(tmp_path: Path)
     with pytest.raises(MalformedConfig) as info:
         load_weight_overrides(path)
     assert str(info.value) == "designator.execution: at most two decimal places supported"
+
+
+@pytest.mark.parametrize(
+    ("value", "message"),
+    [
+        ("1e5000", "advice.around: weight must be below 1e100"),
+        ("1e400", "advice.around: weight must be below 1e100"),
+        ("1e999990", "advice.around: weight must be below 1e100"),
+        ("1" + "0" * 100, "advice.around: weight must be below 1e100"),
+        ("1e-999999999", "advice.around: at most two decimal places supported"),
+    ],
+)
+def test_override_of_extreme_size_rejected_at_once(tmp_path: Path, value, message):
+    # Each is decided from the digits and the exponent as written: 1e5000
+    # used to fail in rendering with a traceback, 1e400 to render 401
+    # digits, and 1e-999999999 and 1e999990 to run on for minutes.
+    path = tmp_path / "weights.json"
+    path.write_text(f'{{"advice": {{"around": {value}}}}}', encoding="utf-8")
+    with pytest.raises(MalformedConfig) as info:
+        load_weight_overrides(path)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    ("value", "rendered"),
+    [
+        ("9" * 100, "9" * 100 + ".0"),
+        ("9.99e99", "999" + "0" * 97 + ".0"),
+        ("1." + "0" * 1000, "1.0"),
+        ("0e999999999", "0.0"),
+        ("0e-999999999", "0.0"),
+    ],
+)
+def test_override_below_the_bound_kept_exactly(tmp_path: Path, value, rendered):
+    path = tmp_path / "weights.json"
+    path.write_text(f'{{"advice": {{"around": {value}}}}}', encoding="utf-8")
+    table = load_weight_overrides(path)
+    assert table.scale == 10
+    assert table.advice_weights[AdviceKind.AROUND].render() == rendered
 
 
 def test_thirty_one_digit_override_kept_exactly(tmp_path: Path):
