@@ -15,8 +15,7 @@ from .errors import (
 )
 from .lexer import Token, TokenKind, tokenize
 from .metrics import (
-    AspectMetrics,
-    ClassMetrics,
+    TypeMetrics,
     VersionMetrics,
     classify_joinpoint_categories,
     measure_version,

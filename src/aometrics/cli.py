@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import re
 import sys
 from pathlib import Path
 
@@ -34,6 +35,8 @@ _MEASURE_FORMATS = ("log", "json", "csv", "table")
 _MEASURE_DEFAULTS = ("log", "json", "csv")
 _COMPARE_FORMATS = ("json", "csv", "table")
 _COMPARE_DEFAULTS = ("json", "csv")
+# The bytes of a name that is not valid UTF-8, as the file system decodes them.
+_UNDECODED = re.compile("([\udc80-\udcff]+)")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -171,12 +174,15 @@ def _write(path: Path, text: str) -> None:
 
 
 def _echo(text: str) -> None:
-    """Write ``text`` to stdout; a name that is not valid UTF-8 keeps its own bytes."""
+    """Write ``text`` to stdout. A name that is not valid UTF-8 keeps its own
+    bytes; a character the stream cannot encode is escaped, as on stderr."""
     try:
         sys.stdout.write(text)
-    except UnicodeEncodeError:  # a strict stream, e.g. under PYTHONIOENCODING=utf-8
+    except UnicodeEncodeError:  # a strict stream, e.g. under PYTHONIOENCODING=ascii
         sys.stdout.flush()
-        sys.stdout.buffer.write(text.encode(sys.stdout.encoding, "surrogateescape"))
+        encoding, out = sys.stdout.encoding, sys.stdout.buffer
+        for i, part in enumerate(_UNDECODED.split(text)):  # the undecoded runs at odd places
+            out.write(part.encode(encoding, "surrogateescape" if i % 2 else "backslashreplace"))
 
 
 def _measure_one(

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .diagnostics import Diagnostic, FrozenRecord, Record, relabeled, warning
 from .errors import StrictModeParseFailure
-from .parser import AdviceDecl, PointcutDecl, SourceUnit, TypeDecl, walk_classes
+from .parser import AdviceDecl, PointcutDecl, SourceUnit, TypeDecl, walk_types
 from .pointcuts import (
     KINDED_DESIGNATORS,
     And,
@@ -40,25 +40,28 @@ from .weights import (
 )
 
 
-class AspectMetrics(Record):
-    __slots__ = ("aspect_name", "wpa", "waa", "wjp", "wmca")
+class TypeMetrics(Record):
+    """One measured type. The paper defines WPA and WAA per aspect: a class row's are zero."""
 
-    def __init__(self, aspect_name: str, wpa: Weight, waa: Weight, wjp: Weight, wmca: int):
-        self.aspect_name = aspect_name
+    __slots__ = ("name", "wpa", "waa", "wjp", "wmca", "method_count", "attribute_count")
+
+    def __init__(
+        self,
+        name: str,
+        wpa: Weight,
+        waa: Weight,
+        wjp: Weight,
+        wmca: int,
+        method_count: int,
+        attribute_count: int,
+    ):
+        self.name = name
         self.wpa = wpa
         self.waa = waa
         self.wjp = wjp
         self.wmca = wmca
-
-
-class ClassMetrics(Record):
-    __slots__ = ("class_name", "wmca", "attribute_count", "wjp_contribution")
-
-    def __init__(self, class_name: str, wmca: int, attribute_count: int, wjp_contribution: Weight):
-        self.class_name = class_name
-        self.wmca = wmca
+        self.method_count = method_count  # constructors included, unlike wmca
         self.attribute_count = attribute_count
-        self.wjp_contribution = wjp_contribution
 
 
 class VersionMetrics(Record):
@@ -75,23 +78,21 @@ class VersionMetrics(Record):
         self,
         version_id: str,
         scale: int,
-        method_count: int,
-        attribute_count: int,
-        per_aspect: list[AspectMetrics],
-        per_class: list[ClassMetrics],
+        per_aspect: list[TypeMetrics],
+        per_class: list[TypeMetrics],
         diagnostics: list[Diagnostic],
     ):
-        aspect_wjp = sum([a.wjp.units for a in per_aspect])
+        rows = (*per_aspect, *per_class)
         self.version_id = version_id
         self.wpa = Weight(sum([a.wpa.units for a in per_aspect]), scale)
         self.waa = Weight(sum([a.waa.units for a in per_aspect]), scale)
-        self.wjp = Weight(aspect_wjp + sum([c.wjp_contribution.units for c in per_class]), scale)
-        self.wmca = sum([c.wmca for c in per_class]) + sum([a.wmca for a in per_aspect])
+        self.wjp = Weight(sum([row.wjp.units for row in rows]), scale)
+        self.wmca = sum([row.wmca for row in rows])
         self.class_attribute_count = sum([c.attribute_count for c in per_class])
         self.class_count = len(per_class)
         self.aspect_count = len(per_aspect)
-        self.method_count = method_count
-        self.attribute_count = attribute_count
+        self.method_count = sum([row.method_count for row in rows])
+        self.attribute_count = sum([row.attribute_count for row in rows])
         self.per_aspect = per_aspect
         self.per_class = per_class
         self.aspect_free = not per_aspect
@@ -219,8 +220,7 @@ def _classify(unit: SourceUnit, diags: list[Diagnostic]) -> dict[int, PointcutFa
     once more than there are categories: the work is linear in the
     references, and cycles need no special case.
     """
-    containers: list[tuple[str, TypeDecl]] = [(a.name, a) for a in unit.aspects]
-    containers.extend(walk_classes(unit))
+    containers = list(walk_types(unit))
     if not any(owner.pointcuts or owner.advices for _, owner in containers):
         return {}
     qualified: dict[str, PointcutDecl] = {}
@@ -355,44 +355,29 @@ def measure_version(
     for unit in failed:
         diags.append(warning(unit.file, 0, "file excluded from metrics (parse errors)"))
 
-    per_aspect: list[AspectMetrics] = []
-    per_class: list[ClassMetrics] = []
+    per_aspect: list[TypeMetrics] = []
+    per_class: list[TypeMetrics] = []
     scale = w.scale
-    method_count = 0
-    attribute_count = 0
+    zero = Weight(0, scale)  # a class row's WPA and WAA
 
     for unit in usable:
         facts = classify_joinpoint_categories(unit, diags)
-        for aspect in unit.aspects:
-            a_wpa = 0
-            for pc in aspect.pointcuts:
-                a_wpa += _pointcut_units(facts[id(pc)], w)
-            a_wjp = 0
-            for decl in (*aspect.pointcuts, *aspect.advices):
-                a_wjp += _joinpoint_units(facts[id(decl)], w)
-            per_aspect.append(
-                AspectMetrics(
-                    aspect.name,
-                    Weight(a_wpa, scale),
-                    waa_aspect(aspect, w),
-                    Weight(a_wjp, scale),
-                    wmca_unit(aspect),
+        for name, t in walk_types(unit):
+            wjp = 0
+            for decl in (*t.pointcuts, *t.advices):
+                wjp += _joinpoint_units(facts[id(decl)], w)
+            wpa = waa = zero
+            rows = per_class
+            if t.kind == "aspect":
+                wpa = Weight(sum([_pointcut_units(facts[id(pc)], w) for pc in t.pointcuts]), scale)
+                waa = waa_aspect(t, w)
+                rows = per_aspect
+            rows.append(
+                TypeMetrics(
+                    name, wpa, waa, Weight(wjp, scale), wmca_unit(t), len(t.methods), len(t.attributes)
                 )
             )
-            method_count += len(aspect.methods)
-            attribute_count += len(aspect.attributes)
-        for qname, cls in walk_classes(unit):
-            c_wjp = 0
-            for pc in cls.pointcuts:
-                c_wjp += _joinpoint_units(facts[id(pc)], w)
-            per_class.append(
-                ClassMetrics(qname, wmca_unit(cls), len(cls.attributes), Weight(c_wjp, scale))
-            )
-            method_count += len(cls.methods)
-            attribute_count += len(cls.attributes)
 
-    per_aspect.sort(key=lambda m: m.aspect_name)
-    per_class.sort(key=lambda m: m.class_name)
-    return VersionMetrics(
-        version_id, scale, method_count, attribute_count, per_aspect, per_class, diags
-    )
+    per_aspect.sort(key=lambda m: m.name)
+    per_class.sort(key=lambda m: m.name)
+    return VersionMetrics(version_id, scale, per_aspect, per_class, diags)

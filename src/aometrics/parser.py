@@ -841,3 +841,11 @@ def walk_classes(unit: SourceUnit):
         qualified = prefix + decl.name
         yield qualified, decl
         stack += [(qualified + ".", inner) for inner in reversed(decl.nested)]
+
+
+def walk_types(unit: SourceUnit):
+    """Yield (qualified name, TypeDecl) pairs for every type: the top-level
+    aspects, then what ``walk_classes`` yields."""
+    for aspect in unit.aspects:
+        yield aspect.name, aspect
+    yield from walk_classes(unit)

@@ -111,7 +111,7 @@ def _version_payload(metrics: VersionMetrics) -> dict:
         "attribute_count": metrics.attribute_count,
         "per_aspect": [
             {
-                "name": m.aspect_name,
+                "name": m.name,
                 "wpa": m.wpa.render(),
                 "waa": m.waa.render(),
                 "wjp": m.wjp.render(),
@@ -121,10 +121,10 @@ def _version_payload(metrics: VersionMetrics) -> dict:
         ],
         "per_class": [
             {
-                "name": m.class_name,
+                "name": m.name,
                 "wmca": m.wmca,
                 "attributes": m.attribute_count,
-                "wjp": m.wjp_contribution.render(),
+                "wjp": m.wjp.render(),
             }
             for m in metrics.per_class
         ],

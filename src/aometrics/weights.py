@@ -14,7 +14,7 @@ from decimal import Decimal, InvalidOperation
 from enum import Enum, IntEnum
 from pathlib import Path
 
-from .diagnostics import FrozenRecord
+from .diagnostics import FrozenRecord, Record
 from .errors import ConfigNotFound, MalformedConfig, NegativeWeight, UnknownWeightKey
 from .parser import AdviceKind
 from .pointcuts import SignaturePattern
@@ -84,7 +84,7 @@ class SpecificityLevel(IntEnum):
     WILDCARD_OR_UNQUALIFIED_CLASS = 5
 
 
-class WeightTable(FrozenRecord):
+class WeightTable(Record):
     __slots__ = (
         "designator_weights", "advice_weights", "joinpoint_type_weights",
         "signature_level_weights", "scale",
@@ -98,11 +98,11 @@ class WeightTable(FrozenRecord):
         signature_level_weights: dict,
         scale: int,
     ):
-        object.__setattr__(self, "designator_weights", designator_weights)
-        object.__setattr__(self, "advice_weights", advice_weights)
-        object.__setattr__(self, "joinpoint_type_weights", joinpoint_type_weights)
-        object.__setattr__(self, "signature_level_weights", signature_level_weights)
-        object.__setattr__(self, "scale", scale)
+        self.designator_weights = designator_weights
+        self.advice_weights = advice_weights
+        self.joinpoint_type_weights = joinpoint_type_weights
+        self.signature_level_weights = signature_level_weights
+        self.scale = scale
 
 
 # One entry per override-file section, in WeightTable's field order: how an

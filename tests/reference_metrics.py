@@ -18,9 +18,8 @@ from __future__ import annotations
 from aometrics.diagnostics import Diagnostic, warning
 from aometrics.errors import StrictModeParseFailure
 from aometrics.metrics import (
-    AspectMetrics,
-    ClassMetrics,
     PointcutFacts,
+    TypeMetrics,
     VersionMetrics,
     wmca_unit,
 )
@@ -233,8 +232,8 @@ def measure_version(
             warning(unit.file, 0, "file excluded from metrics (parse errors)")
         )
 
-    per_aspect: list[AspectMetrics] = []
-    per_class: list[ClassMetrics] = []
+    per_aspect: list[TypeMetrics] = []
+    per_class: list[TypeMetrics] = []
     wpa = waa = wjp = zero = Weight(0, w.scale)
     method_count = 0
     attribute_count = 0
@@ -249,7 +248,10 @@ def measure_version(
                 zero,
             )
             per_aspect.append(
-                AspectMetrics(aspect.name, a_wpa, a_waa, a_wjp, wmca_unit(aspect))
+                TypeMetrics(
+                    aspect.name, a_wpa, a_waa, a_wjp, wmca_unit(aspect),
+                    len(aspect.methods), len(aspect.attributes),
+                )
             )
             wpa = wpa + a_wpa
             waa = waa + a_waa
@@ -259,14 +261,16 @@ def measure_version(
         for qname, cls in walk_classes(unit):
             c_wjp = sum((joinpoint_weight(facts[id(pc)], w) for pc in cls.pointcuts), zero)
             per_class.append(
-                ClassMetrics(qname, wmca_unit(cls), len(cls.attributes), c_wjp)
+                TypeMetrics(
+                    qname, zero, zero, c_wjp, wmca_unit(cls), len(cls.methods), len(cls.attributes)
+                )
             )
             wjp = wjp + c_wjp
             method_count += len(cls.methods)
             attribute_count += len(cls.attributes)
 
-    per_aspect.sort(key=lambda m: m.aspect_name)
-    per_class.sort(key=lambda m: m.class_name)
+    per_aspect.sort(key=lambda m: m.name)
+    per_class.sort(key=lambda m: m.name)
     na = sum(m.attribute_count for m in per_class)
     wmca = sum(m.wmca for m in per_class) + sum(m.wmca for m in per_aspect)
 

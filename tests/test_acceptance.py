@@ -63,14 +63,14 @@ def test_criterion_1_fixture_oracle():
             assert m.nac_rendered() == nac["rendered"], vid
 
             got_aspects = [
-                {"name": a.aspect_name, "wpa": a.wpa.render(), "waa": a.waa.render(),
+                {"name": a.name, "wpa": a.wpa.render(), "waa": a.waa.render(),
                  "wjp": a.wjp.render(), "wmca": a.wmca}
                 for a in m.per_aspect
             ]
             assert got_aspects == manifest["per_aspect"], vid
             got_classes = [
-                {"name": c.class_name, "wmca": c.wmca, "attributes": c.attribute_count,
-                 "wjp": c.wjp_contribution.render()}
+                {"name": c.name, "wmca": c.wmca, "attributes": c.attribute_count,
+                 "wjp": c.wjp.render()}
                 for c in m.per_class
             ]
             assert got_classes == manifest["per_class"], vid

@@ -711,6 +711,38 @@ def test_stdout_keeps_a_version_name_that_is_not_utf8(tmp_path: Path):
         assert expected in done.stdout, argv
 
 
+def _run_ascii(argv: list[str]) -> subprocess.CompletedProcess:
+    """The CLI in a subprocess whose stdout encodes ASCII only. The in-process
+    never-raises property cannot see an encoding fault: its captured stdout
+    takes any str."""
+    env = dict(os.environ, PYTHONIOENCODING="ascii", PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "aometrics.cli", *argv], env=env, capture_output=True)
+    assert done.returncode == 0, (argv, done.stderr)
+    assert b"Traceback" not in done.stderr, argv
+    return done
+
+
+def test_stdout_escapes_a_name_it_cannot_encode(tmp_path: Path):
+    root = tmp_path / "root"
+    version = root / "Vé"
+    version.mkdir(parents=True)
+    (version / "A.java").write_text("class A { int x; }")
+    done = _run_ascii(["scan", str(root), "--versions-root"])
+    assert b"VERSION V\\xe9 (1 files)\n" in done.stdout
+    done = _run_ascii(["measure", str(version), "--out", str(tmp_path / "out")])
+    assert b"\nV\\xe9 " in done.stdout
+    assert (tmp_path / "out" / "Vé.json").is_file()
+
+
+def test_stdout_keeps_undecoded_bytes_beside_an_escaped_name(tmp_path: Path):
+    root = tmp_path / "root"
+    root.mkdir()
+    version = root / _not_utf8(b"V\xfe\xc3\xa9", lambda name: (root / name).mkdir())
+    (version / "A.java").write_text("class A { int x; }")
+    done = _run_ascii(["scan", str(root), "--versions-root"])
+    assert b"VERSION V\xfe\\xe9 (1 files)\n" in done.stdout
+
+
 def _cycles_after(argv: list[str]) -> int:
     """Objects in reference cycles that one in-process run left behind."""
     gc.collect()

@@ -227,8 +227,8 @@ def test_wjp_split_between_aspects_and_classes():
     ]
     m = measure_version("v", units, W)
     assert m.wjp.render() == "0.7"  # 0.1 method_execution + 0.6 particular_method
-    assert [(a.aspect_name, a.wjp.render()) for a in m.per_aspect] == [("A", "0.1")]
-    assert [(c.class_name, c.wjp_contribution.render()) for c in m.per_class] == [("C", "0.6")]
+    assert [(a.name, a.wjp.render()) for a in m.per_aspect] == [("A", "0.1")]
+    assert [(c.name, c.wjp.render()) for c in m.per_class] == [("C", "0.6")]
 
 
 def test_wjp_bare_named_ref_not_double_counted():
@@ -272,7 +272,7 @@ def test_nested_reference_resolves_in_its_declaring_scope():
     assert facts[id(uses)].categories == {JoinPointCategory.ATTRIBUTE}
     m = measure_version("v", [unit], W)
     # 0.3 exception_handling (A.r) + 0.5 attribute (uses, through B.q and B.r)
-    assert [(a.aspect_name, a.wjp.render()) for a in m.per_aspect] == [
+    assert [(a.name, a.wjp.render()) for a in m.per_aspect] == [
         ("A", "0.8"), ("B", "1.0")
     ]
 
@@ -575,7 +575,7 @@ def test_measure_single_aspect_version_totals():
     m = measure_version("v", units, W)
     assert m.wpa.render() == "0.6"  # execution 0.1 + wildcard-class signature 0.5
     assert m.per_aspect[0].wpa == m.wpa
-    assert m.per_aspect[0].aspect_name == "A"
+    assert m.per_aspect[0].name == "A"
     assert m.nac is None
     assert m.nac_rendered() == "NA"
 
@@ -658,7 +658,7 @@ def test_java_only_versions_have_zero_aspect_metrics(bodies):
 def test_byte_order_mark_file_is_measured():
     m = measure_dir(TEST_FIXTURES / "bom" / "V")
     assert m.diagnostics == []
-    assert [(c.class_name, c.wmca, c.attribute_count) for c in m.per_class] == [("Account", 3, 2)]
+    assert [(c.name, c.wmca, c.attribute_count) for c in m.per_class] == [("Account", 3, 2)]
     assert (m.wmca, m.class_attribute_count, m.class_count) == (3, 2, 1)
     assert m.nac_rendered() == "2.000"
 
@@ -667,20 +667,20 @@ def test_text_block_contents_never_reach_the_parser():
     m = measure_dir(TEST_FIXTURES / "text_block" / "V")
     assert m.diagnostics == []
     assert m.aspect_count == 0 and m.aspect_free
-    assert [(c.class_name, c.wmca, c.attribute_count) for c in m.per_class] == [("Banner", 1, 2)]
+    assert [(c.name, c.wmca, c.attribute_count) for c in m.per_class] == [("Banner", 1, 2)]
 
 
 def test_c_style_array_returns_are_measured():
     m = measure_dir(TEST_FIXTURES / "array_return" / "V")
     assert m.diagnostics == []
-    assert [(c.class_name, c.wmca, c.attribute_count) for c in m.per_class] == [("Grid", 3, 1)]
+    assert [(c.name, c.wmca, c.attribute_count) for c in m.per_class] == [("Grid", 3, 1)]
 
 
 def test_c_style_array_fields_are_measured():
     version, units = parse_version_dir(TEST_FIXTURES / "array_field" / "V")
     m = measure_version(version, units, W)
     assert m.diagnostics == []
-    assert [(c.class_name, c.wmca, c.attribute_count) for c in m.per_class] == [("Matrix", 1, 5)]
+    assert [(c.name, c.wmca, c.attribute_count) for c in m.per_class] == [("Matrix", 1, 5)]
     assert m.nac_rendered() == "5.000"
     assert [line for line in write_log(units, m).splitlines() if "ATTRIBUTE" in line] == [
         "  ATTRIBUTE int[] c",
@@ -696,7 +696,7 @@ def test_type_annotations_inside_field_types_are_skipped():
     version, units = parse_version_dir(TEST_FIXTURES / "type_annotation" / "V")
     m = measure_version(version, units, W)
     assert m.diagnostics == []
-    assert [(c.class_name, c.wmca, c.attribute_count) for c in m.per_class] == [("Dims", 1, 6)]
+    assert [(c.name, c.wmca, c.attribute_count) for c in m.per_class] == [("Dims", 1, 6)]
     assert [line for line in write_log(units, m).splitlines() if "ATTRIBUTE" in line] == [
         "  ATTRIBUTE int[] a",
         "  ATTRIBUTE int[] b",
@@ -726,7 +726,7 @@ def test_type_annotations_inside_method_heads_are_skipped():
     version, units = parse_version_dir(TEST_FIXTURES / "method_annotation" / "V")
     m = measure_version(version, units, W)
     assert m.diagnostics == []
-    assert [(c.class_name, c.wmca, c.attribute_count) for c in m.per_class] == [("Heads", 4, 1)]
+    assert [(c.name, c.wmca, c.attribute_count) for c in m.per_class] == [("Heads", 4, 1)]
     assert [line for line in write_log(units, m).splitlines() if "METHOD" in line] == [
         "  METHOD java.util.List<String> names()",
         "  METHOD int[] sizes()",
@@ -740,7 +740,7 @@ def test_parameter_annotations_are_left_out_of_the_logged_signature():
     version, units = parse_version_dir(TEST_FIXTURES / "param_annotation" / "V")
     m = measure_version(version, units, W)
     assert m.diagnostics == []
-    assert [(c.class_name, c.wmca, c.attribute_count) for c in m.per_class] == [("Params", 3, 0)]
+    assert [(c.name, c.wmca, c.attribute_count) for c in m.per_class] == [("Params", 3, 0)]
     assert [line for line in write_log(units, m).splitlines() if "METHOD" in line] == [
         "  METHOD void f(int a)",
         "  METHOD Params(final String s, int n)",
@@ -774,7 +774,7 @@ def test_annotation_types_are_not_measured_with_or_without_modifiers():
     version, units = parse_version_dir(TEST_FIXTURES / "annotation_type" / "V")
     m = measure_version(version, units, W)
     assert m.diagnostics == []
-    assert [(c.class_name, c.wmca, c.attribute_count) for c in m.per_class] == [
+    assert [(c.name, c.wmca, c.attribute_count) for c in m.per_class] == [
         ("Holder", 1, 1),
         ("Plain", 1, 1),
     ]
@@ -797,7 +797,7 @@ def test_module_info_is_a_declaration_free_unit():
     assert sorted(ref.path.name for ref in version.files) == ["Main.java", "module-info.java"]
     m = measure_version(version, units, W)
     assert m.diagnostics == []
-    assert [(c.class_name, c.wmca, c.attribute_count) for c in m.per_class] == [("Main", 2, 1)]
+    assert [(c.name, c.wmca, c.attribute_count) for c in m.per_class] == [("Main", 2, 1)]
     log = write_log(units, m)
     assert f"FILE {TEST_FIXTURES / 'module_info' / 'V' / 'module-info.java'}\n" in log
 

@@ -20,12 +20,16 @@ from aometrics import (
     SignaturePattern,
     SourceFileRef,
     VersionRef,
+    JoinPointCategory,
+    SpecificityLevel,
     Weight,
     classify_joinpoint_categories,
+    default_weights,
     parse_source,
     scan_corpus,
 )
 from aometrics.diagnostics import Diagnostic, Severity
+from aometrics.metrics import PointcutFacts
 from aometrics.parser import SourceUnit, TypeDecl
 from helpers import MINI_UAS, measure_dir, parse_version_dir
 
@@ -41,6 +45,7 @@ FROZEN = [
     (SignaturePattern("void", "a.B", "f", ".."), "name_pattern"),
     (VersionRef("V", Path("V"), ()), "files"),
     (SourceFileRef("V/A.java", FileKind.JAVA), "label"),
+    (PointcutFacts(("call",), (SpecificityLevel.FULLY_QUALIFIED,), frozenset()), "levels"),
 ]
 
 
@@ -67,7 +72,12 @@ def test_equal_frozen_records_hash_equal_and_mutable_ones_are_unhashable():
     assert hash(And(X, Y)) == hash(And(Primitive("within", "A"), Primitive("call", "* *(..)")))
     assert hash(Weight(2, 10)) == hash(Weight(1, 10) + Weight(1, 10))
     assert len({Weight(1, 10), Weight(1, 10), Weight(2, 10)}) == 2
-    for record in (TypeDecl(name="A", kind="class", line=1), SourceUnit("A.java")):
+    facts = [
+        PointcutFacts(("get", "set"), (), frozenset({JoinPointCategory.ATTRIBUTE}))
+        for _ in range(2)
+    ]
+    assert facts[0] is not facts[1] and hash(facts[0]) == hash(facts[1])
+    for record in (TypeDecl(name="A", kind="class", line=1), SourceUnit("A.java"), default_weights()):
         with pytest.raises(TypeError):
             hash(record)
 
