@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .diagnostics import error, relabeled, warning
 from .errors import AnalysisError, TooFewVersions, WriteFailure
-from .metrics import VersionMetrics, measure_version
+from .metrics import measure_version
 from .parser import SourceUnit, parse_source
 from .report import (
     compare_versions,
@@ -27,14 +27,10 @@ from .report import (
     write_log,
 )
 from .scanner import ScanMode, VersionRef, scan_corpus
-from .weights import WeightTable, default_weights, load_weight_overrides
+from .weights import default_weights, load_weight_overrides
 
-# The report formats each subcommand writes, and those it writes when no
-# --format is given: compare writes no log.
-_MEASURE_FORMATS = ("log", "json", "csv", "table")
-_MEASURE_DEFAULTS = ("log", "json", "csv")
-_COMPARE_FORMATS = ("json", "csv", "table")
-_COMPARE_DEFAULTS = ("json", "csv")
+# The report formats each subcommand accepts: compare writes no log.
+_FORMATS = {"measure": ("log", "json", "csv", "table"), "compare": ("json", "csv", "table")}
 # The bytes of a name that is not valid UTF-8, as the file system decodes them.
 _UNDECODED = re.compile("([\udc80-\udcff]+)")
 
@@ -57,7 +53,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     measure = sub.add_parser("measure", help="measure one version directory")
     measure.add_argument("root", type=Path)
-    _add_common(measure, _MEASURE_FORMATS, _MEASURE_DEFAULTS)
+    _add_common(measure, _FORMATS["measure"])
 
     compare = sub.add_parser("compare", help="measure and compare several versions")
     compare.add_argument("roots", nargs="*", type=Path, metavar="root")
@@ -72,20 +68,24 @@ def build_arg_parser() -> argparse.ArgumentParser:
         metavar="ID",
         help="explicit version ids in comparison order (subset allowed)",
     )
-    _add_common(compare, _COMPARE_FORMATS, _COMPARE_DEFAULTS)
+    _add_common(compare, _FORMATS["compare"])
     return parser
 
 
-def _add_common(
-    sub: argparse.ArgumentParser, formats: tuple[str, ...], defaults: tuple[str, ...]
-) -> None:
+def _default_formats(formats: tuple[str, ...]) -> list[str]:
+    """The formats written when no --format is given: all but the table,
+    which goes to standard output anyway."""
+    return [fmt for fmt in formats if fmt != "table"]
+
+
+def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     sub.add_argument("--weights", type=Path, help="JSON weight override file")
     sub.add_argument(
         "--format",
         action="append",
         choices=formats,
         dest="formats",
-        help=f"report format to write (repeatable; default: {' '.join(defaults)})",
+        help=f"report format to write (repeatable; default: {' '.join(_default_formats(formats))})",
     )
     sub.add_argument("--out", type=Path, default=Path("."), help="output directory")
     sub.add_argument(
@@ -93,12 +93,6 @@ def _add_common(
         action="store_true",
         help="abort instead of skipping files with parse errors",
     )
-
-
-def _load_table(path: Path | None) -> WeightTable:
-    if path is None:
-        return default_weights()
-    return load_weight_overrides(path)
 
 
 def _decode_source(data: bytes) -> tuple[str, bool]:
@@ -159,11 +153,6 @@ def _parse_version(
     return units
 
 
-def _report_diagnostics(metrics: VersionMetrics) -> None:
-    for diag in metrics.diagnostics:
-        print(str(diag), file=sys.stderr)
-
-
 def _write(path: Path, text: str) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -185,18 +174,6 @@ def _echo(text: str) -> None:
             out.write(part.encode(encoding, "surrogateescape" if i % 2 else "backslashreplace"))
 
 
-def _measure_one(
-    version: VersionRef,
-    table: WeightTable,
-    strict: bool,
-    parsed: dict[bytes, SourceUnit],
-) -> tuple[VersionMetrics, list[SourceUnit]]:
-    units = _parse_version(version, parsed)
-    metrics = measure_version(version, units, table, strict=strict)
-    _report_diagnostics(metrics)
-    return metrics, units
-
-
 def _cmd_scan(args: argparse.Namespace) -> int:
     mode = ScanMode.VERSIONS_ROOT if args.versions_root else ScanMode.SINGLE_VERSION
     lines = []
@@ -207,68 +184,69 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_measure(args: argparse.Namespace) -> int:
-    formats = set(args.formats or _MEASURE_DEFAULTS)
-    table = _load_table(args.weights)
-    (version,) = scan_corpus(args.root, ScanMode.SINGLE_VERSION)
-    metrics, units = _measure_one(version, table, args.strict, {})
-
-    out = args.out
-    if "log" in formats:
-        usable = [u for u in units if not u.has_errors]
-        _write(out / f"{metrics.version_id}.log", write_log(usable, metrics))
-    if "json" in formats:
-        _write(out / f"{metrics.version_id}.json", write_json(metrics))
-    if "csv" in formats:
-        _write(out / f"{metrics.version_id}.csv", write_csv([metrics]))
-    if "table" in formats:
-        _write(out / f"{metrics.version_id}.txt", render_table([metrics]))
-    _echo(render_table([metrics]))
-    return 0
-
-
-def _ordered_versions(versions: list[VersionRef], order: list[str] | None) -> list[VersionRef]:
-    if order is None:
-        return versions
-    by_id = {v.id: v for v in versions}
-    missing = [vid for vid in order if vid not in by_id]
-    if missing:
-        raise TooFewVersions(f"unknown version id(s) in --order: {', '.join(missing)}")
-    repeated = sorted({vid for vid in order if order.count(vid) > 1}, key=order.index)
-    if repeated:
-        raise TooFewVersions(f"repeated version id(s) in --order: {', '.join(repeated)}")
-    return [by_id[vid] for vid in order]
-
-
-def _cmd_compare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.versions_root and args.roots:
-        parser.error("give either --versions-root or explicit version roots, not both")
-    if not args.versions_root and len(args.roots) < 2:
-        parser.error("compare needs --versions-root or at least two version roots")
-
-    formats = set(args.formats or _COMPARE_DEFAULTS)
-    table = _load_table(args.weights)
-
+def _compared_versions(args: argparse.Namespace) -> list[VersionRef]:
+    """The versions ``compare`` measures, in the order it reports them."""
     if args.versions_root:
         versions = scan_corpus(args.versions_root, ScanMode.VERSIONS_ROOT)
     else:
         versions = [scan_corpus(root, ScanMode.SINGLE_VERSION)[0] for root in args.roots]
-    versions = _ordered_versions(versions, args.order)
+    order = args.order
+    if order is not None:
+        by_id = {v.id: v for v in versions}
+        missing = [vid for vid in order if vid not in by_id]
+        if missing:
+            raise TooFewVersions(f"unknown version id(s) in --order: {', '.join(missing)}")
+        repeated = sorted({vid for vid in order if order.count(vid) > 1}, key=order.index)
+        if repeated:
+            raise TooFewVersions(f"repeated version id(s) in --order: {', '.join(repeated)}")
+        versions = [by_id[vid] for vid in order]
     if len(versions) < 2:
         raise TooFewVersions(f"need at least 2 versions, found {len(versions)}")
+    return versions
+
+
+def _cmd_measure_or_compare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """Measure one version (measure) or several (compare), write the reports
+    asked for, and print the table (and for compare the trends)."""
+    if args.command == "compare":
+        if args.versions_root and args.roots:
+            parser.error("give either --versions-root or explicit version roots, not both")
+        if not args.versions_root and len(args.roots) < 2:
+            parser.error("compare needs --versions-root or at least two version roots")
+    formats = args.formats or _default_formats(_FORMATS[args.command])
+    # Loaded before any scan, so a bad override file wins over a missing root.
+    weights = default_weights() if args.weights is None else load_weight_overrides(args.weights)
+    if args.command == "measure":
+        versions = scan_corpus(args.root, ScanMode.SINGLE_VERSION)
+    else:
+        versions = _compared_versions(args)
 
     parsed: dict[bytes, SourceUnit] = {}
-    all_metrics = [_measure_one(v, table, args.strict, parsed)[0] for v in versions]
-    report = compare_versions(all_metrics)
+    all_metrics = []
+    for version in versions:
+        units = _parse_version(version, parsed)
+        metrics = measure_version(version, units, weights, strict=args.strict)
+        for diag in metrics.diagnostics:
+            print(str(diag), file=sys.stderr)
+        all_metrics.append(metrics)
 
-    out = args.out
-    if "json" in formats:
-        _write(out / "comparison.json", write_json(report))
-    if "csv" in formats:
-        _write(out / "comparison.csv", write_csv(all_metrics))
-    if "table" in formats:
-        _write(out / "comparison.txt", render_table(all_metrics))
-    _echo(render_table(all_metrics) + render_trends(report))
+    shown = rendered = render_table(all_metrics)
+    if args.command == "measure":  # one version: ``metrics`` and ``units`` are its own
+        stem, report = metrics.version_id, metrics
+    else:
+        stem, report = "comparison", compare_versions(all_metrics)
+        shown += render_trends(report)
+    # Each report's file suffix and text; a text is built only if asked for.
+    reports = {
+        "log": (".log", lambda: write_log([u for u in units if not u.has_errors], metrics)),
+        "json": (".json", lambda: write_json(report)),
+        "csv": (".csv", lambda: write_csv(all_metrics)),
+        "table": (".txt", lambda: rendered),
+    }
+    for fmt, (suffix, build) in reports.items():
+        if fmt in formats:
+            _write(args.out / f"{stem}{suffix}", build())
+    _echo(shown)
     return 0
 
 
@@ -277,9 +255,7 @@ def run(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.command == "scan":
         return _cmd_scan(args)
-    if args.command == "measure":
-        return _cmd_measure(args)
-    return _cmd_compare(args, parser)
+    return _cmd_measure_or_compare(args, parser)
 
 
 def main(argv: list[str] | None = None) -> int:

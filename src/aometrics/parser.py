@@ -52,6 +52,7 @@ _SKIP_ENDS = _DECLARATION_ENDS | {"{"}  # ... and outside parentheses
 _MEMBER_ENDS = frozenset({"", "{", ";", "}"})
 _ADVICE_HEAD_ENDS = _MEMBER_ENDS | {":"}  # an advice's 'throws' clause, the 'around' lookahead
 _INITIALIZER_ENDS = frozenset({"", ";", ",", "}"})
+_ENUM_CONSTANTS_ENDS = frozenset({";", "}"})
 _RECOVERY_ENDS = TYPE_KEYWORDS | {""}
 
 # Besides words, the tokens a parameter list read in one step may hold.
@@ -492,7 +493,45 @@ class _DeclParser:
                 _, _, close_line, _, end = tokens[after - 1]
                 tokens[after] = (_END, "", close_line, end, end)
         self.stack.append((decl, restore))
-        return decl, pos + 1  # past its '{'
+        pos += 1  # past its '{'
+        if word == "enum":
+            pos = self.parse_enum_constants(pos, decl)
+        return decl, pos
+
+    def parse_enum_constants(self, pos: int, decl: TypeDecl) -> int:
+        """Read the constants that open the body of the enum ``decl`` at ``pos``.
+
+        Each constant is one attribute, as javac lists it: annotations, a
+        name, an optional argument list and an optional body, which is
+        passed whole. The list may end in a ','. It ends at a ';', which it
+        takes, or at the '}' of the body. Returns where the members after
+        it start. A list of any other shape is not read: ``pos`` comes
+        back, and the member loop reads what is there as it reads members.
+        """
+        tokens = self.tokens
+        constants: list[AttributeDecl] = []
+        end = pos
+        while True:
+            while tokens[end][1] == "@":
+                end = self.annotation_end(end)
+            kind, name, line, _, _ = tokens[end]
+            if kind is not _IDENTIFIER:
+                return pos
+            end = self.paren_end(end + 1)
+            if tokens[end][0] is _BRACE_OPEN:
+                end, closed = self.brace_end(end)
+                if not closed:
+                    return pos
+            constants.append(AttributeDecl(name, "", line))
+            if tokens[end][1] == ",":
+                end += 1
+                if tokens[end][1] not in _ENUM_CONSTANTS_ENDS:
+                    continue
+            elif tokens[end][1] not in _ENUM_CONSTANTS_ENDS:
+                return pos
+            break
+        decl.attributes += constants
+        return end + 1 if tokens[end][0] is _SEMICOLON else end
 
     def parse_members(self, pos: int) -> int:
         """Read the members of the open type bodies, innermost first, until none is open.

@@ -157,6 +157,21 @@ def test_measure_bad_weight_config(tmp_path: Path, capsys):
     assert "befor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", [["measure"], ["compare", "--versions-root"]], ids=["measure", "compare"]
+)
+def test_a_bad_weight_file_wins_over_a_missing_root(tmp_path: Path, capsys, command):
+    # The weights are loaded before any scan, so their error is the one reported.
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"advice": {"around": -1}}), encoding="utf-8")
+    missing = tmp_path / "missing"
+    code = main([*command, str(missing), "--weights", str(config), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: advice.around: negative weight -1\n"
+    assert captured.out == ""
+
+
 def test_compare_versions_root_with_order(tmp_path: Path, capsys):
     code = main(
         [

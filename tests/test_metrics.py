@@ -389,7 +389,8 @@ _leaf = st.one_of(
 
 
 def unit_models(leaf=_leaf, repeat_names: bool = False):
-    """Models of one unit: per container, its (name, leaves) pointcuts and its advices' leaves.
+    """Models of one unit: per container, its (name, leaves) pointcuts, its
+    advices' leaves and its number of fields.
 
     Each leaf list is joined with ``||``. A name occurs at most once per
     container unless ``repeat_names`` is set.
@@ -404,6 +405,7 @@ def unit_models(leaf=_leaf, repeat_names: bool = False):
                     unique_by=None if repeat_names else (lambda pointcut: pointcut[0]),
                 ),
                 st.lists(expression, max_size=2) if keyword == "aspect" else st.just([]),
+                st.integers(min_value=0, max_value=2),
             )
             for qualified, keyword, _ in _CONTAINERS
         }
@@ -417,7 +419,8 @@ def render_model(model) -> tuple[str, dict]:
 
     def emit(qualified: str, keyword: str) -> None:
         lines.append(f"{keyword} {qualified.rsplit('.', 1)[-1]} {{")
-        pointcuts, advices = model[qualified]
+        pointcuts, advices, fields = model[qualified]
+        lines.extend(f"int f{i};" for i in range(fields))
         for i, (name, leaves) in enumerate(pointcuts):
             lines.append(f"pointcut {name}(): {' || '.join(leaves)};")
             at[qualified, "pointcut", i] = len(lines)
@@ -466,7 +469,7 @@ def _expected_resolution(model, at):
         return [leaf[:-2] for leaf in leaves if leaf not in _LEAF_CATEGORIES]
 
     categories, warnings = {}, []
-    for q, (pointcuts, _) in model.items():
+    for q, (pointcuts, *_) in model.items():
         for i, (name, _) in enumerate(pointcuts):
             if any(earlier == name for earlier, _ in pointcuts[:i]):
                 warnings.append(

@@ -87,6 +87,41 @@ def test_interface_and_enum_count_as_classes():
     assert [m.name for m in enum.methods] == ["h"]
 
 
+def _types(source: str) -> dict:
+    unit = parse_source(source, "E.java")
+    assert unit.parse_diagnostics == []
+    return {
+        name: ([a.name for a in decl.attributes], [m.name for m in decl.methods])
+        for name, decl in walk_classes(unit)
+    }
+
+
+def test_each_enum_constant_is_one_attribute_whatever_follows_its_name():
+    assert _types("enum E { RED(1), GREEN(2); }") == {"E": (["RED", "GREEN"], [])}
+    assert _types("class C { enum In { X(1), Y(2); In(int v) {} } int q; }") == {
+        "C": (["q"], []),
+        "C.In": (["X", "Y"], ["In"]),
+    }
+    # A constant's body is passed whole: its members are not the enum's.
+    assert _types("enum E { A { void f() {} }, B; }") == {"E": (["A", "B"], [])}
+    assert _types("enum E { A(1); E(int x){} }") == {"E": (["A"], ["E"])}
+    assert _types("enum E { @Deprecated A, @X(1) B() {}, }") == {"E": (["A", "B"], [])}
+    assert _types("enum E { A, B, ; void m() {} }") == {"E": (["A", "B"], ["m"])}
+    assert _types("enum E { A, B }") == {"E": (["A", "B"], [])}
+    assert _types("enum E { ; int x; }") == {"E": (["x"], [])}
+
+
+def test_a_malformed_enum_constant_list_is_read_as_members():
+    unit = parse_source("enum E { A(1) B; int x; }\nenum F { A, int y; }", "E.java")
+    e, f = unit.classes
+    assert [a.name for a in e.attributes] == ["x"]
+    assert [a.name for a in f.attributes] == ["A"]
+    assert [str(d) for d in unit.parse_diagnostics] == [
+        "E.java:1: error: malformed declaration of 'A'",
+        "E.java:2: warning: missing declarator after ','",
+    ]
+
+
 def test_annotations_skipped():
     unit = parse_source(
         "@Entity @Table(name = \"t\") class A { @Deprecated void f() {} }",
