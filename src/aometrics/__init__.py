@@ -44,7 +44,7 @@ from .pointcuts import (
     parse_pointcut_expression,
 )
 from .report import ComparisonReport, compare_versions, render_table, write_csv, write_json, write_log
-from .scanner import FileKind, ScanMode, SourceFileRef, VersionRef, classify_file, scan_corpus
+from .scanner import FileKind, ScanMode, VersionRef, classify_file, scan_corpus
 from .weights import (
     JoinPointCategory,
     SpecificityLevel,

@@ -26,7 +26,7 @@ from .report import (
     write_json,
     write_log,
 )
-from .scanner import ScanMode, VersionRef, scan_corpus
+from .scanner import ScanMode, VersionRef, classify_file, scan_corpus
 from .weights import default_weights, load_weight_overrides
 
 # The report formats each subcommand accepts: compare writes no log.
@@ -122,8 +122,7 @@ def _parse_version(
     a content are classified once per run, too.
     """
     units = []
-    for ref in version.files:
-        label = ref.label
+    for label in version.files:
         try:
             # Unbuffered: readall sizes its one buffer from fstat.
             with open(label, "rb", buffering=0) as handle:
@@ -179,7 +178,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     lines = []
     for version in scan_corpus(args.root, mode):
         lines.append(f"VERSION {version.id} ({len(version.files)} files)\n")
-        lines.extend(f"  {ref.label} [{ref.kind.value}]\n" for ref in version.files)
+        lines.extend(f"  {path} [{classify_file(path).value}]\n" for path in version.files)
     _echo("".join(lines))
     return 0
 

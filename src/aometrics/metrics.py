@@ -15,8 +15,6 @@ NAC  class attributes divided by class count (nested classes included,
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .diagnostics import Diagnostic, FrozenRecord, Record, relabeled, warning
 from .errors import StrictModeParseFailure
 from .parser import AdviceDecl, PointcutDecl, SourceUnit, TypeDecl, walk_types
@@ -97,12 +95,6 @@ class VersionMetrics(Record):
         self.per_class = per_class
         self.aspect_free = not per_aspect
         self.diagnostics = diagnostics
-
-    @property
-    def nac(self) -> Fraction | None:
-        if self.class_count == 0:
-            return None
-        return Fraction(self.class_attribute_count, self.class_count)
 
     def nac_rendered(self) -> str:
         if self.class_count == 0:

@@ -522,7 +522,7 @@ class _DeclParser:
                 end, closed = self.brace_end(end)
                 if not closed:
                     return pos
-            constants.append(AttributeDecl(name, "", line))
+            constants.append(AttributeDecl(name, decl.name, line))
             if tokens[end][1] == ",":
                 end += 1
                 if tokens[end][1] not in _ENUM_CONSTANTS_ENDS:

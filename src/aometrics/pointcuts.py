@@ -326,41 +326,27 @@ def extract_signature_pattern(
         malformed("empty argument")
         return None
 
-    if p.designator == "handler":
+    if p.designator in ("handler", "get", "set"):
         if "(" in arg:
             malformed("unexpected parameter list")
             return None
-        return SignaturePattern(declaring_type_pattern=arg)
-
-    if p.designator in ("get", "set"):
-        if "(" in arg:
-            malformed("unexpected parameter list")
+        if p.designator == "handler":
+            return SignaturePattern(declaring_type_pattern=arg)
+        header, params, empty = arg, "", "no field pattern"
+    else:  # execution / call: ReturnPattern Declaring.name(Params)
+        open_idx = arg.find("(")
+        if open_idx < 0:
+            malformed("missing parameter list")
             return None
-        words = [w for w in arg.split() if w not in SIGNATURE_MODIFIERS]
-        if not words:
-            malformed("no field pattern")
+        close_idx = arg.rfind(")")
+        if close_idx < open_idx:
+            malformed("unbalanced parameter list")
             return None
-        type_pat, name_pat = _split_member_name(words[-1])
-        return SignaturePattern(
-            return_pattern=_join_return_pattern(words[:-1]),
-            declaring_type_pattern=type_pat,
-            name_pattern=name_pat,
-        )
-
-    # execution / call: ReturnPattern Declaring.name(Params)
-    open_idx = arg.find("(")
-    if open_idx < 0:
-        malformed("missing parameter list")
-        return None
-    close_idx = arg.rfind(")")
-    if close_idx < open_idx:
-        malformed("unbalanced parameter list")
-        return None
-    header = arg[:open_idx].strip()
-    params = arg[open_idx + 1 : close_idx].strip()
+        header, params = arg[:open_idx], arg[open_idx + 1 : close_idx].strip()
+        empty = "no method pattern"
     words = [w for w in header.split() if w not in SIGNATURE_MODIFIERS]
     if not words:
-        malformed("no method pattern")
+        malformed(empty)
         return None
     type_pat, name_pat = _split_member_name(words[-1])
     return SignaturePattern(

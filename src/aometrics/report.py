@@ -7,7 +7,6 @@ as decimal strings so no consumer is exposed to floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .diagnostics import Record
@@ -225,13 +224,13 @@ class ComparisonReport(Record):
         self.trends = trends
 
 
-def _trend(deltas: list[int | Fraction | None]) -> str:
-    present = [d for d in deltas if d is not None]
-    if not present or all(d == 0 for d in present):
+def _trend(deltas: list[tuple[int, int] | None]) -> str:
+    present = [d[0] for d in deltas if d is not None]
+    if not present or all(n == 0 for n in present):
         return "flat"
-    if all(d >= 0 for d in present):
+    if all(n >= 0 for n in present):
         return "increasing"
-    if all(d <= 0 for d in present):
+    if all(n <= 0 for n in present):
         return "decreasing"
     return "mixed"
 
@@ -239,31 +238,32 @@ def _trend(deltas: list[int | Fraction | None]) -> str:
 def compare_versions(reports: list[VersionMetrics]) -> ComparisonReport:
     """Per-metric deltas across consecutive versions plus a trend verdict.
 
-    Each column holds ints (a Fraction or None for NAC) in units of
-    ``1 / den``, and each value and delta is ``render_fixed`` of one.
+    Each column holds ``(num, den)`` pairs with ``den > 0`` (None for a NAC
+    with no class), and each value and delta is ``render_fixed`` of one.
     """
     if len(reports) < 2:
         raise TooFewVersions(f"need at least 2 versions, got {len(reports)}")
 
-    weight = reports[0].wpa
+    weight_places = reports[0].wpa.places
     columns = [
-        ("wmca", [m.wmca for m in reports], 1, 0),
-        ("nac", [m.nac for m in reports], 1, 3),
-        ("wpa", [m.wpa.units for m in reports], weight.scale, weight.places),
-        ("waa", [m.waa.units for m in reports], weight.scale, weight.places),
-        ("wjp", [m.wjp.units for m in reports], weight.scale, weight.places),
+        ("wmca", [(m.wmca, 1) for m in reports], 0),
+        ("nac", [(m.class_attribute_count, m.class_count) if m.class_count else None for m in reports], 3),
+        ("wpa", [(m.wpa.units, m.wpa.scale) for m in reports], weight_places),
+        ("waa", [(m.waa.units, m.waa.scale) for m in reports], weight_places),
+        ("wjp", [(m.wjp.units, m.wjp.scale) for m in reports], weight_places),
     ]
     deltas: dict[str, list[dict]] = {}
     trends: dict[str, str] = {}
-    for metric, values, den, places in columns:
+    for metric, values, places in columns:
         diffs = [None] + [
-            None if old is None or new is None else new - old for old, new in zip(values, values[1:])
+            None if old is None or new is None else (new[0] * old[1] - old[0] * new[1], old[1] * new[1])
+            for old, new in zip(values, values[1:])
         ]
         deltas[metric] = [
             {
                 "version": m.version_id,
-                "value": "NA" if x is None else render_fixed(x.numerator, x.denominator * den, places),
-                "delta": None if d is None else render_fixed(d.numerator, d.denominator * den, places, True),
+                "value": "NA" if x is None else render_fixed(*x, places),
+                "delta": None if d is None else render_fixed(*d, places, True),
             }
             for m, x, d in zip(reports, values, diffs)
         ]

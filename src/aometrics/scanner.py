@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from enum import Enum
-from operator import itemgetter
 from pathlib import Path
 
 from .diagnostics import FrozenRecord
@@ -28,24 +27,10 @@ class ScanMode(Enum):
     VERSIONS_ROOT = "versions-root"
 
 
-class SourceFileRef(FrozenRecord):
-    """A source file, kept as the path string the scan found; ``path`` builds a ``Path``."""
-
-    __slots__ = ("label", "kind")
-
-    def __init__(self, label: str, kind: FileKind):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "kind", kind)
-
-    @property
-    def path(self) -> Path:
-        return Path(self.label)
-
-
 class VersionRef(FrozenRecord):
     __slots__ = ("id", "root", "files")
 
-    def __init__(self, id: str, root: Path, files: tuple[SourceFileRef, ...]):
+    def __init__(self, id: str, root: Path, files: tuple[str, ...]):
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "files", files)
@@ -67,14 +52,14 @@ def classify_file(path: Path | str) -> FileKind:
     return _kind_of_name(Path(path).name)
 
 
-def _collect_files(root: Path) -> list[SourceFileRef]:
-    """Every source file under ``root``, sorted by its full path string.
+def _collect_files(root: Path) -> list[str]:
+    """The path string of every source file under ``root``, sorted.
 
     Only regular files and directories are visited, never a symlink; hidden
     directories (VCS metadata etc.) are pruned, but hidden files are kept. A
     directory that cannot be read is skipped silently, as ``os.walk`` skips it.
     """
-    found: list[tuple[str, FileKind]] = []
+    found: list[str] = []
     todo = [str(root)]
     while todo:
         try:
@@ -85,13 +70,12 @@ def _collect_files(root: Path) -> list[SourceFileRef]:
                         if not name.startswith("."):
                             todo.append(entry.path)
                     elif entry.is_file(follow_symlinks=False):
-                        kind = _kind_of_name(name)
-                        if kind is not FileKind.IGNORED:
-                            found.append((entry.path, kind))
+                        if _kind_of_name(name) is not FileKind.IGNORED:
+                            found.append(entry.path)
         except OSError:
             pass
-    found.sort(key=itemgetter(0))
-    return [SourceFileRef(path, kind) for path, kind in found]
+    found.sort()
+    return found
 
 
 def scan_corpus(root: Path | str, mode: ScanMode) -> list[VersionRef]:

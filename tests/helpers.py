@@ -34,7 +34,7 @@ MINI_UAS_ORDER = ["J1.0", "AJ1.1", "AJ1.2", "AJ1.3", "AJ1.4"]
 
 def parse_version_dir(path: Path):
     (version,) = scan_corpus(path, ScanMode.SINGLE_VERSION)
-    units = [parse_source(ref.path.read_text(encoding="utf-8"), ref.label) for ref in version.files]
+    units = [parse_source(Path(path).read_text(encoding="utf-8"), path) for path in version.files]
     return version, units
 
 

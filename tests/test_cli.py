@@ -371,7 +371,7 @@ def test_compare_payloads_match_fresh_single_version_parses(tmp_path: Path, caps
     for root, reported in zip(roots, payload["versions"]):
         (version,) = scan_corpus(root, ScanMode.SINGLE_VERSION)
         units = [
-            parse_source(_decode_source(ref.path.read_bytes())[0], ref.label) for ref in version.files
+            parse_source(_decode_source(Path(path).read_bytes())[0], path) for path in version.files
         ]
         fresh = measure_version(version, units, default_weights())
         assert reported == json.loads(write_json(fresh))

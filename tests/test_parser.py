@@ -111,6 +111,25 @@ def test_each_enum_constant_is_one_attribute_whatever_follows_its_name():
     assert _types("enum E { ; int x; }") == {"E": (["x"], [])}
 
 
+def test_each_enum_constant_is_typed_as_its_enum():
+    # javac types each constant as its enum: ``public static final E A``.
+    unit = parse_source(
+        "enum Planet { MERCURY(1), EARTH { }; int mass; }\n"
+        "class C { enum Level { LOW, HIGH, } interface I { enum Kind { BOOK } } }",
+        "E.java",
+    )
+    assert unit.parse_diagnostics == []
+    assert {
+        name: [(a.declared_type, a.name) for a in decl.attributes] for name, decl in walk_classes(unit)
+    } == {
+        "Planet": [("Planet", "MERCURY"), ("Planet", "EARTH"), ("int", "mass")],
+        "C": [],
+        "C.Level": [("Level", "LOW"), ("Level", "HIGH")],
+        "C.I": [],
+        "C.I.Kind": [("Kind", "BOOK")],
+    }
+
+
 def test_a_malformed_enum_constant_list_is_read_as_members():
     unit = parse_source("enum E { A(1) B; int x; }\nenum F { A, int y; }", "E.java")
     e, f = unit.classes

@@ -260,6 +260,14 @@ def test_nac_values_round_ties_to_even_and_deltas_keep_the_sign_of_the_exact_val
     assert [m.nac_rendered() for m in reports] == ["0.062", "0.188", "0.020", "0.020", "NA", "0.312", "0.438"]
 
 
+def test_equal_nac_ratios_of_different_counts_give_a_zero_delta_and_a_flat_trend():
+    reports = [_version("v1", attributes=2, classes=4), _version("v2", attributes=1, classes=2)]
+    assert [(m.class_attribute_count, m.class_count) for m in reports] == [(2, 4), (1, 2)]
+    assert _series(reports, "nac", "value") == ["0.500", "0.500"]
+    assert _series(reports, "nac", "delta") == [None, "0.000"]
+    assert compare_versions(reports).trends["nac"] == "flat"
+
+
 def test_wmca_and_weight_deltas_sign_only_a_nonzero_value():
     reports = _seven_versions()
     assert _series(reports, "wmca", "value") == ["3", "5", "5", "4", "0", "2", "2"]

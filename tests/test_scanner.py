@@ -23,8 +23,8 @@ def test_single_version_filters_extensions(tmp_path: Path):
     (tmp_path / "notes.txt").write_text("not source")
     (version,) = scan_corpus(tmp_path, ScanMode.SINGLE_VERSION)
     assert version.id == tmp_path.name
-    assert [f.path.name for f in version.files] == ["A.java", "B.aj"]
-    assert all(f.kind is not FileKind.IGNORED for f in version.files)
+    assert [Path(f).name for f in version.files] == ["A.java", "B.aj"]
+    assert all(classify_file(f) is not FileKind.IGNORED for f in version.files)
 
 
 def test_versions_root_orders_children(tmp_path: Path):
@@ -42,7 +42,7 @@ def test_hidden_directories_skipped(tmp_path: Path):
     hidden.mkdir()
     (hidden / "B.java").write_text("class B {}")
     (version,) = scan_corpus(tmp_path, ScanMode.SINGLE_VERSION)
-    assert [f.path.name for f in version.files] == ["A.java"]
+    assert [Path(f).name for f in version.files] == ["A.java"]
 
 
 def test_files_sorted_recursively(tmp_path: Path):
@@ -50,7 +50,7 @@ def test_files_sorted_recursively(tmp_path: Path):
     (tmp_path / "z" / "A.java").write_text("class A {}")
     (tmp_path / "B.java").write_text("class B {}")
     (version,) = scan_corpus(tmp_path, ScanMode.SINGLE_VERSION)
-    paths = [str(f.path) for f in version.files]
+    paths = list(version.files)
     assert paths == sorted(paths)
     assert len(paths) == 2
 
@@ -94,7 +94,7 @@ def test_mini_uas_has_five_versions():
     assert [v.id for v in versions] == ["AJ1.1", "AJ1.2", "AJ1.3", "AJ1.4", "J1.0"]
     # J1.0 bundles an ignored text file and a hidden decoy directory.
     j10 = next(v for v in versions if v.id == "J1.0")
-    names = {f.path.name for f in j10.files}
+    names = {Path(f).name for f in j10.files}
     assert "notes.txt" not in names
     assert "Decoy.java" not in names
     assert len(j10.files) == 9
@@ -109,12 +109,12 @@ def _scan_both_modes(tmp_path: Path, build) -> tuple[list[str], list[str]]:
     single.mkdir()
     build(single)
     (version,) = scan_corpus(single, ScanMode.SINGLE_VERSION)
-    single_paths = [f.path.relative_to(version.root).as_posix() for f in version.files]
+    single_paths = [Path(f).relative_to(version.root).as_posix() for f in version.files]
     child = tmp_path / "root" / "v1"
     child.mkdir(parents=True)
     build(child)
     (version,) = scan_corpus(tmp_path / "root", ScanMode.VERSIONS_ROOT)
-    root_paths = [f.path.relative_to(version.root).as_posix() for f in version.files]
+    root_paths = [Path(f).relative_to(version.root).as_posix() for f in version.files]
     return single_paths, root_paths
 
 
@@ -155,7 +155,7 @@ def test_extensions_match_case_insensitively(tmp_path: Path):
     single, root_mode = _scan_both_modes(tmp_path, build)
     assert single == root_mode == ["Mixed.Aj", "Upper.JAVA"]
     (version,) = scan_corpus(tmp_path / "single", ScanMode.SINGLE_VERSION)
-    assert [f.kind for f in version.files] == [FileKind.ASPECTJ, FileKind.JAVA]
+    assert [classify_file(f) for f in version.files] == [FileKind.ASPECTJ, FileKind.JAVA]
 
 
 def test_files_sort_by_full_path_string(tmp_path: Path):
@@ -163,7 +163,7 @@ def test_files_sort_by_full_path_string(tmp_path: Path):
         (tmp_path / name).mkdir()
         (tmp_path / name / "X.java").write_text("class X {}")
     (version,) = scan_corpus(tmp_path, ScanMode.SINGLE_VERSION)
-    assert [f.path.relative_to(tmp_path).as_posix() for f in version.files] == [
+    assert [Path(f).relative_to(tmp_path).as_posix() for f in version.files] == [
         "a-b/X.java",
         "a.b/X.java",
         "a/X.java",
@@ -183,7 +183,7 @@ def test_unreadable_directory_is_skipped_silently(tmp_path: Path, monkeypatch):
 
     monkeypatch.setattr(os, "scandir", scandir)
     (version,) = scan_corpus(tmp_path, ScanMode.SINGLE_VERSION)
-    assert [f.path.name for f in version.files] == ["A.java"]
+    assert [Path(f).name for f in version.files] == ["A.java"]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
@@ -192,4 +192,4 @@ def test_a_fifo_named_like_a_source_file_is_skipped(tmp_path: Path):
     (tmp_path / "A.java").write_text("class A {}")
     os.mkfifo(tmp_path / "F.java")
     (version,) = scan_corpus(tmp_path, ScanMode.SINGLE_VERSION)
-    assert [f.path.name for f in version.files] == ["A.java"]
+    assert [Path(f).name for f in version.files] == ["A.java"]
